@@ -338,7 +338,9 @@ struct KernelEnvPin {
 /// (igemm_property_test), so only speed and the allocs_per_iter=0 warm
 /// contract are at stake here.  8-bit skips vec-packed: its ±256 weight
 /// codes overflow the signed-8 lane format, so selection would silently
-/// fall back and mislabel the row.
+/// fall back and mislabel the row.  Builds without 8-bit-lane SIMD skip
+/// vec-packed at every width for the same reason (it is never eligible
+/// there).
 void BM_IgemmForward(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   const auto mode = static_cast<std::size_t>(state.range(1));
@@ -366,18 +368,15 @@ void BM_IgemmForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
                           static_cast<std::int64_t>(net.macs_per_sample(16, 16)));
 }
-BENCHMARK(BM_IgemmForward)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({2, 3})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 3})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({8, 2});
+void igemm_forward_args(benchmark::internal::Benchmark* b) {
+  for (int bits : {2, 4, 8}) {
+    for (int mode = 0; mode <= 3; ++mode) {
+      if (mode == 3 && (bits == 8 || !igemm_packed_simd())) continue;
+      b->Args({bits, mode});
+    }
+  }
+}
+BENCHMARK(BM_IgemmForward)->Apply(igemm_forward_args);
 
 /// Deeper end-to-end net for the engine-forward snapshot: two conv
 /// blocks with max/avg pooling, a global-average head and an unfused

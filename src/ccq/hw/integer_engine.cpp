@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <set>
 #include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/hw/fixed_point.hpp"
@@ -337,12 +338,21 @@ namespace {
 /// codes|, threaded layer to layer: the input snap is 8-bit (codes in
 /// [0, 255]); a b-bit activation grid emits codes in [0, 2^b − 1];
 /// pooling and flatten keep values on (or, for averages, requantized
-/// back onto) the current grid, so they preserve the bound.  0 marks an
-/// unquantized producer — the consumer then accumulates in int64
-/// unconditionally.
+/// back onto) the current grid, so they preserve the bound.  A layer
+/// without a quantized activation grid (the classifier head) leaves the
+/// grid for good: the engine has no float-activation datapath, so only
+/// a flatten may follow it.
 void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
   std::int64_t in_bound = 255;
+  const IntLayerPlan* producer = nullptr;  // the unquantized producer
   for (auto& plan : plans) {
+    if (producer != nullptr && plan.kind != IntLayerPlan::Kind::kFlatten) {
+      throw Error("integer engine: layer '" + plan.name +
+                  "' follows '" + producer->name +
+                  "', which has no quantized activation grid; only a "
+                  "flatten may follow an unquantized producer (quantize "
+                  "every layer but the last weighted one)");
+    }
     if (plan.kind == IntLayerPlan::Kind::kConv ||
         plan.kind == IntLayerPlan::Kind::kLinear) {
       const bool conv = plan.kind == IntLayerPlan::Kind::kConv;
@@ -353,10 +363,9 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
                : plan.in_features;
       plan.max_abs_code = igemm_max_abs(plan.weight_codes);
       plan.in_code_bound = in_bound;
-      plan.accum =
-          in_bound > 0 && igemm_fits_int32(plan.max_abs_code, in_bound, depth)
-              ? IgemmAccum::kInt32
-              : IgemmAccum::kInt64;
+      plan.accum = igemm_fits_int32(plan.max_abs_code, in_bound, depth)
+                       ? IgemmAccum::kInt32
+                       : IgemmAccum::kInt64;
       plan.igemm_kernel = igemm_select_kernel(requested, plan.max_abs_code,
                                               plan.in_code_bound, plan.accum);
       // Conv consumes the panel on the left (kWX, per-row epilogue);
@@ -367,9 +376,9 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
       // Fused fixed-point requantization: fold channel_scale/bias and
       // the activation grid into int32-multiplier requant parameters so
       // the igemm epilogue writes the next layer's codes directly.
-      // Fusion needs integer codes arriving (in_bound > 0), a quantized
-      // output grid, and a static accumulator bound inside make_requant's
-      // 2^61 budget — anything else keeps the float epilogue.
+      // Fusion needs a quantized output grid and a static accumulator
+      // bound inside make_requant's 2^61 budget — anything else keeps
+      // the float epilogue.
       //
       // Artifact-loaded plans arrive with the per-channel `requant`
       // parameters populated and keep them verbatim (serving replays the
@@ -377,8 +386,7 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
       // — exact integer functions of act_bits / weight codes / geometry,
       // not serialized — are rederived here.  Freshly compiled and
       // synthetic plans compute everything.
-      const bool fusable =
-          plan.has_act && plan.act_bits < 16 && in_bound > 0;
+      const bool fusable = plan.has_act && plan.act_bits < 16;
       std::int64_t bound = -1;  // -1 = overflows the budget, unfusable
       if (fusable) {
         constexpr std::int64_t kBudget = std::int64_t{1} << 61;
@@ -418,9 +426,11 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
         }
       }
       if (plan.requant.empty()) plan.requant_fused = false;
-      in_bound = plan.has_act && plan.act_bits < 16
-                     ? (std::int64_t{1} << plan.act_bits) - 1
-                     : 0;
+      if (fusable) {
+        in_bound = (std::int64_t{1} << plan.act_bits) - 1;
+      } else {
+        producer = &plan;
+      }
     }
   }
 }
@@ -457,15 +467,6 @@ const RungInfo& IntegerNetwork::rung_info(std::size_t rung) const {
 
 namespace {
 
-/// Grid snap of a float activation straight into an int32 code buffer
-/// (the float-fallback path; the code domain never leaves integers).
-void to_int_codes(const Tensor& x, float scale, std::int32_t* codes) {
-  auto xp = x.data();
-  for (std::size_t i = 0; i < xp.size(); ++i) {
-    codes[i] = static_cast<std::int32_t>(std::lround(xp[i] / scale));
-  }
-}
-
 /// Apply the layer's activation quantizer to a float tensor.
 void apply_act(Tensor& x, const IntLayerPlan& plan) {
   if (!plan.has_act) return;
@@ -485,11 +486,10 @@ void apply_act(Tensor& x, const IntLayerPlan& plan) {
 
 // ---- code-domain helpers ---------------------------------------------------
 //
-// While every layer keeps a quantized activation grid, the engine carries
-// the activation *codes* (u8 for grids up to 8 bits, i16 above; exact
-// int32 in the reference path) instead of a float tensor.  These helpers
-// are shared by forward and forward_reference so the two datapaths stay
-// bit-identical by construction.
+// Activations flow layer to layer as integer *codes* on the current
+// activation grid (u8 for grids up to 8 bits, i16 above; exact int32 on
+// the reference backend) instead of a float tensor.  These helpers are
+// templated on the code type, so both MAC backends share them.
 
 /// Valid-window pool output extent (matches nn::MaxPool2d/AvgPool2d).
 inline std::size_t pool_out(std::size_t in, std::size_t k, std::size_t s) {
@@ -589,92 +589,328 @@ void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
   }
 }
 
-/// Typed scratch lease for activation codes (u8 / i16 / exact i32).
-template <typename T>
-auto code_lease(Workspace& ws, std::size_t n) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    return ws.bytes(n);
-  } else if constexpr (std::is_same_v<T, std::int16_t>) {
-    return ws.shorts(n);
-  } else {
-    return ws.ints(n);
-  }
-}
-
-/// Point an IgemmOp at a typed activation buffer (x / x8 / x16 by type).
-template <typename T>
-void set_igemm_x(IgemmOp& op, const T* x) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    op.x8 = x;
-  } else if constexpr (std::is_same_v<T, std::int16_t>) {
-    op.x16 = x;
-  } else {
-    op.x = x;
-  }
-}
-
-/// Owner of the flowing activation codes in forward(): exactly one of
-/// the u8 / i16 leases is engaged while the network stays in the code
-/// domain (leases have deleted move-assignment, hence the optionals).
+/// The activation codes flowing between layers: at most one engaged
+/// lease out of `Leases` (leases have deleted move-assignment, so the
+/// store re-emplaces instead of assigning).  Empty once an unquantized
+/// producer has left the grid.
+template <typename... Leases>
 class CodeStore {
  public:
-  bool engaged() const { return b8_.has_value() || i16_.has_value(); }
-  bool is_u8() const { return b8_.has_value(); }
-  void adopt(Workspace::ByteLease lease) {
-    reset();
-    b8_.emplace(std::move(lease));
+  bool engaged() const { return lease_.index() != 0; }
+  template <typename Lease>
+  void adopt(Lease lease) {
+    lease_.template emplace<Lease>(std::move(lease));
   }
-  void adopt(Workspace::ShortLease lease) {
-    reset();
-    i16_.emplace(std::move(lease));
-  }
-  void reset() {
-    b8_.reset();
-    i16_.reset();
-  }
-  const std::uint8_t* u8() const { return b8_->data(); }
-  const std::int16_t* i16() const { return i16_->data(); }
+  void reset() { lease_.template emplace<std::monostate>(); }
   /// Call `f` with the engaged typed code pointer.
   template <typename F>
   void visit(F&& f) const {
-    if (b8_.has_value()) {
-      f(static_cast<const std::uint8_t*>(b8_->data()));
+    std::visit(
+        [&](const auto& lease) {
+          if constexpr (!std::is_same_v<std::decay_t<decltype(lease)>,
+                                        std::monostate>) {
+            f(lease.data());
+          }
+        },
+        lease_);
+  }
+  /// Replace the codes by `f(src, dst)` written into a fresh lease of
+  /// `n` codes of the same type (pooling keeps the grid).
+  template <typename F>
+  void map(std::size_t n, Workspace& ws, F&& f) {
+    std::visit(
+        [&](auto& lease) {
+          using Lease = std::decay_t<decltype(lease)>;
+          if constexpr (!std::is_same_v<Lease, std::monostate>) {
+            Lease out(ws, n);
+            f(std::as_const(lease).data(), out.data());
+            lease_.template emplace<Lease>(std::move(out));  // `lease` dies
+          }
+        },
+        lease_);
+  }
+
+ private:
+  std::variant<std::monostate, Leases...> lease_;
+};
+
+// ---- MAC backends ------------------------------------------------------------
+//
+// The layer walk below is written once and instantiated over two MAC
+// backends (policy structs).  Each names the leases its codes travel in,
+// hands out a fresh lease for a grid topping out at `qmax`, and runs one
+// conv (`g` set) or linear (`g` null) layer over `n` images from codes
+// `src` into `out`: the next layer's codes through the fused requant
+// epilogue when `out` is integer, the float epilogue when it is float.
+
+/// The serving datapath: u8/i16 codes into `IgemmOp`s executed by each
+/// layer's selected kernel over its packed weight panel.
+struct IgemmMac {
+  using Codes = CodeStore<Workspace::ByteLease, Workspace::ShortLease>;
+
+  template <typename F>
+  static void with_lease(std::int64_t qmax, std::size_t n, Workspace& ws,
+                         F&& f) {
+    if (qmax <= 255) {
+      f(ws.bytes(n));
     } else {
-      f(static_cast<const std::int16_t*>(i16_->data()));
+      f(ws.shorts(n));
+    }
+  }
+
+  template <typename TIn, typename TOut>
+  static void run(const IntLayerPlan& plan, std::size_t n,
+                  const ConvGeometry* g, const TIn* src, TOut* out,
+                  Workspace& ws, const ExecContext& ctx) {
+    IgemmOp op;
+    op.panel = &plan.panel;
+    op.accum = plan.accum;
+    op.x_bound = plan.in_code_bound;
+    op.ws = &ws;
+    if constexpr (std::is_same_v<TOut, float>) {
+      op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
+    } else {
+      op.requant = plan.requant.data();
+      op.requant_qmax = plan.out_qmax;
+    }
+    if (g == nullptr) {
+      op.form = IgemmForm::kXW;
+      op.m = n;
+      op.n = plan.out_features;
+      op.k = plan.in_features;
+      set_x(op, src);
+      set_out(op, out);
+      igemm_run(op, ctx);
+      return;
+    }
+    // Conv consumes the panel on the left: one igemm per image over its
+    // im2col'd codes.
+    op.form = IgemmForm::kWX;
+    op.m = plan.out_channels;
+    op.n = g->out_spatial();
+    op.k = g->patch_size();
+    const std::size_t in_stride = g->in_channels * g->in_h * g->in_w;
+    Lease<TIn> cols(ws, op.k * op.n);
+    for (std::size_t img = 0; img < n; ++img) {
+      im2col(src + img * in_stride, *g, cols.data(), ctx);
+      set_x(op, static_cast<const TIn*>(cols.data()));
+      set_out(op, out + img * op.m * op.n);
+      igemm_run(op, ctx);
     }
   }
 
  private:
-  std::optional<Workspace::ByteLease> b8_;
-  std::optional<Workspace::ShortLease> i16_;
+  template <typename T>
+  using Lease = std::conditional_t<std::is_same_v<T, std::uint8_t>,
+                                   Workspace::ByteLease, Workspace::ShortLease>;
+
+  template <typename T>
+  static void set_x(IgemmOp& op, const T* x) {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      op.x8 = x;
+    } else {
+      op.x16 = x;
+    }
+  }
+  template <typename T>
+  static void set_out(IgemmOp& op, T* out) {
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      op.out8 = out;
+    } else if constexpr (std::is_same_v<T, std::int16_t>) {
+      op.out16 = out;
+    } else {
+      op.c = out;
+    }
+  }
 };
 
-/// Issue one igemm per image of a conv layer over typed activation
-/// codes.  `op` arrives fully configured except the per-image x / output
-/// pointers; exactly one of out8/out16/outf is non-null, matching the
-/// op's epilogue configuration (requant vs float).
-template <typename TIn>
-void conv_images(IgemmOp op, const TIn* src, std::size_t n,
-                 const ConvGeometry& g, std::uint8_t* out8,
-                 std::int16_t* out16, float* outf, Workspace& ws,
-                 const ExecContext& ctx) {
-  const std::size_t spatial = g.out_spatial();
-  const std::size_t patch = g.patch_size();
-  const std::size_t in_stride = g.in_channels * g.in_h * g.in_w;
-  const std::size_t out_stride = op.m * spatial;
-  auto cols = code_lease<TIn>(ws, patch * spatial);
-  for (std::size_t img = 0; img < n; ++img) {
-    im2col(src + img * in_stride, g, cols.data(), ctx);
-    set_igemm_x(op, static_cast<const TIn*>(cols.data()));
-    if (out8 != nullptr) {
-      op.out8 = out8 + img * out_stride;
-    } else if (out16 != nullptr) {
-      op.out16 = out16 + img * out_stride;
-    } else {
-      op.c = outf + img * out_stride;
-    }
-    igemm_run(op, ctx);
+/// The specification oracle: exact int32 codes, naive triple loops with
+/// unconditional int64 accumulation, and `requant_apply` per output —
+/// no packing, blocking, narrowing or kernel selection, so it checks
+/// all of those in the serving backend independently.
+struct ReferenceMac {
+  using Codes = CodeStore<Workspace::IntLease>;
+
+  template <typename F>
+  static void with_lease(std::int64_t /*qmax*/, std::size_t n, Workspace& ws,
+                         F&& f) {
+    f(ws.ints(n));
   }
+
+  template <typename TOut>
+  static void run(const IntLayerPlan& plan, std::size_t n,
+                  const ConvGeometry* g, const std::int32_t* src, TOut* out,
+                  Workspace& ws, const ExecContext& ctx) {
+    const auto store = [&](TOut& dst, std::size_t ch, std::int64_t acc) {
+      if constexpr (std::is_same_v<TOut, float>) {
+        dst = static_cast<float>(acc) * plan.channel_scale[ch] + plan.bias[ch];
+      } else {
+        dst = requant_apply(acc, plan.requant[ch], plan.out_qmax);
+      }
+    };
+    if (g == nullptr) {
+      const std::size_t k = plan.in_features, m = plan.out_features;
+      for (std::size_t img = 0; img < n; ++img) {
+        const std::int32_t* arow = src + img * k;
+        for (std::size_t oc = 0; oc < m; ++oc) {
+          const std::int32_t* wrow = plan.weight_codes.data() + oc * k;
+          std::int64_t acc = 0;
+          for (std::size_t p = 0; p < k; ++p) {
+            acc += static_cast<std::int64_t>(wrow[p]) *
+                   static_cast<std::int64_t>(arow[p]);
+          }
+          store(out[img * m + oc], oc, acc);
+        }
+      }
+      return;
+    }
+    const std::size_t patch = g->patch_size(), spatial = g->out_spatial();
+    const std::size_t in_stride = g->in_channels * g->in_h * g->in_w;
+    Workspace::IntLease cols = ws.ints(patch * spatial);
+    for (std::size_t img = 0; img < n; ++img) {
+      im2col(src + img * in_stride, *g, cols.data(), ctx);
+      TOut* dst = out + img * plan.out_channels * spatial;
+      // Integer MACs are exact, so any partition over the disjoint
+      // output-channel rows is trivially deterministic.
+      parallel_for(ctx, plan.out_channels, 4,
+                   [&](std::size_t oc0, std::size_t oc1) {
+        for (std::size_t oc = oc0; oc < oc1; ++oc) {
+          const std::int32_t* wrow = plan.weight_codes.data() + oc * patch;
+          for (std::size_t s = 0; s < spatial; ++s) {
+            std::int64_t acc = 0;  // the integer MAC datapath
+            for (std::size_t p = 0; p < patch; ++p) {
+              acc += static_cast<std::int64_t>(wrow[p]) *
+                     static_cast<std::int64_t>(cols.data()[p * spatial + s]);
+            }
+            store(dst[oc * spatial + s], oc, acc);
+          }
+        }
+      });
+    }
+  }
+};
+
+/// The one layer walk behind forward and forward_reference.  The input
+/// is snapped onto its 8-bit grid; codes then flow through every layer
+/// of rung `rung` over backend `Mac` and are decoded once at the edge.
+/// An unfused conv/linear runs the float epilogue: with a quantized
+/// activation (make_requant refused the layer) its output snaps back
+/// into codes, without one it is the result — finalize_plans lets only
+/// flattens follow an unquantized producer.
+template <typename Mac>
+Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
+            std::size_t rung, const Tensor& x, Workspace& ws,
+            const ExecContext& ctx) {
+  CCQ_CHECK(rung < rungs.size(), "rung index out of range");
+  CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
+  typename Mac::Codes codes;
+  Tensor act;
+  Shape shape = x.shape();
+  float scale = kInputScale;
+  const auto snap = [&](const Tensor& t, std::int64_t qmax) {
+    telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
+    Mac::with_lease(qmax, t.numel(), ws, [&](auto lease) {
+      snap_codes(t, scale, qmax, lease.data());
+      codes.adopt(std::move(lease));
+    });
+  };
+  snap(x, 255);  // standard 8-bit input quantization
+
+  for (const auto& plan : rungs[rung]) {
+    switch (plan.kind) {
+      case IntLayerPlan::Kind::kConv:
+      case IntLayerPlan::Kind::kLinear: {
+        const std::size_t n = shape[0];
+        const bool conv = plan.kind == IntLayerPlan::Kind::kConv;
+        ConvGeometry g{};
+        Shape out_shape;
+        if (conv) {
+          g = ConvGeometry{.in_channels = plan.in_channels,
+                           .in_h = shape[2],
+                           .in_w = shape[3],
+                           .kernel = plan.kernel,
+                           .stride = plan.stride,
+                           .pad = plan.pad};
+          out_shape = {n, plan.out_channels, g.out_h(), g.out_w()};
+        } else {
+          CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
+                    "linear input mismatch in integer engine");
+          out_shape = {n, plan.out_features};
+        }
+        const ConvGeometry* geom = conv ? &g : nullptr;
+        if (plan.requant_fused) {
+          // The epilogue writes the next layer's codes directly; no
+          // float tensor is materialised at the boundary.
+          Mac::with_lease(plan.out_qmax, shape_numel(out_shape), ws,
+                          [&](auto out) {
+            codes.visit([&](const auto* src) {
+              Mac::run(plan, n, geom, src, out.data(), ws, ctx);
+            });
+            codes.adopt(std::move(out));
+          });
+          scale = act_scale(plan);
+        } else {
+          Tensor out = ws.tensor_uninit(out_shape);
+          codes.visit([&](const auto* src) {
+            Mac::run(plan, n, geom, src, out.data().data(), ws, ctx);
+          });
+          codes.reset();
+          apply_act(out, plan);
+          if (plan.has_act && plan.act_bits < 16) {
+            // Exact re-entry: apply_act put every value on the grid.
+            scale = act_scale(plan);
+            snap(out, (std::int64_t{1} << plan.act_bits) - 1);
+            ws.recycle(std::move(out));
+          } else {
+            act = std::move(out);
+          }
+        }
+        shape = out_shape;
+        break;
+      }
+      case IntLayerPlan::Kind::kMaxPool:
+      case IntLayerPlan::Kind::kAvgPool: {
+        const std::size_t n = shape[0], c = shape[1], h = shape[2],
+                          w = shape[3];
+        const std::size_t k = plan.pool_kernel, s = plan.pool_stride;
+        const Shape out_shape = {n, c, pool_out(h, k, s), pool_out(w, k, s)};
+        if (plan.kind == IntLayerPlan::Kind::kAvgPool) {
+          telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
+          codes.map(shape_numel(out_shape), ws,
+                    [&](const auto* src, auto* dst) {
+            pool_avg_codes(src, dst, n, c, h, w, k, s);
+          });
+        } else {
+          codes.map(shape_numel(out_shape), ws,
+                    [&](const auto* src, auto* dst) {
+            pool_max_codes(src, dst, n, c, h, w, k, s);
+          });
+        }
+        shape = out_shape;
+        break;
+      }
+      case IntLayerPlan::Kind::kGlobalAvgPool: {
+        const std::size_t n = shape[0], c = shape[1];
+        const std::size_t hw = shape[2] * shape[3];
+        telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
+        codes.map(n * c, ws, [&](const auto* src, auto* dst) {
+          gap_codes(src, dst, n, c, hw);
+        });
+        shape = {n, c};
+        break;
+      }
+      case IntLayerPlan::Kind::kFlatten:
+        // Shape-only: codes/float storage is untouched.
+        shape = {shape[0], shape_numel(shape) / shape[0]};
+        if (!codes.engaged()) act.resize(shape);
+        break;
+    }
+  }
+  if (codes.engaged()) {
+    codes.visit(
+        [&](const auto* src) { act = decode_codes(src, shape, scale, ws); });
+  }
+  return act;
 }
 
 }  // namespace
@@ -695,274 +931,7 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
 Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
                                const ExecContext& ctx,
                                std::size_t rung) const {
-  CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
-  CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
-  // Representation state: while every layer keeps a quantized activation
-  // grid the batch flows as integer codes (`codes` engaged, described by
-  // `shape`/`scale`); after the first unquantized producer (e.g. the
-  // classifier head) it falls back to the float tensor `act`.  The code
-  // rep at a conv/linear's input coincides exactly with the plan's
-  // in_code_bound > 0, which is what finalize based fusion on.
-  CodeStore codes;
-  Tensor act;
-  Shape shape = x.shape();
-  float scale = kInputScale;
-  {
-    // Snap the input onto its 8-bit grid (standard input quantization).
-    telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    Workspace::ByteLease input = ws.bytes(x.numel());
-    snap_codes(x, kInputScale, 255, input.data());
-    codes.adopt(std::move(input));
-  }
-
-  // After an unfused conv/linear: apply the float activation, then either
-  // re-enter the code domain (quantized activation — the snap is exact
-  // because apply_act already placed every value on the grid, and the
-  // next plan's in_code_bound was threaded assuming codes) or stay float.
-  auto unfused_output = [&](Tensor out, const IntLayerPlan& plan) {
-    apply_act(out, plan);
-    if (plan.has_act && plan.act_bits < 16) {
-      scale = act_scale(plan);
-      const std::int64_t qmax = (std::int64_t{1} << plan.act_bits) - 1;
-      telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-      if (qmax <= 255) {
-        Workspace::ByteLease lease = ws.bytes(out.numel());
-        snap_codes(out, scale, qmax, lease.data());
-        codes.adopt(std::move(lease));
-      } else {
-        Workspace::ShortLease lease = ws.shorts(out.numel());
-        snap_codes(out, scale, qmax, lease.data());
-        codes.adopt(std::move(lease));
-      }
-      ws.recycle(std::move(out));
-    } else {
-      codes.reset();
-      act = std::move(out);
-    }
-  };
-
-  for (const auto& plan : rungs_[rung]) {
-    switch (plan.kind) {
-      case IntLayerPlan::Kind::kConv: {
-        const std::size_t n = shape[0], h = shape[2], w = shape[3];
-        const ConvGeometry g{.in_channels = plan.in_channels,
-                             .in_h = h,
-                             .in_w = w,
-                             .kernel = plan.kernel,
-                             .stride = plan.stride,
-                             .pad = plan.pad};
-        const std::size_t oh = g.out_h(), ow = g.out_w();
-        const std::size_t spatial = g.out_spatial();
-        IgemmOp op;
-        op.form = IgemmForm::kWX;
-        op.m = plan.out_channels;
-        op.n = spatial;
-        op.k = g.patch_size();
-        op.panel = &plan.panel;
-        op.accum = plan.accum;
-        op.x_bound = plan.in_code_bound;
-        op.ws = &ws;
-        const Shape out_shape = {n, plan.out_channels, oh, ow};
-        if (codes.engaged() && plan.requant_fused) {
-          // Fused path: the igemm epilogue writes the next layer's
-          // codes; no float tensor is materialised at the boundary.
-          op.requant = plan.requant.data();
-          op.requant_qmax = plan.out_qmax;
-          const std::size_t elems = n * plan.out_channels * spatial;
-          if (plan.out_qmax <= 255) {
-            Workspace::ByteLease out = ws.bytes(elems);
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, out.data(), nullptr, nullptr, ws,
-                          ctx);
-            });
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, nullptr, out.data(), nullptr, ws,
-                          ctx);
-            });
-            codes.adopt(std::move(out));
-          }
-          scale = act_scale(plan);
-        } else {
-          op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
-          Tensor out = ws.tensor_uninit(out_shape);
-          if (codes.engaged()) {
-            codes.visit([&](const auto* src) {
-              conv_images(op, src, n, g, nullptr, nullptr,
-                          out.data().data(), ws, ctx);
-            });
-            codes.reset();
-          } else {
-            Workspace::IntLease xcodes = ws.ints(act.numel());
-            to_int_codes(act, scale, xcodes.data());
-            conv_images(op,
-                        static_cast<const std::int32_t*>(xcodes.data()), n,
-                        g, nullptr, nullptr, out.data().data(), ws, ctx);
-            ws.recycle(std::move(act));
-          }
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kLinear: {
-        CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
-                  "linear input mismatch in integer engine");
-        const std::size_t n = shape[0];
-        IgemmOp op;
-        op.form = IgemmForm::kXW;
-        op.m = n;
-        op.n = plan.out_features;
-        op.k = plan.in_features;
-        op.panel = &plan.panel;
-        op.accum = plan.accum;
-        op.x_bound = plan.in_code_bound;
-        op.ws = &ws;
-        const Shape out_shape = {n, plan.out_features};
-        if (codes.engaged() && plan.requant_fused) {
-          op.requant = plan.requant.data();
-          op.requant_qmax = plan.out_qmax;
-          const std::size_t elems = n * plan.out_features;
-          if (plan.out_qmax <= 255) {
-            Workspace::ByteLease out = ws.bytes(elems);
-            op.out8 = out.data();
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            op.out16 = out.data();
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.adopt(std::move(out));
-          }
-          scale = act_scale(plan);
-        } else {
-          op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
-          Tensor out = ws.tensor_uninit(out_shape);
-          op.c = out.data().data();
-          if (codes.engaged()) {
-            codes.visit([&](const auto* src) {
-              set_igemm_x(op, src);
-              igemm_run(op, ctx);
-            });
-            codes.reset();
-          } else {
-            Workspace::IntLease xcodes = ws.ints(act.numel());
-            to_int_codes(act, scale, xcodes.data());
-            op.x = xcodes.data();
-            igemm_run(op, ctx);
-            ws.recycle(std::move(act));
-          }
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kMaxPool:
-      case IntLayerPlan::Kind::kAvgPool: {
-        const bool avg = plan.kind == IntLayerPlan::Kind::kAvgPool;
-        if (codes.engaged()) {
-          const std::size_t n = shape[0], c = shape[1], h = shape[2],
-                            w = shape[3];
-          const std::size_t oh =
-              pool_out(h, plan.pool_kernel, plan.pool_stride);
-          const std::size_t ow =
-              pool_out(w, plan.pool_kernel, plan.pool_stride);
-          const std::size_t elems = n * c * oh * ow;
-          if (codes.is_u8()) {
-            Workspace::ByteLease out = ws.bytes(elems);
-            if (avg) {
-              telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-              pool_avg_codes(codes.u8(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            } else {
-              pool_max_codes(codes.u8(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            }
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(elems);
-            if (avg) {
-              telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-              pool_avg_codes(codes.i16(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            } else {
-              pool_max_codes(codes.i16(), out.data(), n, c, h, w,
-                             plan.pool_kernel, plan.pool_stride);
-            }
-            codes.adopt(std::move(out));
-          }
-          shape = {n, c, oh, ow};
-        } else if (avg) {
-          nn::AvgPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          // Averaging leaves the grid; requantize onto the current scale
-          // (what a fixed-point datapath does after a mean).
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        } else {
-          nn::MaxPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);  // inference: skip the argmax cache
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kGlobalAvgPool: {
-        if (codes.engaged()) {
-          const std::size_t n = shape[0], c = shape[1];
-          const std::size_t hw = shape[2] * shape[3];
-          telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-          if (codes.is_u8()) {
-            Workspace::ByteLease out = ws.bytes(n * c);
-            gap_codes(codes.u8(), out.data(), n, c, hw);
-            codes.adopt(std::move(out));
-          } else {
-            Workspace::ShortLease out = ws.shorts(n * c);
-            gap_codes(codes.i16(), out.data(), n, c, hw);
-            codes.adopt(std::move(out));
-          }
-          shape = {n, c};
-        } else {
-          nn::GlobalAvgPool gap;
-          gap.set_training(false);
-          Tensor out = gap.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kFlatten: {
-        // Shape-only: codes/float storage is untouched.
-        shape = {shape[0], shape_numel(shape) / shape[0]};
-        if (!codes.engaged()) act.resize(shape);
-        break;
-      }
-    }
-  }
-  if (codes.engaged()) {
-    // Fully quantized network: decode the final codes once at the edge.
-    codes.visit(
-        [&](const auto* src) { act = decode_codes(src, shape, scale, ws); });
-    codes.reset();
-  }
-  return act;
+  return walk<IgemmMac>(rungs_, rung, x, ws, ctx);
 }
 
 Tensor IntegerNetwork::forward_reference(const Tensor& x) const {
@@ -977,246 +946,7 @@ Tensor IntegerNetwork::forward_reference(const Tensor& x, Workspace& ws,
 Tensor IntegerNetwork::forward_reference(const Tensor& x, Workspace& ws,
                                          const ExecContext& ctx,
                                          std::size_t rung) const {
-  CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
-  CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
-  // Mirror of forward()'s representation state with exact int32 codes:
-  // identical branching and identical requant_apply / pool helpers, but
-  // naive int64 triple loops instead of the packed kernels — integer
-  // arithmetic is associative, so the two are bit-identical.
-  std::optional<Workspace::IntLease> codes;
-  Tensor act;
-  Shape shape = x.shape();
-  float scale = kInputScale;
-  {
-    telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    codes.emplace(ws.ints(x.numel()));
-    snap_codes(x, kInputScale, 255, codes->data());
-  }
-
-  auto adopt = [&](Workspace::IntLease lease) {
-    codes.reset();
-    codes.emplace(std::move(lease));
-  };
-
-  auto unfused_output = [&](Tensor out, const IntLayerPlan& plan) {
-    apply_act(out, plan);
-    if (plan.has_act && plan.act_bits < 16) {
-      scale = act_scale(plan);
-      const std::int64_t qmax = (std::int64_t{1} << plan.act_bits) - 1;
-      telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-      Workspace::IntLease lease = ws.ints(out.numel());
-      snap_codes(out, scale, qmax, lease.data());
-      adopt(std::move(lease));
-      ws.recycle(std::move(out));
-    } else {
-      codes.reset();
-      act = std::move(out);
-    }
-  };
-
-  for (const auto& plan : rungs_[rung]) {
-    switch (plan.kind) {
-      case IntLayerPlan::Kind::kConv: {
-        const std::size_t n = shape[0], h = shape[2], w = shape[3];
-        const ConvGeometry g{.in_channels = plan.in_channels,
-                             .in_h = h,
-                             .in_w = w,
-                             .kernel = plan.kernel,
-                             .stride = plan.stride,
-                             .pad = plan.pad};
-        const std::size_t oh = g.out_h(), ow = g.out_w();
-        const std::size_t patch = g.patch_size(), spatial = g.out_spatial();
-        const Shape out_shape = {n, plan.out_channels, oh, ow};
-        const bool fused = codes.has_value() && plan.requant_fused;
-        // Source codes: the flowing int32 codes, or a fresh snap of the
-        // float activation on the fallback path.
-        std::optional<Workspace::IntLease> snap;
-        const std::int32_t* src = nullptr;
-        if (codes.has_value()) {
-          src = codes->data();
-        } else {
-          snap.emplace(ws.ints(act.numel()));
-          to_int_codes(act, scale, snap->data());
-          src = snap->data();
-        }
-        Workspace::IntLease cols = ws.ints(patch * spatial);
-        std::optional<Workspace::IntLease> out_codes;
-        Tensor out;
-        if (fused) {
-          out_codes.emplace(ws.ints(n * plan.out_channels * spatial));
-        } else {
-          out = ws.tensor_uninit(out_shape);
-        }
-        for (std::size_t img = 0; img < n; ++img) {
-          im2col(src + img * plan.in_channels * h * w, g, cols.data(), ctx);
-          float* dstf = fused ? nullptr
-                              : out.data().data() +
-                                    img * plan.out_channels * spatial;
-          std::int32_t* dstc =
-              fused ? out_codes->data() + img * plan.out_channels * spatial
-                    : nullptr;
-          // Integer MACs are exact, so any partition over the disjoint
-          // output-channel rows is trivially deterministic.
-          parallel_for(ctx, plan.out_channels, 4,
-                       [&](std::size_t oc0, std::size_t oc1) {
-            for (std::size_t oc = oc0; oc < oc1; ++oc) {
-              const std::int32_t* wrow = plan.weight_codes.data() + oc * patch;
-              for (std::size_t s = 0; s < spatial; ++s) {
-                std::int64_t acc = 0;  // the integer MAC datapath
-                for (std::size_t p = 0; p < patch; ++p) {
-                  acc += static_cast<std::int64_t>(wrow[p]) *
-                         static_cast<std::int64_t>(
-                             cols.data()[p * spatial + s]);
-                }
-                if (fused) {
-                  dstc[oc * spatial + s] =
-                      requant_apply(acc, plan.requant[oc], plan.out_qmax);
-                } else {
-                  dstf[oc * spatial + s] =
-                      static_cast<float>(acc) * plan.channel_scale[oc] +
-                      plan.bias[oc];
-                }
-              }
-            }
-          });
-        }
-        if (!codes.has_value()) ws.recycle(std::move(act));
-        if (fused) {
-          adopt(std::move(*out_codes));
-          scale = act_scale(plan);
-        } else {
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kLinear: {
-        CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
-                  "linear input mismatch in integer engine");
-        const std::size_t n = shape[0];
-        const Shape out_shape = {n, plan.out_features};
-        const bool fused = codes.has_value() && plan.requant_fused;
-        std::optional<Workspace::IntLease> snap;
-        const std::int32_t* src = nullptr;
-        if (codes.has_value()) {
-          src = codes->data();
-        } else {
-          snap.emplace(ws.ints(act.numel()));
-          to_int_codes(act, scale, snap->data());
-          src = snap->data();
-        }
-        std::optional<Workspace::IntLease> out_codes;
-        Tensor out;
-        if (fused) {
-          out_codes.emplace(ws.ints(n * plan.out_features));
-        } else {
-          out = ws.tensor_uninit(out_shape);
-        }
-        for (std::size_t img = 0; img < n; ++img) {
-          const std::int32_t* arow = src + img * plan.in_features;
-          for (std::size_t oc = 0; oc < plan.out_features; ++oc) {
-            const std::int32_t* wrow =
-                plan.weight_codes.data() + oc * plan.in_features;
-            std::int64_t acc = 0;
-            for (std::size_t p = 0; p < plan.in_features; ++p) {
-              acc += static_cast<std::int64_t>(wrow[p]) *
-                     static_cast<std::int64_t>(arow[p]);
-            }
-            if (fused) {
-              out_codes->data()[img * plan.out_features + oc] =
-                  requant_apply(acc, plan.requant[oc], plan.out_qmax);
-            } else {
-              out(img, oc) =
-                  static_cast<float>(acc) * plan.channel_scale[oc] +
-                  plan.bias[oc];
-            }
-          }
-        }
-        if (!codes.has_value()) ws.recycle(std::move(act));
-        if (fused) {
-          adopt(std::move(*out_codes));
-          scale = act_scale(plan);
-        } else {
-          unfused_output(std::move(out), plan);
-        }
-        shape = out_shape;
-        break;
-      }
-      case IntLayerPlan::Kind::kMaxPool:
-      case IntLayerPlan::Kind::kAvgPool: {
-        const bool avg = plan.kind == IntLayerPlan::Kind::kAvgPool;
-        if (codes.has_value()) {
-          const std::size_t n = shape[0], c = shape[1], h = shape[2],
-                            w = shape[3];
-          const std::size_t oh =
-              pool_out(h, plan.pool_kernel, plan.pool_stride);
-          const std::size_t ow =
-              pool_out(w, plan.pool_kernel, plan.pool_stride);
-          Workspace::IntLease out = ws.ints(n * c * oh * ow);
-          if (avg) {
-            telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-            pool_avg_codes(codes->data(), out.data(), n, c, h, w,
-                           plan.pool_kernel, plan.pool_stride);
-          } else {
-            pool_max_codes(codes->data(), out.data(), n, c, h, w,
-                           plan.pool_kernel, plan.pool_stride);
-          }
-          adopt(std::move(out));
-          shape = {n, c, oh, ow};
-        } else if (avg) {
-          nn::AvgPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          // Averaging leaves the grid; requantize onto the current scale
-          // (what a fixed-point datapath does after a mean).
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        } else {
-          nn::MaxPool2d pool(plan.pool_kernel, plan.pool_stride);
-          pool.set_training(false);  // inference: skip the argmax cache
-          Tensor out = pool.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kGlobalAvgPool: {
-        if (codes.has_value()) {
-          const std::size_t n = shape[0], c = shape[1];
-          const std::size_t hw = shape[2] * shape[3];
-          telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-          Workspace::IntLease out = ws.ints(n * c);
-          gap_codes(codes->data(), out.data(), n, c, hw);
-          adopt(std::move(out));
-          shape = {n, c};
-        } else {
-          nn::GlobalAvgPool gap;
-          gap.set_training(false);
-          Tensor out = gap.forward(act, ws);
-          ws.recycle(std::move(act));
-          act = std::move(out);
-          auto p = act.data();
-          for (auto& v : p) v = std::round(v / scale) * scale;
-          shape = act.shape();
-        }
-        break;
-      }
-      case IntLayerPlan::Kind::kFlatten: {
-        shape = {shape[0], shape_numel(shape) / shape[0]};
-        if (!codes.has_value()) act.resize(shape);
-        break;
-      }
-    }
-  }
-  if (codes.has_value()) {
-    act = decode_codes(codes->data(), shape, scale, ws);
-    codes.reset();
-  }
-  return act;
+  return walk<ReferenceMac>(rungs_, rung, x, ws, ctx);
 }
 
 std::size_t IntegerNetwork::macs_per_sample(std::size_t h,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -114,19 +115,26 @@ class ByteReader {
   }
   std::vector<float> floats() {
     const auto n = varint();
-    need(n * sizeof(float), std::to_string(n) + " floats");
+    // Divide rather than multiply: n · sizeof(float) wraps for hostile n.
+    if (n > remaining() / sizeof(float)) {
+      fail("payload truncated while reading " + std::to_string(n) +
+           " floats");
+    }
     std::vector<float> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), data_.data() + pos_, v.size() * sizeof(float));
+    if (n != 0) {
+      std::memcpy(v.data(), data_.data() + pos_, v.size() * sizeof(float));
+    }
     pos_ += v.size() * sizeof(float);
     return v;
   }
   std::vector<std::uint8_t> raw(std::size_t n) {
     need(n, std::to_string(n) + " packed bytes");
     std::vector<std::uint8_t> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n);
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n);
     pos_ += n;
     return v;
   }
+  std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
   [[noreturn]] void fail(const std::string& what) const {
@@ -137,7 +145,7 @@ class ByteReader {
 
  private:
   void need(std::size_t n, const std::string& what) const {
-    if (data_.size() - pos_ < n) {
+    if (remaining() < n) {
       fail("payload truncated while reading " + what);
     }
   }
@@ -173,15 +181,36 @@ void write_packed_codes(ByteWriter& w, const std::vector<std::int32_t>& codes) {
   w.raw(packed.bytes.data(), packed.bytes.size());
 }
 
-std::vector<std::int32_t> read_packed_codes(ByteReader& r) {
+/// Read a packed code stream that must hold exactly `expect_count`
+/// codes.  Count, bit width and byte count are untrusted bytes, so they
+/// are checked against the layer's geometry (and for overflow) before
+/// anything is sized by them.
+std::vector<std::int32_t> read_packed_codes(ByteReader& r,
+                                            std::uint64_t expect_count) {
   PackedCodes packed;
   packed.min_code = static_cast<std::int32_t>(r.zigzag());
   packed.divisor = static_cast<std::uint32_t>(r.varint());
   packed.bits = r.pod<std::uint8_t>();
   packed.count = r.varint();
   const auto byte_count = r.varint();
-  const std::size_t expect_bytes =
-      (static_cast<std::size_t>(packed.count) * packed.bits + 7) / 8;
+  if (packed.count != expect_count) {
+    r.fail("packed code stream holds " + std::to_string(packed.count) +
+           " codes, but the layer's geometry needs " +
+           std::to_string(expect_count));
+  }
+  // Offsets of int32 codes span at most 2^32 − 1, so 32 bits suffice.
+  if (packed.bits > 32) {
+    r.fail("packed code width " + std::to_string(int(packed.bits)) +
+           " bits exceeds 32");
+  }
+  if (packed.bits != 0 &&
+      packed.count > (std::numeric_limits<std::uint64_t>::max() - 7) /
+                         packed.bits) {
+    r.fail("packed code stream of " + std::to_string(packed.count) +
+           " codes at " + std::to_string(int(packed.bits)) +
+           " bits overflows its bit count");
+  }
+  const std::uint64_t expect_bytes = (packed.count * packed.bits + 7) / 8;
   if (byte_count != expect_bytes) {
     r.fail("packed code stream holds " + std::to_string(byte_count) +
            " bytes, but " + std::to_string(packed.count) + " codes at " +
@@ -213,7 +242,13 @@ void read_requant(ByteReader& r, hw::IntLayerPlan& plan) {
   plan.requant.clear();
   plan.requant_fused = r.pod<std::uint8_t>() != 0;
   if (plan.requant_fused) {
-    plan.requant.resize(static_cast<std::size_t>(r.varint()));
+    // Each channel takes at least 6 bytes (i32, u8, one-byte zigzag).
+    const auto channels = r.varint();
+    if (channels > r.remaining() / 6) {
+      r.fail("payload truncated while reading " + std::to_string(channels) +
+             " requant channels");
+    }
+    plan.requant.resize(static_cast<std::size_t>(channels));
     for (Requant& rq : plan.requant) {
       rq.multiplier = r.pod<std::int32_t>();
       rq.shift = r.pod<std::uint8_t>();
@@ -241,6 +276,29 @@ void write_plan(ByteWriter& w, const hw::IntLayerPlan& plan) {
   write_requant(w, plan);
 }
 
+/// Weight codes a plan's geometry calls for: rows × depth for conv and
+/// linear layers, none for pooling and reshape.  The dims are untrusted
+/// bytes, so the product is overflow-checked.
+std::uint64_t expected_codes(ByteReader& r, const hw::IntLayerPlan& plan) {
+  using Kind = hw::IntLayerPlan::Kind;
+  std::vector<std::uint64_t> dims;
+  if (plan.kind == Kind::kConv) {
+    dims = {plan.out_channels, plan.in_channels, plan.kernel, plan.kernel};
+  } else if (plan.kind == Kind::kLinear) {
+    dims = {plan.out_features, plan.in_features};
+  } else {
+    return 0;
+  }
+  std::uint64_t count = 1;
+  for (const std::uint64_t d : dims) {
+    if (d != 0 && count > std::numeric_limits<std::uint64_t>::max() / d) {
+      r.fail("layer geometry overflows its weight-code count");
+    }
+    count *= d;
+  }
+  return count;
+}
+
 hw::IntLayerPlan read_plan(ByteReader& r) {
   hw::IntLayerPlan plan;
   plan.name = r.str();
@@ -260,7 +318,7 @@ hw::IntLayerPlan read_plan(ByteReader& r) {
                            &plan.pool_stride}) {
     *dim = static_cast<std::size_t>(r.varint());
   }
-  plan.weight_codes = read_packed_codes(r);
+  plan.weight_codes = read_packed_codes(r, expected_codes(r, plan));
   plan.channel_scale = r.floats();
   plan.bias = r.floats();
   read_requant(r, plan);
@@ -269,7 +327,7 @@ hw::IntLayerPlan read_plan(ByteReader& r) {
   return plan;
 }
 
-// ---- v3 delta sections -----------------------------------------------------
+// ---- delta sections ----------------------------------------------------------
 // A delta record rewrites the precision-dependent halves of one layer
 // plan relative to the next-lower rung: the codes section (weight bits +
 // packed codes) and/or the metadata section (activation grid, channel
@@ -286,7 +344,7 @@ void write_delta_codes(ByteWriter& w, const hw::IntLayerPlan& plan) {
 
 void read_delta_codes(ByteReader& r, hw::IntLayerPlan& plan) {
   plan.weight_bits = r.pod<std::uint8_t>();
-  plan.weight_codes = read_packed_codes(r);
+  plan.weight_codes = read_packed_codes(r, expected_codes(r, plan));
 }
 
 void write_delta_meta(ByteWriter& w, const hw::IntLayerPlan& plan) {
@@ -340,18 +398,9 @@ void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
       r.fail("weight bits " + std::to_string(plan.weight_bits) +
              " outside the quantized range [2, 15] (" + at + ")");
     }
+    // The code count was checked against the geometry when read.
     const std::size_t rows =
         plan.kind == Kind::kConv ? plan.out_channels : plan.out_features;
-    const std::size_t cols =
-        plan.kind == Kind::kConv
-            ? plan.in_channels * plan.kernel * plan.kernel
-            : plan.in_features;
-    if (plan.weight_codes.size() != rows * cols) {
-      r.fail("has " + std::to_string(plan.weight_codes.size()) +
-             " weight codes, expected " + std::to_string(rows) + "×" +
-             std::to_string(cols) + " = " + std::to_string(rows * cols) +
-             " (" + at + ")");
-    }
     if (plan.channel_scale.size() != rows || plan.bias.size() != rows) {
       r.fail("has " + std::to_string(plan.channel_scale.size()) +
              " scales / " + std::to_string(plan.bias.size()) +
@@ -383,10 +432,6 @@ void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
       r.fail("unfused layer carries " + std::to_string(plan.requant.size()) +
              " requant channels (" + at + ")");
     }
-  } else if (!plan.weight_codes.empty()) {
-    r.fail("a pooling/reshape layer carries " +
-           std::to_string(plan.weight_codes.size()) + " weight codes (" + at +
-           ")");
   }
 }
 
@@ -452,18 +497,9 @@ std::vector<std::int32_t> unpack_codes(const PackedCodes& packed) {
 
 namespace {
 
-/// v2 payload: full layer records of one rung.
-std::string encode_single_payload(const hw::IntegerNetwork& net,
-                                  std::size_t rung) {
-  ByteWriter payload;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    write_plan(payload, net.plan(rung, i));
-  }
-  return payload.bytes();
-}
-
-/// v3 payload: rung table, base records, chained deltas (see artifact.hpp).
-std::string encode_multi_payload(const hw::IntegerNetwork& net) {
+/// The payload: rung table, base records, chained deltas (see
+/// artifact.hpp).  A single-point network is one rung with no deltas.
+std::string encode_payload(const hw::IntegerNetwork& net) {
   const std::size_t rungs = net.rung_count();
   const std::size_t base = rungs - 1;
   ByteWriter payload;
@@ -502,13 +538,13 @@ std::string encode_multi_payload(const hw::IntegerNetwork& net) {
 /// u64 payload length, u64 checksum.
 constexpr std::size_t kHeaderBytes = 28;
 
-void write_artifact_file(const std::string& path, std::uint32_t version,
-                         std::size_t layer_count, const std::string& body) {
+void write_artifact_file(const std::string& path, std::size_t layer_count,
+                         const std::string& body) {
   const std::uint64_t checksum = fnv1a(body.data(), body.size());
   atomic_write_file(path, [&](std::ostream& os) {
     ByteWriter header;
     header.raw(kArtifactMagic, sizeof(kArtifactMagic));
-    header.pod(version);
+    header.pod(kArtifactVersion);
     header.pod(static_cast<std::uint32_t>(layer_count));
     header.pod(static_cast<std::uint64_t>(body.size()));
     header.pod(checksum);
@@ -521,7 +557,6 @@ void write_artifact_file(const std::string& path, std::uint32_t version,
 /// Everything a CCQA file holds, decoded and validated but not yet
 /// compiled into kernels — shared by load_artifact and inspect_artifact.
 struct ParsedArtifact {
-  std::uint32_t version = 0;
   std::uint64_t file_bytes = 0;
   std::uint64_t payload_bytes = 0;
   std::vector<std::vector<hw::IntLayerPlan>> rungs;  ///< rung 0 = top
@@ -557,12 +592,11 @@ ParsedArtifact parse_artifact(const std::string& path) {
   // reader meeting a new file (and vice versa) always reaches this
   // diagnostic rather than a parse error deep inside a payload it was
   // never built to understand.
-  if (version != kArtifactVersion && version != kArtifactVersionMulti) {
+  if (version != kArtifactVersion) {
     throw Error(
         "artifact " + path + ": unsupported version " +
         std::to_string(version) + " (this build reads version " +
-        std::to_string(kArtifactVersion) + " and version " +
-        std::to_string(kArtifactVersionMulti) +
+        std::to_string(kArtifactVersion) +
         "); regenerate it with this build: ccq export --snapshot "
         "<snapshot.bin> --out " + path);
   }
@@ -591,71 +625,61 @@ ParsedArtifact parse_artifact(const std::string& path) {
   }
 
   ParsedArtifact parsed;
-  parsed.version = version;
   parsed.payload_bytes = payload_bytes;
   parsed.file_bytes = payload_bytes + kHeaderBytes;
   ByteReader reader(std::move(body), path);
 
-  if (version == kArtifactVersion) {
-    std::vector<hw::IntLayerPlan> plans;
-    plans.reserve(layer_count);
-    for (std::uint32_t i = 0; i < layer_count; ++i) {
-      plans.push_back(read_plan(reader));
-      validate_plan(reader, plans.back(), i);
-    }
-    parsed.rungs.push_back(std::move(plans));
-    parsed.info.push_back(hw::RungInfo{});
-  } else {
-    const auto rung_count = static_cast<std::size_t>(reader.varint());
-    if (rung_count < 2) {
-      reader.fail("multi-point artifact declares " +
-                  std::to_string(rung_count) +
-                  " rungs (a v3 file carries at least 2)");
-    }
-    parsed.info.resize(rung_count);
-    for (auto& info : parsed.info) {
-      info.trail_step = static_cast<std::int32_t>(reader.zigzag());
-      info.val_acc = reader.pod<float>();
-    }
-    parsed.rungs.resize(rung_count);
-    auto& base = parsed.rungs.back();
-    base.reserve(layer_count);
-    for (std::uint32_t i = 0; i < layer_count; ++i) {
-      base.push_back(read_plan(reader));
-      validate_plan(reader, base.back(), i);
-    }
-    for (std::size_t r = rung_count - 1; r-- > 0;) {
-      parsed.rungs[r] = parsed.rungs[r + 1];
-      const auto delta_count = static_cast<std::size_t>(reader.varint());
-      std::size_t prev_index = 0;
-      bool first = true;
-      for (std::size_t d = 0; d < delta_count; ++d) {
-        reader.set_context("");
-        const auto index = static_cast<std::size_t>(reader.varint());
-        if (index >= layer_count) {
-          reader.fail("rung " + std::to_string(r) + " delta names layer " +
-                      std::to_string(index) + " of " +
-                      std::to_string(layer_count));
-        }
-        if (!first && index <= prev_index) {
-          reader.fail("rung " + std::to_string(r) +
-                      " deltas are not in ascending layer order");
-        }
-        first = false;
-        prev_index = index;
-        hw::IntLayerPlan& plan = parsed.rungs[r][index];
-        reader.set_context(plan.name);
-        const auto flags = reader.pod<std::uint8_t>();
-        if (flags == 0 || (flags & ~(kDeltaCodes | kDeltaMeta)) != 0) {
-          reader.fail("rung " + std::to_string(r) + " delta carries flags " +
-                      std::to_string(flags));
-        }
-        if (flags & kDeltaCodes) read_delta_codes(reader, plan);
-        if (flags & kDeltaMeta) read_delta_meta(reader, plan);
+  const auto rung_count = reader.varint();
+  if (rung_count == 0) {
+    reader.fail("payload declares 0 rungs (an artifact carries at least 1)");
+  }
+  // Each rung-table entry takes at least 5 bytes (zigzag + f32).
+  if (rung_count > reader.remaining() / 5) {
+    reader.fail("payload truncated while reading " +
+                std::to_string(rung_count) + " rung-table entries");
+  }
+  parsed.info.resize(static_cast<std::size_t>(rung_count));
+  for (auto& info : parsed.info) {
+    info.trail_step = static_cast<std::int32_t>(reader.zigzag());
+    info.val_acc = reader.pod<float>();
+  }
+  parsed.rungs.resize(static_cast<std::size_t>(rung_count));
+  auto& base = parsed.rungs.back();
+  for (std::uint32_t i = 0; i < layer_count; ++i) {
+    base.push_back(read_plan(reader));
+    validate_plan(reader, base.back(), i);
+  }
+  for (std::size_t r = parsed.rungs.size() - 1; r-- > 0;) {
+    parsed.rungs[r] = parsed.rungs[r + 1];
+    const auto delta_count = static_cast<std::size_t>(reader.varint());
+    std::size_t prev_index = 0;
+    bool first = true;
+    for (std::size_t d = 0; d < delta_count; ++d) {
+      reader.set_context("");
+      const auto index = static_cast<std::size_t>(reader.varint());
+      if (index >= layer_count) {
+        reader.fail("rung " + std::to_string(r) + " delta names layer " +
+                    std::to_string(index) + " of " +
+                    std::to_string(layer_count));
       }
-      for (std::size_t i = 0; i < parsed.rungs[r].size(); ++i) {
-        validate_plan(reader, parsed.rungs[r][i], i);
+      if (!first && index <= prev_index) {
+        reader.fail("rung " + std::to_string(r) +
+                    " deltas are not in ascending layer order");
       }
+      first = false;
+      prev_index = index;
+      hw::IntLayerPlan& plan = parsed.rungs[r][index];
+      reader.set_context(plan.name);
+      const auto flags = reader.pod<std::uint8_t>();
+      if (flags == 0 || (flags & ~(kDeltaCodes | kDeltaMeta)) != 0) {
+        reader.fail("rung " + std::to_string(r) + " delta carries flags " +
+                    std::to_string(flags));
+      }
+      if (flags & kDeltaCodes) read_delta_codes(reader, plan);
+      if (flags & kDeltaMeta) read_delta_meta(reader, plan);
+    }
+    for (std::size_t i = 0; i < parsed.rungs[r].size(); ++i) {
+      validate_plan(reader, parsed.rungs[r][i], i);
     }
   }
   reader.set_context("");
@@ -669,13 +693,7 @@ ParsedArtifact parse_artifact(const std::string& path) {
 }  // namespace
 
 void export_artifact(const hw::IntegerNetwork& net, const std::string& path) {
-  if (net.rung_count() == 1) {
-    write_artifact_file(path, kArtifactVersion, net.layer_count(),
-                        encode_single_payload(net, 0));
-  } else {
-    write_artifact_file(path, kArtifactVersionMulti, net.layer_count(),
-                        encode_multi_payload(net));
-  }
+  write_artifact_file(path, net.layer_count(), encode_payload(net));
 }
 
 void export_artifact(models::QuantModel& model, const std::string& path) {
@@ -691,9 +709,6 @@ hw::IntegerNetwork load_artifact(const std::string& path) {
   // network would get on this host.  Re-throw with the artifact path so
   // a bad kernel override at load time names what was being loaded.
   try {
-    if (parsed.version == kArtifactVersion) {
-      return hw::IntegerNetwork::from_plans(std::move(parsed.rungs.front()));
-    }
     return hw::IntegerNetwork::from_rungs(std::move(parsed.rungs),
                                           std::move(parsed.info));
   } catch (const Error& e) {
@@ -704,7 +719,7 @@ hw::IntegerNetwork load_artifact(const std::string& path) {
 ArtifactInfo inspect_artifact(const std::string& path) {
   ParsedArtifact parsed = parse_artifact(path);
   ArtifactInfo info;
-  info.version = parsed.version;
+  info.version = kArtifactVersion;
   info.rung_count = parsed.rungs.size();
   info.layer_count = parsed.rungs.front().size();
   info.file_bytes = parsed.file_bytes;
@@ -825,7 +840,7 @@ hw::IntegerNetwork build_multipoint(models::QuantModel& model,
 
   LadderPositionGuard restore(registry);
   const std::string single_payload =
-      encode_single_payload(hw::IntegerNetwork::compile(model), 0);
+      encode_payload(hw::IntegerNetwork::compile(model));
   const auto budget =
       static_cast<double>(single_payload.size() + kHeaderBytes) *
                       options.size_budget;
@@ -870,7 +885,7 @@ hw::IntegerNetwork build_multipoint(models::QuantModel& model,
     }
     hw::IntegerNetwork net =
         hw::IntegerNetwork::from_rungs(std::move(rungs), std::move(info));
-    const std::string multi_payload = encode_multi_payload(net);
+    const std::string multi_payload = encode_payload(net);
     if (static_cast<double>(multi_payload.size() + kHeaderBytes) <= budget) {
       return net;
     }

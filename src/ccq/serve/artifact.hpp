@@ -10,38 +10,42 @@
 // whole-payload checksum.  A ResNet-20-class model on an 8/4/2 ladder
 // packs 4–16× smaller than its float snapshot.
 //
-// Layout (little-endian; counts, geometry dims and small signed values
-// are LEB128 varints — zigzag-mapped when signed — so the per-channel
-// requant record fits inside the same 4× compression budget as v1):
+// Layout, version 3 (little-endian; counts, geometry dims and small
+// signed values are LEB128 varints — zigzag-mapped when signed — so the
+// per-channel requant record fits inside the 4× compression budget):
 //   header  : magic "CCQA", u32 version, u32 layer_count,
 //             u64 payload_bytes, u64 fnv1a(payload)
-//   payload : one record per layer — name, kind, geometry, activation
-//             grid, packed weight codes (min_code + divisor + bit width,
-//             values LSB-first), per-channel scale + bias arrays, and
-//             (version 2) the fused requantization record: a fused flag,
-//             then per channel {i32 multiplier, u8 shift, zigzag bias}.
-//             Serializing the requant parameters — instead of recomputing
-//             them at load time — guarantees a served artifact replays
-//             the exporter's exact integer datapath; `out_qmax` and
-//             `acc_bound` are exact integer functions of the serialized
-//             fields and are rederived by `finalize_plans` at load.
+//   payload : varint rung_count R ≥ 1, then per rung {zigzag trail_step,
+//             f32 val_acc}; the *base* rung (index R−1, the lowest-
+//             precision final configuration) as one full record per
+//             layer; then, for each higher rung r = R−2 … 0, a chained
+//             delta against rung r+1.  A single-point network is one
+//             rung with no deltas.
+//   record  : name, kind, geometry, activation grid, packed weight codes
+//             (min_code + divisor + bit width, values LSB-first),
+//             per-channel scale + bias arrays, and the fused
+//             requantization record: a fused flag, then per channel
+//             {i32 multiplier, u8 shift, zigzag bias}.  Serializing the
+//             requant parameters — instead of recomputing them at load
+//             time — guarantees a served artifact replays the exporter's
+//             exact integer datapath; `out_qmax` and `acc_bound` are
+//             exact integer functions of the serialized fields and are
+//             rederived by `finalize_plans` at load.
+//   delta   : varint delta_count, then per delta {varint layer_index,
+//             u8 flags} with flag bit 0 carrying a codes section (u8
+//             weight_bits + packed codes) and bit 1 a metadata section
+//             (activation grid, channel scales, folded biases, requant
+//             record).  Layer identity and geometry are stored once, in
+//             the base records.  Weight codes are shared across rungs by
+//             construction — a layer's codes are re-encoded only at the
+//             rung where its precision actually changes — which is what
+//             keeps a ≥3-rung artifact within
+//             `MultiPointOptions::size_budget` of the single-point export
+//             (`build_multipoint` measures and enforces it).
 //
-// Version 3 — multi-point artifacts — keeps the same 28-byte header (so
-// any reader negotiates the version before touching the payload) and
-// replaces the payload with:
-//   varint rung_count R, then per rung {zigzag trail_step, f32 val_acc};
-//   the *base* rung (index R−1, the lowest-precision final configuration)
-//   as R full v2-format layer records; then, for each higher rung
-//   r = R−2 … 0, a chained delta against rung r+1: varint delta_count,
-//   then per delta {varint layer_index, u8 flags} with flag bit 0
-//   carrying a codes section (u8 weight_bits + packed codes) and bit 1 a
-//   metadata section (activation grid, channel scales, folded biases,
-//   requant record).  Layer identity and geometry are stored once, in
-//   the base records.  Weight codes are shared across rungs by
-//   construction — a layer's codes are re-encoded only at the rung where
-//   its precision actually changes — which is what keeps a ≥3-rung
-//   artifact within `MultiPointOptions::size_budget` of the single-point
-//   export (`build_multipoint` measures and enforces it).
+// The reader treats every count as untrusted: code counts must match the
+// layer's geometry and array lengths must fit the remaining payload
+// before either sizes an allocation.
 //
 // Writes are crash-safe (temp file + atomic rename, common/fileio) and
 // loads verify the checksum before parsing, so an interrupted export can
@@ -66,15 +70,11 @@
 namespace ccq::serve {
 
 inline constexpr char kArtifactMagic[4] = {'C', 'C', 'Q', 'A'};
-/// Version 2: adds the fused fixed-point requantization record per layer.
-/// Older versions are rejected with a named diagnostic — requant fusion
-/// changes the layer boundary numerics, so silently serving a v1 artifact
-/// through the fused datapath would not replay the exporter's outputs.
-inline constexpr std::uint32_t kArtifactVersion = 2;
-/// Version 3: the multi-point (multi-rung) payload described above.
-/// Single-point networks still export as v2, so existing readers keep
-/// working until a model actually ships more than one operating point.
-inline constexpr std::uint32_t kArtifactVersionMulti = 3;
+/// The one version written and read: the rung-table payload above.  Any
+/// other version (v1 lacks the requant record, v2 the rung table) is
+/// rejected before the payload with a named diagnostic and the command
+/// that regenerates the file.
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 /// Bit-packed integer codes: value[i] = min_code + divisor · packed[i],
 /// each packed entry `bits` wide, appended LSB-first.  `divisor` is the
@@ -103,8 +103,8 @@ void export_artifact(const hw::IntegerNetwork& net, const std::string& path);
 /// `IntegerNetwork::compile` contract) and export it.
 void export_artifact(models::QuantModel& model, const std::string& path);
 
-/// Load a packed artifact (v2 single-point or v3 multi-point) back into
-/// a runnable integer network.  Throws ccq::Error naming the file, the
+/// Load a packed artifact (single- or multi-point) back into a runnable
+/// integer network.  Throws ccq::Error naming the file, the
 /// offending layer and the expected vs found geometry/bits on any
 /// header, checksum or per-layer mismatch; an unsupported version fails
 /// before any payload byte is read, naming the found and supported
@@ -129,7 +129,7 @@ struct MultiPointOptions {
 /// Replay `trail` (the controller's ladder pick history — see
 /// core/trail.hpp) against `model`'s *final* trained weights and compile
 /// one plan set per selected operating point, returning a multi-rung
-/// network ready for `export_artifact` (which writes it as CCQA v3) or
+/// network ready for `export_artifact` (one multi-rung artifact) or
 /// direct serving.  The model must currently sit at the trail's final
 /// configuration; its ladder positions are restored on return.  Rung 0
 /// is the earliest (highest-precision) selected configuration, the last
@@ -162,12 +162,12 @@ struct ArtifactInfo {
   /// channel scales, folded biases at one rung) — the denominator of the
   /// packed-vs-float compression ratio `ccq inspect` prints.
   std::uint64_t float_bytes = 0;
-  std::vector<hw::RungInfo> rungs;  ///< per-rung provenance (v3; one default entry for v2)
+  std::vector<hw::RungInfo> rungs;  ///< per-rung provenance (one entry per rung)
   std::vector<ArtifactLayerInfo> layers;
 };
 
-/// Parse and validate an artifact (v2 or v3) without building kernels or
-/// packing panels.  Same failure contract as `load_artifact`.
+/// Parse and validate an artifact without building kernels or packing
+/// panels.  Same failure contract as `load_artifact`.
 ArtifactInfo inspect_artifact(const std::string& path);
 
 }  // namespace ccq::serve

@@ -56,23 +56,16 @@ InferenceServer::~InferenceServer() { shutdown(); }
 
 ModelHandle InferenceServer::load(std::string name, hw::IntegerNetwork net,
                                   ModelConfig config) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) throw ServerStoppedError();
-  }
+  // Publish under the server mutex: the new version becomes resolvable
+  // only together with its owner and its slot in the worker pool's scan
+  // list, so a resolve+submit racing the load never sees a half-loaded
+  // version (and a racing shutdown either precedes or follows it whole).
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopping_) throw ServerStoppedError();
   ModelHandle handle = registry_.publish(std::move(name), std::move(net),
                                          config);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // A shutdown racing the publish: delist again so nothing dangles in
-    // the registry without a worker pool behind it.
-    if (stopping_) {
-      registry_.take(handle.model_->name, handle.model_->version);
-      throw ServerStoppedError();
-    }
-    handle.model_->owner = this;
-    active_.push_back(handle.model_);
-  }
+  handle.model_->owner = this;
+  active_.push_back(handle.model_);
   return handle;
 }
 

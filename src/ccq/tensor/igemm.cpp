@@ -157,9 +157,11 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
       return accum == IgemmAccum::kInt32 && w_max <= kI16Max &&
              x_bound > 0 && x_bound <= kI16Max;
     case IgemmKernel::kVecPacked:
+      // Needs 8-bit-lane SIMD (the build has no other vec-packed loop);
       // int8 weight lanes, uint8 activation lanes, and no intermediate
       // int16 saturation in maddubs: |pair| <= 2·w_max·x_bound <= 32767.
-      return accum == IgemmAccum::kInt32 && w_max <= 127 && x_bound > 0 &&
+      return igemm_packed_simd() && accum == IgemmAccum::kInt32 &&
+             w_max <= 127 && x_bound > 0 &&
              x_bound <= 255 &&
              2 * static_cast<std::int64_t>(w_max) * x_bound <= kI16Max;
     case IgemmKernel::kAuto:
@@ -170,16 +172,15 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
 
 IgemmKernel igemm_select_kernel(IgemmKernel requested, std::int32_t w_max,
                                 std::int64_t x_bound, IgemmAccum accum) {
-  // An eligible explicit request is honoured as-is (including vec-packed
-  // on builds without 8-bit SIMD — its portable loop still exists, and
-  // forcing it is how tests and benchmarks pin a variant).  Ineligible
-  // requests and kAuto fall down the density ladder.
+  // An eligible explicit request is honoured as-is (forcing a kernel is
+  // how tests and benchmarks pin a variant).  Ineligible requests —
+  // vec-packed on builds without 8-bit SIMD among them — and kAuto fall
+  // down the density ladder.
   if (requested != IgemmKernel::kAuto &&
       igemm_kernel_eligible(requested, w_max, x_bound, accum)) {
     return requested;
   }
-  if (igemm_packed_simd() &&
-      igemm_kernel_eligible(IgemmKernel::kVecPacked, w_max, x_bound, accum)) {
+  if (igemm_kernel_eligible(IgemmKernel::kVecPacked, w_max, x_bound, accum)) {
     return IgemmKernel::kVecPacked;
   }
   if (igemm_kernel_eligible(IgemmKernel::kVec16, w_max, x_bound, accum)) {

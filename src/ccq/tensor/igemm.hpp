@@ -23,7 +23,8 @@
 //     where the feature gate allows and a compiler-vectorizable portable
 //     loop elsewhere), `vec-packed` (weights and activations narrowed to
 //     8-bit lanes for 2–4-bit layers, doubling arithmetic density per
-//     vector op), and `auto` (pick the densest eligible kernel);
+//     vector op; SSSE3/AVX2 builds only), and `auto` (pick the densest
+//     eligible kernel);
 //   * accumulation is `int32` when the statically computed bound
 //     max|a|·max|b|·k fits (see `igemm_fits_int32`), else `int64`.
 //
@@ -127,8 +128,9 @@ IgemmKernel igemm_requested_kernel();
 ///                [0, x_bound] with x_bound <= 32767 (codes narrow to
 ///                int16 lanes; pairwise pmaddwd intermediates stay under
 ///                the igemm_fits_int32 bound the caller established);
-///   vec-packed — additionally w_max <= 127 (int8 weight lanes),
-///                x_bound <= 255 (uint8 activation lanes) and
+///   vec-packed — only on builds with 8-bit-lane SIMD
+///                (`igemm_packed_simd`), and additionally w_max <= 127
+///                (int8 weight lanes), x_bound <= 255 (uint8 lanes) and
 ///                2·w_max·x_bound <= 32767 so pairwise products cannot
 ///                reach int16 saturation (true for every 2–4-bit ladder
 ///                rung, and for wider codes against small grids).
@@ -139,14 +141,12 @@ bool igemm_kernel_eligible(IgemmKernel kernel, std::int32_t w_max,
 
 /// Resolve `requested` to a concrete executable kernel for a layer with
 /// the given static bounds: kAuto (and any ineligible explicit request)
-/// walks vec-packed → vec16 → scalar, preferring vec-packed only when
-/// this build carries 8-bit SIMD for it (otherwise its portable loop is
-/// no denser than vec16's).
+/// walks vec-packed → vec16 → scalar, taking the first eligible one.
 IgemmKernel igemm_select_kernel(IgemmKernel requested, std::int32_t w_max,
                                 std::int64_t x_bound, IgemmAccum accum);
 
 /// True when this build has narrow-lane SIMD for vec-packed (SSSE3/AVX2
-/// maddubs path) — the gate `igemm_select_kernel` consults for kAuto.
+/// maddubs path) — without it vec-packed is never eligible.
 bool igemm_packed_simd();
 
 // ---- packed weight panels ---------------------------------------------------

@@ -21,9 +21,11 @@
 // so lane order / horizontal reduction order cannot change the bits.
 //
 // This translation unit is compiled with elevated optimisation (see
-// src/CMakeLists.txt) so the portable fallback loops vectorize; on x86
-// the SSE2 / SSSE3 / AVX2 intrinsic paths are selected by feature test
-// macros at compile time.
+// src/CMakeLists.txt) so vec16's portable fallback loop vectorizes; on
+// x86 the SSE2 / SSSE3 / AVX2 intrinsic paths are selected by feature
+// test macros at compile time.  vec-packed exists only with SSSE3 or
+// AVX2: a portable 8-bit loop measured slower than vec16, so builds
+// without 8-bit-lane SIMD make it ineligible instead.
 #include "ccq/tensor/igemm_detail.hpp"
 
 #include <algorithm>
@@ -377,53 +379,7 @@ inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
 
 constexpr bool kPackedSimd = true;
 
-#else  // portable 8-bit loops (exact: int32 math on widened operands)
-
-inline void dot4(const std::int8_t* w, const std::uint8_t* x0,
-                 const std::uint8_t* x1, const std::uint8_t* x2,
-                 const std::uint8_t* x3, std::size_t kp, std::int32_t out[4]) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::size_t p = 0; p < kp; ++p) {
-    const std::int32_t wv = w[p];
-    s0 += wv * x0[p];
-    s1 += wv * x1[p];
-    s2 += wv * x2[p];
-    s3 += wv * x3[p];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
-
-inline void dot4(const std::uint8_t* x, const std::int8_t* w0,
-                 const std::int8_t* w1, const std::int8_t* w2,
-                 const std::int8_t* w3, std::size_t kp, std::int32_t out[4]) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::size_t p = 0; p < kp; ++p) {
-    const std::int32_t xv = x[p];
-    s0 += xv * w0[p];
-    s1 += xv * w1[p];
-    s2 += xv * w2[p];
-    s3 += xv * w3[p];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
-
-inline std::int32_t dot1(const std::int8_t* w, const std::uint8_t* x,
-                         std::size_t kp) {
-  std::int32_t s = 0;
-  for (std::size_t p = 0; p < kp; ++p) s += std::int32_t{w[p]} * x[p];
-  return s;
-}
-
-inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
-                         std::size_t kp) {
-  return dot1(w, x, kp);
-}
+#else  // no 8-bit-lane SIMD: vec-packed is never eligible (igemm.cpp)
 
 constexpr bool kPackedSimd = false;
 
@@ -514,6 +470,7 @@ void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
   });
 }
 
+#if defined(__SSSE3__)
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
   const std::size_t kp = panel.stride;
@@ -534,5 +491,12 @@ void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
     }
   });
 }
+#else
+void run_vec_packed(const IgemmOp& /*op*/, const ExecContext& /*ctx*/) {
+  // Unreachable: igemm_run only executes eligible kernels.
+  throw Error("igemm: vec-packed needs SSSE3 or AVX2, which this build "
+              "lacks");
+}
+#endif
 
 }  // namespace ccq::igemm_detail

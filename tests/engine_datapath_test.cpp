@@ -7,6 +7,8 @@
 // count and pooling mix.  Synthetic `from_plans` networks keep the
 // sweep deterministic and let individual plan fields (activation bits,
 // unquantized producers, off-grid average windows) be pinned exactly.
+// Both datapaths share one layer walk, so a golden-codes test pins the
+// walk's pooling glue to recorded output codes as well.
 //
 // Labelled `engine` and run on both CI legs next to the igemm
 // differential suite.
@@ -169,6 +171,10 @@ TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
     const auto plans = mixed_net(rng, bits);
     const Tensor x = random_input(rng, 3, 3, 8);
     for (const char* kernel : {"scalar", "vec16", "vec-packed"}) {
+      // Without 8-bit-lane SIMD a vec-packed pin would just fall to vec16.
+      if (!igemm_packed_simd() && std::string(kernel) == "vec-packed") {
+        continue;
+      }
       setenv("CCQ_IGEMM_KERNEL", kernel, 1);
       const IntegerNetwork net = IntegerNetwork::from_plans(plans);
       // The sweep must actually exercise the fused epilogue.
@@ -205,25 +211,111 @@ TEST(EngineDatapathTest, WideActivationGridsFlowAsInt16Codes) {
   }
 }
 
-TEST(EngineDatapathTest, UnquantizedProducerFallsBackAndRecovers) {
-  // conv0 has no activation grid → conv1 sees float input (in_bound 0,
-  // unfused); conv1's own quantized act re-enters the code domain, so
-  // conv2 fuses again.  Both paths must still agree bit for bit.
-  KernelEnvGuard guard;
-  unsetenv("CCQ_IGEMM_KERNEL");
+std::string from_plans_error(std::vector<IntLayerPlan> plans) {
+  try {
+    IntegerNetwork::from_plans(std::move(plans));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EngineDatapathTest, LayerAfterUnquantizedProducerIsRejected) {
+  // The engine has no float-activation datapath: a layer without a
+  // quantized activation grid may only be followed by flattens, and
+  // finalize names the first layer that breaks the rule.
   Rng rng(42);
   std::vector<IntLayerPlan> plans;
   plans.push_back(conv_plan(rng, "conv0", 3, 4, 4, 32));  // no act
   plans.push_back(conv_plan(rng, "conv1", 4, 5, 4, 4));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@2"));
+  plans.push_back(linear_plan(rng, "fc", 5, 3, 4, 32));
+  std::string message = from_plans_error(plans);
+  EXPECT_NE(message.find("'conv1'"), std::string::npos) << message;
+  EXPECT_NE(message.find("'conv0'"), std::string::npos) << message;
+
+  // Pooling after the unquantized producer is rejected the same way.
+  plans.erase(plans.begin() + 1);
+  message = from_plans_error(plans);
+  EXPECT_NE(message.find("'gap@2'"), std::string::npos) << message;
+
+  // A head followed only by flattens is the legal shape.
+  std::vector<IntLayerPlan> head;
+  head.push_back(conv_plan(rng, "conv0", 3, 4, 4, 4));
+  head.push_back(pool_plan(IntLayerPlan::Kind::kFlatten, "flatten@1"));
+  head.push_back(linear_plan(rng, "fc", 4 * 6 * 6, 3, 4, 32));
+  head.push_back(pool_plan(IntLayerPlan::Kind::kFlatten, "flatten@3"));
+  const IntegerNetwork net = IntegerNetwork::from_plans(head);
+  const Tensor x = random_input(rng, 2, 3, 6);
+  expect_bit_identical(net, x, ctx_for(2), "head then flatten");
+}
+
+TEST(EngineDatapathTest, RequantRefusalSnapsBackIntoCodes) {
+  // conv1's first channel ratio is too large for a 31-bit multiplier,
+  // so make_requant refuses the layer: it runs the float epilogue, its
+  // quantized activation snaps the output back into codes, and conv2
+  // fuses again.  Both datapaths must still agree bit for bit.
+  KernelEnvGuard guard;
+  unsetenv("CCQ_IGEMM_KERNEL");
+  Rng rng(42);
+  std::vector<IntLayerPlan> plans;
+  plans.push_back(conv_plan(rng, "conv0", 3, 4, 4, 4));
+  plans.push_back(conv_plan(rng, "conv1", 4, 5, 4, 4));
   plans.push_back(conv_plan(rng, "conv2", 5, 6, 4, 4));
   plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@3"));
   plans.push_back(linear_plan(rng, "fc", 6, 3, 4, 32));
+  plans[1].channel_scale[0] = 1e10f;
   const IntegerNetwork net = IntegerNetwork::from_plans(plans);
-  EXPECT_FALSE(net.plan(0).requant_fused);  // no act grid to fuse into
-  EXPECT_FALSE(net.plan(1).requant_fused);  // float input, unknown bound
+  EXPECT_TRUE(net.plan(0).requant_fused);
+  EXPECT_FALSE(net.plan(1).requant_fused);  // refused by make_requant
   EXPECT_TRUE(net.plan(2).requant_fused);   // back on the code grid
   const Tensor x = random_input(rng, 2, 3, 6);
-  expect_bit_identical(net, x, ctx_for(2), "fallback/recovery net");
+  for (std::size_t threads : {1, 4}) {
+    expect_bit_identical(net, x, ctx_for(threads),
+                         "requant refusal threads=" + std::to_string(threads));
+  }
+}
+
+TEST(EngineDatapathTest, WalkMatchesRecordedGoldenCodes) {
+  // conv → maxpool → conv → avgpool → GAP over a 2×2 map → linear with
+  // a 4-bit activation grid, so the output is still codes.  The codes
+  // below were recorded from the build in which forward and
+  // forward_reference were two separately written walks; the shared
+  // walk must reproduce them through both backends.
+  KernelEnvGuard guard;
+  unsetenv("CCQ_IGEMM_KERNEL");
+  Rng rng(2024);
+  std::vector<IntLayerPlan> plans;
+  plans.push_back(conv_plan(rng, "conv0", 3, 4, 4, 4));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kMaxPool, "maxpool@1"));
+  plans.push_back(conv_plan(rng, "conv1", 4, 6, 4, 4));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kAvgPool, "avgpool@3"));
+  plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@4"));
+  plans.push_back(linear_plan(rng, "fc", 6, 5, 4, 4));
+  // Wider scales and a positive bias spread the head's output codes.
+  for (float& s : plans.back().channel_scale) s *= 4.0f;
+  for (float& b : plans.back().bias) b += 0.3f;
+  const IntegerNetwork net = IntegerNetwork::from_plans(plans);
+  Tensor x = random_input(rng, 3, 3, 8);  // GAP sees a 2×2 map
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] *= 0.3f + 0.35f * static_cast<float>(i / (3 * 8 * 8));
+  }
+  const std::vector<std::int32_t> golden{13, 9,  3, 0, 4,  //
+                                         14, 10, 3, 0, 2,  //
+                                         14, 10, 3, 0, 2};
+  const float scale = 1.0f / 15.0f;  // act_clip 1 on a 4-bit grid
+  const auto codes_of = [&](const Tensor& out) {
+    std::vector<std::int32_t> codes;
+    for (float v : out.data()) {
+      codes.push_back(static_cast<std::int32_t>(std::lround(v / scale)));
+    }
+    return codes;
+  };
+  Workspace ws;
+  const Tensor fast = net.forward(x, ws, ctx_for(1));
+  ASSERT_EQ(fast.shape(), (Shape{3, 5}));
+  EXPECT_EQ(codes_of(fast), golden);
+  EXPECT_EQ(codes_of(net.forward_reference(x, ws, ctx_for(2))), golden);
 }
 
 // ---- integer pooling --------------------------------------------------------

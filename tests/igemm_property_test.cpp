@@ -359,9 +359,10 @@ TEST(IgemmRegistry, EligibilityRules) {
                                     IgemmAccum::kInt32));
   EXPECT_FALSE(igemm_kernel_eligible(K::kVec16, 40000, 255,
                                      IgemmAccum::kInt32));
-  // vec-packed: int8 weights, uint8 activations, no int16 pair saturation.
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVecPacked, 16, 255,
-                                    IgemmAccum::kInt32));
+  // vec-packed: 8-bit-lane SIMD builds only, then int8 weights, uint8
+  // activations, no int16 pair saturation.
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 16, 255, IgemmAccum::kInt32),
+            igemm_packed_simd());
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 128, 255,
                                      IgemmAccum::kInt32));  // w > int8
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 16, 256,
@@ -370,8 +371,8 @@ TEST(IgemmRegistry, EligibilityRules) {
   // though both lane types fit individually.
   EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 127, 255,
                                      IgemmAccum::kInt32));
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVecPacked, 64, 255,
-                                    IgemmAccum::kInt32));
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 64, 255, IgemmAccum::kInt32),
+            igemm_packed_simd());
   // kAuto is a policy, never directly executable.
   EXPECT_FALSE(igemm_kernel_eligible(K::kAuto, 8, 255, IgemmAccum::kInt32));
 }
@@ -393,9 +394,10 @@ TEST(IgemmRegistry, SelectionWalksTheDensityLadder) {
             K::kVec16);
   EXPECT_EQ(igemm_select_kernel(K::kScalar, 8, 255, IgemmAccum::kInt32),
             K::kScalar);
+  // ...an ineligible one falls down the same ladder as kAuto — as a
+  // vec-packed pin does on builds without 8-bit-lane SIMD.
   EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt32),
-            K::kVecPacked);
-  // ...an ineligible one falls down the same ladder as kAuto.
+            igemm_packed_simd() ? K::kVecPacked : K::kVec16);
   EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt64),
             K::kScalar);
 }

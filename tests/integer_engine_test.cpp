@@ -11,7 +11,11 @@
 #include <vector>
 
 #include "ccq/core/trainer.hpp"
+#include "ccq/nn/conv.hpp"
+#include "ccq/nn/linear.hpp"
 #include "ccq/nn/loss.hpp"
+#include "ccq/nn/norm.hpp"
+#include "ccq/nn/pool.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/hw/integer_engine.hpp"
 #include "ccq/models/resnet.hpp"
@@ -35,8 +39,58 @@ struct EngineSetup {
   models::QuantModel model;
 };
 
+enum class Arch { kCnn, kMlp, kPoolCnn };
+
+/// conv→BN→act→maxpool twice, then flatten→linear: max-pooling and
+/// conv-then-flatten, which neither stock model reaches (SimpleCNN ends
+/// in global-average-pool, the MLP has no conv).
+models::QuantModel make_pool_cnn(const models::ModelConfig& mc,
+                                 const quant::QuantFactory& factory,
+                                 const quant::BitLadder& ladder) {
+  auto net = std::make_unique<nn::Sequential>();
+  auto registry = std::make_unique<quant::LayerRegistry>(ladder);
+  Rng rng(mc.seed);
+  std::size_t in_ch = mc.in_channels, hw = mc.image_size;
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t out_ch = 8;
+    const std::string name = "conv" + std::to_string(i);
+    auto hook = factory.make_weight_hook(name);
+    auto conv = std::make_unique<nn::Conv2d>(in_ch, out_ch, 3, 1, 1,
+                                             /*bias=*/false, rng, name);
+    conv->set_weight_quantizer(hook);
+    auto act = factory.make_activation("act" + std::to_string(i));
+    quant::QuantUnit unit;
+    unit.name = name;
+    unit.weight_hook = std::move(hook);
+    unit.act = act.get();
+    unit.weight_count = conv->weight().numel();
+    unit.macs = conv->macs_per_sample(hw, hw);
+    net->add_module(std::move(conv));
+    net->add<nn::BatchNorm2d>(out_ch, 0.1f, 1e-5f, "bn" + std::to_string(i));
+    net->add_module(std::move(act));
+    net->add<nn::MaxPool2d>(2, 2);
+    registry->add(std::move(unit), mc.start_at_fp);
+    in_ch = out_ch;
+    hw /= 2;
+  }
+  net->add<nn::Flatten>();
+  auto fc_hook = factory.make_weight_hook("fc");
+  auto fc = std::make_unique<nn::Linear>(in_ch * hw * hw, mc.num_classes,
+                                         /*bias=*/true, rng, "fc");
+  fc->set_weight_quantizer(fc_hook);
+  quant::QuantUnit fc_unit;
+  fc_unit.name = "fc";
+  fc_unit.weight_hook = std::move(fc_hook);
+  fc_unit.weight_count = fc->weight().numel();
+  fc_unit.macs = fc->macs_per_sample();
+  net->add_module(std::move(fc));
+  registry->add(std::move(fc_unit), mc.start_at_fp);
+  return models::QuantModel("PoolCNN", mc, std::move(net),
+                            std::move(registry));
+}
+
 EngineSetup make_setup(quant::Policy policy, std::size_t ladder_floor_pos,
-                 bool use_cnn = true) {
+                       Arch arch = Arch::kCnn) {
   data::SyntheticConfig dc;
   dc.num_classes = 5;
   dc.samples_per_class = 30;
@@ -51,8 +105,9 @@ EngineSetup make_setup(quant::Policy policy, std::size_t ladder_floor_pos,
   mc.width_multiplier = 0.25f;
   quant::QuantFactory factory{.policy = policy};
   quant::BitLadder ladder({8, 4, 2});
-  auto model = use_cnn ? models::make_simple_cnn(mc, factory, ladder)
-                       : models::make_mlp(mc, factory, ladder, 16);
+  auto model = arch == Arch::kCnn ? models::make_simple_cnn(mc, factory, ladder)
+               : arch == Arch::kMlp ? models::make_mlp(mc, factory, ladder, 16)
+                                    : make_pool_cnn(mc, factory, ladder);
 
   core::TrainConfig cfg;
   cfg.epochs = 4;
@@ -148,8 +203,22 @@ TEST(IntegerEngineTest, ParityWrpn8Bit) {
 }
 
 TEST(IntegerEngineTest, ParityMlp) {
-  EngineSetup s = make_setup(quant::Policy::kMinMax, 1, /*use_cnn=*/false);
+  EngineSetup s = make_setup(quant::Policy::kMinMax, 1, Arch::kMlp);
   expect_parity(s, 0.02f, 0.99f);
+}
+
+// The engine's pooling glue and its conv-then-flatten path, checked
+// against the float-simulated forward rather than the engine's own
+// reference backend (which shares the layer walk).
+TEST(IntegerEngineTest, ParityMaxPoolFlattenMinMax4Bit) {
+  EngineSetup s = make_setup(quant::Policy::kMinMax, 1, Arch::kPoolCnn);
+  ASSERT_EQ(IntegerNetwork::compile(s.model).layer_count(), 6u);
+  expect_parity(s, 0.05f, 0.95f);
+}
+
+TEST(IntegerEngineTest, ParityMaxPoolFlattenPact2Bit) {
+  EngineSetup s = make_setup(quant::Policy::kPact, 2, Arch::kPoolCnn);
+  expect_parity(s, 0.05f, 0.95f);
 }
 
 TEST(IntegerEngineTest, AccuracyMatchesFloatSimulation) {
@@ -211,7 +280,7 @@ TEST(IntegerEngineTest, BlockedForwardBitIdenticalCnn2Bit) {
 }
 
 TEST(IntegerEngineTest, BlockedForwardBitIdenticalMlp) {
-  EngineSetup s = make_setup(quant::Policy::kMinMax, 0, /*use_cnn=*/false);
+  EngineSetup s = make_setup(quant::Policy::kMinMax, 0, Arch::kMlp);
   expect_bitwise_forward(s);
 }
 
@@ -433,6 +502,9 @@ TEST(IntegerEngineTest, CheckInputValidatesGeometryAgainstPlans) {
   plans[0].weight_bits = 8;
   plans[0].channel_scale.assign(4, 0.01f);
   plans[0].bias.assign(4, 0.0f);
+  plans[0].has_act = true;  // only a flatten may follow an unquantized layer
+  plans[0].act_bits = 8;
+  plans[0].act_clip = 1.0f;
   plans[1].kind = IntLayerPlan::Kind::kMaxPool;
   plans[1].name = "maxpool@1";
   plans[1].pool_kernel = 2;

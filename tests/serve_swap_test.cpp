@@ -18,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ccq/common/telemetry.hpp"
@@ -148,6 +151,64 @@ TEST(ServeSwapTest, PinnedHandleKeepsServingItsVersionAfterSwap) {
     EXPECT_EQ(max_row_diff(via_handle, ref_v1, i), 0.0f) << i;
     EXPECT_EQ(max_row_diff(via_name, ref_v2, i), 0.0f) << i;
   }
+}
+
+TEST(ServeSwapTest, RacingLoadsNeverExposeAHalfLoadedVersion) {
+  // Stress the publish itself: three clients resolve the current
+  // version and submit to it while the main thread loads new versions
+  // back to back.  A version must become resolvable only together with
+  // its owner and its slot in the worker pool, so every submit is
+  // admitted and served, whichever version it lands on.
+  const hw::IntegerNetwork net = make_network(1);
+  ServeConfig config;
+  config.workers = 2;
+  InferenceServer server(config);
+  ModelConfig mc;
+  mc.max_batch = 1;
+  server.load("racing", net, mc);
+  const Tensor sample = make_inputs(1).reshaped({3, 8, 8});
+
+  constexpr int kClients = 3;
+  std::atomic<int> ready{0};
+  std::atomic<bool> start{false}, stop{false};
+  std::atomic<std::size_t> served{0}, failed{0};
+  std::mutex error_mutex;
+  std::string first_error;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      Tensor out;
+      ready.fetch_add(1);
+      while (!start.load()) std::this_thread::yield();
+      while (!stop.load()) {
+        try {
+          server.submit(server.resolve("racing"), sample, out).get();
+          served.fetch_add(1);
+        } catch (const std::exception& e) {
+          failed.fetch_add(1);
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (first_error.empty()) first_error = e.what();
+        }
+      }
+    });
+  }
+  while (ready.load() < kClients) std::this_thread::yield();
+  start.store(true);
+  // 100 ms of back-to-back loads, capped so the retained versions stay
+  // a few tens of megabytes.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  std::size_t loads = 0;
+  while (std::chrono::steady_clock::now() < until && loads < 2000) {
+    server.load("racing", net, mc);
+    ++loads;
+  }
+  stop.store(true);
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(failed.load(), 0u) << "first failure: " << first_error;
+  EXPECT_GT(served.load(), 0u);
+  EXPECT_EQ(server.resolve("racing").version(), loads + 1);
 }
 
 TEST(ServeSwapTest, UnloadServesQueuedThenRejectsStaleHandles) {

@@ -8,6 +8,7 @@
 // Labelled `serve` and run under the TSan quick tier
 // (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve"`).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -200,8 +201,9 @@ TEST(ArtifactTest, ChecksumDetectsCorruption) {
 
 TEST(ArtifactTest, OldVersionRejectedWithNamedDiagnostic) {
   // A v1 artifact predates the fused requantization record: silently
-  // parsing it with v2 field layouts would misload, so the version gate
-  // must fire first (before any payload parsing) and name both versions.
+  // parsing it with today's field layouts would misload, so the version
+  // gate must fire first (before any payload parsing) and name both
+  // versions.
   auto model = make_mixed_model();
   const std::string path = temp_path("ccq_serve_oldversion.ccqa");
   export_artifact(model, path);
@@ -237,6 +239,110 @@ TEST(ArtifactTest, TruncationDetected) {
   EXPECT_NE(message.find(path), std::string::npos) << message;
   EXPECT_NE(message.find("truncated"), std::string::npos) << message;
   fs::remove(path);
+}
+
+// ---- hostile artifacts ----------------------------------------------------
+
+/// One hand-built, correctly checksummed artifact: a single rung holding
+/// one conv layer named 'hostile' whose geometry, code stream header and
+/// channel-scale count are chosen by the caller.  Every count is a lie
+/// the reader must catch before it sizes an allocation.
+struct CraftedLayer {
+  std::uint64_t out_channels = 1, in_channels = 1;
+  std::uint64_t code_count = 1;
+  std::uint8_t code_bits = 0;
+  std::uint64_t scale_count = 1;
+};
+
+std::string write_crafted(const std::string& name, const CraftedLayer& layer) {
+  std::string payload;
+  const auto varint = [&](std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) payload.push_back(static_cast<char>(v | 0x80));
+    payload.push_back(static_cast<char>(v));
+  };
+  const auto pod = [&](auto v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  varint(1);     // one rung
+  varint(1);     // zigzag(−1): the final configuration
+  pod(0.0f);     // val_acc
+  varint(7);
+  payload += "hostile";
+  pod(std::uint8_t{0});   // kind: conv
+  pod(std::uint8_t{8});   // weight bits
+  pod(std::uint8_t{0});   // no activation grid
+  pod(std::uint8_t{32});  // act bits
+  pod(0.0f);              // act clip
+  for (std::uint64_t dim : {layer.in_channels, layer.out_channels,
+                            std::uint64_t{1}, std::uint64_t{1},
+                            std::uint64_t{0}, std::uint64_t{0},
+                            std::uint64_t{0}, std::uint64_t{2},
+                            std::uint64_t{2}}) {
+    varint(dim);  // in/out channels, kernel, stride, pad, features, pool
+  }
+  varint(0);  // zigzag min_code
+  varint(1);  // divisor
+  pod(layer.code_bits);
+  varint(layer.code_count);
+  varint(0);  // packed bytes
+  varint(layer.scale_count);
+  pod(1.0f);
+  varint(1);  // one folded bias
+  pod(0.0f);
+  pod(std::uint8_t{0});  // unfused
+
+  std::string bytes(kArtifactMagic, sizeof(kArtifactMagic));
+  const auto header = [&](auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  header(kArtifactVersion);
+  header(std::uint32_t{1});  // layer count
+  header(static_cast<std::uint64_t>(payload.size()));
+  header(fnv1a(payload.data(), payload.size()));
+  const std::string path = temp_path(name);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  return path;
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(ArtifactTest, CraftedCountsFailNamingTheLayerBeforeAllocating) {
+  struct Case {
+    const char* what;
+    CraftedLayer layer;
+  };
+  const Case cases[] = {
+      // 2^27 zero-bit codes for a 1×1 layer: a 512 MiB code vector.
+      {"2^27 codes", {.code_count = std::uint64_t{1} << 27}},
+      {"2^40 codes", {.code_count = std::uint64_t{1} << 40}},
+      // Geometry agreeing with 2^61 codes at 8 bits: count · bits wraps
+      // to zero expected bytes.
+      {"2^61 codes at 8 bits",
+       {.out_channels = std::uint64_t{1} << 31,
+        .in_channels = std::uint64_t{1} << 30,
+        .code_count = std::uint64_t{1} << 61,
+        .code_bits = 8}},
+      // n · sizeof(float) wraps to 4 bytes.
+      {"2^62+1 scales", {.scale_count = (std::uint64_t{1} << 62) + 1}},
+      {"200-bit codes", {.code_bits = 200}},
+  };
+  for (const Case& c : cases) {
+    const std::string path = write_crafted("ccq_serve_crafted.ccqa", c.layer);
+    const long rss_before = peak_rss_kb();
+    const std::string message = error_message([&] { inspect_artifact(path); });
+    EXPECT_NE(message.find("layer 'hostile'"), std::string::npos)
+        << c.what << ": " << message;
+    EXPECT_EQ(error_message([&] { load_artifact(path); }), message) << c.what;
+    // Nothing the counts claim may be allocated first (peak RSS is in KiB).
+    EXPECT_LT(peak_rss_kb() - rss_before, 64 * 1024) << c.what;
+    fs::remove(path);
+  }
 }
 
 TEST(ArtifactTest, RejectsForeignFiles) {

@@ -17,8 +17,8 @@
 //       Pack a quantized snapshot into the bit-packed serving artifact
 //       (weights stored at their final ladder precision; same model/data
 //       flags as the run that produced the snapshot).  --rungs K builds
-//       a multi-point (CCQA v3) artifact instead, replaying the rung
-//       trail the snapshot recorded.
+//       a multi-point artifact instead, replaying the rung trail the
+//       snapshot recorded.
 //   ccq inspect --artifact model.ccqa
 //       Describe a packed artifact without serving it: format version,
 //       per-layer bits at every rung, requant coverage, and the packed
@@ -597,7 +597,7 @@ void usage() {
       "  --metrics-out m.json   counters/timers report (also $CCQ_METRICS)\n"
       "  --progress [--verbose] per-step progress lines\n"
       "export flags: --snapshot s.bin --out model.ccqa\n"
-      "  --rungs K --rung-budget 1.5   multi-point (CCQA v3) artifact\n"
+      "  --rungs K --rung-budget 1.5   multi-point artifact\n"
       "serve flags: --listen 7070 --artifact model.ccqa --name m\n"
       "  --workers 2 --max-batch 8 --max-delay-us 1000 --queue-cap 64\n"
       "  --weight 1.0 (fair-share weight) --slo-us 0 (p99 target gauge)\n"

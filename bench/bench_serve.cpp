@@ -11,8 +11,14 @@
 //     come from the server's `serve.<model>.latency` histogram and the
 //     shed rate is reported alongside (a saturated row is meaningless
 //     without it).
+//     Both loops run every traffic shape twice on a `max_delay_us` axis:
+//     0 (work-conserving, the `ModelConfig{}` default) and a batch-fill
+//     hold, so each row says whether the hold buys anything.
 //   * BM_ServeLatency — single request on an idle server: the floor the
 //     batching delay adds to.
+//   * BM_ServeForwardBatch — per-sample `IntegerNetwork::forward` time
+//     on the bench net at batch 1…16: the engine-side price of batching
+//     (a hold can only pay off if this falls with batch size).
 //   * BM_ServeMixedPriority — two models at a 4:1 fair-share weight
 //     ratio under a mixed-priority (low/normal/high) open-loop sweep:
 //     per-class p50/p99 from the `serve.<model>.latency.<class>`
@@ -26,7 +32,7 @@
 //     degrades under pressure and restores when load drops, reported as
 //     switch count / deepest rung / final rung / shed rate.
 //
-// The first three are snapshotted into BENCH_serve.json by
+// The BM_Serve* rows are snapshotted into BENCH_serve.json by
 // `tools/bench_snapshot.py --suite serve`, the adaptive pair into
 // BENCH_adaptive.json by `--suite adaptive`.  Build with
 // -DCCQ_COUNT_ALLOCS=ON to see the alloc columns:
@@ -144,14 +150,14 @@ void report_quantiles(benchmark::State& state,
 
 /// Closed loop: P producers in lock-step with the server (submit → wait
 /// → next).  Measures capacity; retries queue-full rejections, so every
-/// sample is eventually served.  Axes: producers × workers.
+/// sample is eventually served.  Axes: producers × workers × hold.
 void BM_ServeClosedLoop(benchmark::State& state) {
   serve::ServeConfig config;
   config.workers = static_cast<std::size_t>(state.range(1));
   serve::InferenceServer server(config);
   serve::ModelConfig mc;
   mc.max_batch = 8;
-  mc.max_delay_us = 200;
+  mc.max_delay_us = static_cast<std::uint64_t>(state.range(2));
   mc.queue_capacity = 256;
   server.load("bench", bench_network(), mc);
   serve::ServeHarness harness(server, "bench");
@@ -176,11 +182,15 @@ void BM_ServeClosedLoop(benchmark::State& state) {
                           static_cast<std::int64_t>(wave));
 }
 BENCHMARK(BM_ServeClosedLoop)
-    ->ArgNames({"producers", "workers"})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({8, 4})
+    ->ArgNames({"producers", "workers", "max_delay_us"})
+    ->Args({1, 1, 200})
+    ->Args({1, 1, 0})
+    ->Args({4, 1, 200})
+    ->Args({4, 1, 0})
+    ->Args({4, 2, 200})
+    ->Args({4, 2, 0})
+    ->Args({8, 4, 200})
+    ->Args({8, 4, 0})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -188,15 +198,15 @@ BENCHMARK(BM_ServeClosedLoop)
 /// rejections shed.  The latency distribution comes from the server's
 /// own `serve.bench.latency` histogram (log₂ buckets — factor-of-two
 /// resolution, which is what the offered-load sweep needs), the shed
-/// rate from the report.  Axis: offered requests/second, swept across
-/// the saturation knee.
+/// rate from the report.  Axes: offered requests/second, swept across
+/// the saturation knee, × hold.
 void BM_ServeOpenLoop(benchmark::State& state) {
   serve::ServeConfig config;
   config.workers = 2;
   serve::InferenceServer server(config);
   serve::ModelConfig mc;
   mc.max_batch = 8;
-  mc.max_delay_us = 1000;
+  mc.max_delay_us = static_cast<std::uint64_t>(state.range(1));
   mc.queue_capacity = 64;
   server.load("bench", bench_network(), mc);
   serve::ServeHarness harness(server, "bench");
@@ -234,11 +244,8 @@ void BM_ServeOpenLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(served));
 }
 BENCHMARK(BM_ServeOpenLoop)
-    ->ArgNames({"offered_rps"})
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Arg(16000)
-    ->Arg(64000)
+    ->ArgNames({"offered_rps", "max_delay_us"})
+    ->ArgsProduct({{1000, 4000, 16000, 64000}, {1000, 0}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -280,6 +287,42 @@ BENCHMARK(BM_ServeLatency)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// Per-sample cost of one `IntegerNetwork::forward` over a batch of B
+/// samples of the served bench net, on one kernel thread.  This is what
+/// a batch-fill hold trades queueing delay for: if the per-sample time
+/// does not fall with B, a worker gains nothing by waiting for more
+/// requests.  Axis: batch size.
+void BM_ServeForwardBatch(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const hw::IntegerNetwork net = bench_network();
+  const Tensor x = bench_samples(batch);
+  Workspace ws;
+  const ExecContext ctx(1);
+  ws.recycle(net.forward(x, ws, ctx));  // warm the pool
+  const AllocSnapshot before;
+  for (auto _ : state) {
+    Tensor logits = net.forward(x, ws, ctx);
+    benchmark::DoNotOptimize(logits.data().data());
+    ws.recycle(std::move(logits));
+  }
+  report_allocs(state, before);
+  const auto samples = static_cast<std::int64_t>(state.iterations()) *
+                       static_cast<std::int64_t>(batch);
+  state.SetItemsProcessed(samples);
+  state.counters["us_per_sample"] = benchmark::Counter(
+      static_cast<double>(samples) / 1e6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ServeForwardBatch)
+    ->ArgNames({"batch"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

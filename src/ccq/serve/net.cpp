@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -92,6 +93,11 @@ struct TcpServer::Impl {
       while (!stopping.load(std::memory_order_relaxed) &&
              recv_frame(fd, buffer, frame)) {
         wire::InferReply reply;
+        // Keeps the reply's shared state until the handler below has read
+        // a failed request's error.  The last reference then drops
+        // through std::shared_ptr, which ThreadSanitizer can see, instead
+        // of only through libstdc++'s uninstrumented exception refcount.
+        std::shared_future<void> done;
         try {
           wire::InferRequest request = wire::decode_request(frame);
           const ModelHandle model =
@@ -110,7 +116,8 @@ struct TcpServer::Impl {
             options.priority = static_cast<Priority>(request.priority);
           }
           if (request.has_deadline) options.deadline_us = request.deadline_us;
-          server.submit(model, sample, output, options).get();
+          done = server.submit(model, sample, output, options).share();
+          done.get();
           reply.ok = true;
           reply.version = model.version();
           reply.logits.assign(output.data().begin(), output.data().end());

@@ -43,6 +43,8 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
   }
   metrics.p99_vs_slo =
       telemetry::named_metric(NamedKind::kGauge, prefix + "p99_vs_slo");
+  metrics.stage_queue =
+      telemetry::named_metric(NamedKind::kTimer, prefix + "stage.queue");
   point = OperatingPointController(config.adaptive, net.rung_count(),
                                    metrics.latency, metrics.rung,
                                    metrics.rung_switches);

@@ -52,9 +52,14 @@ class InferenceServer;
 /// shape and admission bounds are properties of a model's traffic, not
 /// of the worker pool, and every loaded model carries its own copy.
 struct ModelConfig {
-  std::size_t max_batch = 8;          ///< flush when this many requests wait …
-  std::uint64_t max_delay_us = 1000;  ///< … or the oldest waited this long
-  std::size_t queue_capacity = 64;    ///< per-model admission bound
+  std::size_t max_batch = 8;  ///< most requests one batch takes
+  /// Batch-fill hold.  0 (the default) = no hold: a free worker takes
+  /// whatever the model has queued, up to `max_batch`, so batches form
+  /// only from requests that arrive while every worker is busy.  A
+  /// positive value holds a partial batch until `max_batch` requests
+  /// wait or the oldest has waited this many microseconds.
+  std::uint64_t max_delay_us = 0;
+  std::size_t queue_capacity = 64;  ///< per-model admission bound
   /// Fair-share weight against the other models on the same server: the
   /// worker pool serves flushable models in proportion to their weights
   /// (virtual-time accounting, serve/sla.hpp).  Must be positive and
@@ -94,7 +99,7 @@ struct Request {
   std::promise<void> promise;
   /// Admission instant on the server clock (real steady clock, or the
   /// injected `ServeConfig::now_fn`): anchors the batching deadline,
-  /// the latency sample and the request deadline.
+  /// the queue-stage and latency samples and the request deadline.
   std::uint64_t enqueue_ns = 0;
   Priority priority = Priority::kNormal;
   /// Absolute expiry instant (server clock); 0 = no deadline.  Expiry
@@ -140,6 +145,9 @@ struct LoadedModel {
     /// Timers: the latency series split by service class.
     std::array<int, kPriorityCount> latency_by_priority = {-1, -1, -1};
     int p99_vs_slo = -1;     ///< gauge: observed p99 / slo_us (when set)
+    /// Timer: admission → dequeue into a batch, per request that joins
+    /// one (a held request's batch-fill wait counts as queue time).
+    int stage_queue = -1;
   } metrics;
 
   // ---- queue state: guarded by the owning InferenceServer's mutex ----

@@ -44,6 +44,10 @@ std::uint64_t InferenceServer::now_ns() const {
   return config_.now_fn ? config_.now_fn() : telemetry::ScopedTimer::now_ns();
 }
 
+std::uint64_t InferenceServer::decision_ns() const {
+  return config_.now_fn ? event_ns_ : now_ns();
+}
+
 InferenceServer::InferenceServer(ServeConfig config) : config_(config) {
   CCQ_CHECK(config_.workers >= 1, "server needs at least one worker");
   workers_.reserve(config_.workers);
@@ -88,6 +92,7 @@ void InferenceServer::retire(const std::vector<ModelPtr>& models) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++work_generation_;  // retired queues flush immediately: force rescans
+    event_ns_ = std::max(event_ns_, now_ns());
     for (const ModelPtr& model : models) {
       model->retired = true;
       if (model->queue.empty() && model->in_flight == 0) {
@@ -205,6 +210,7 @@ std::future<void> InferenceServer::submit(const ModelHandle& model,
       // the idle period never turns into a catch-up burst.
       loaded.vtime = std::max(loaded.vtime, vclock_);
     }
+    event_ns_ = std::max(event_ns_, request.enqueue_ns);
     loaded.queue.push(std::move(request));
     ++loaded.admitted;
     ++work_generation_;
@@ -252,7 +258,7 @@ void InferenceServer::worker_loop() {
     // one with the least virtual time goes next.  If nothing is
     // flushable yet, park until the earliest flush/deadline event and
     // rescan.
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = decision_ns();
     ModelPtr target;
     SchedView target_view;
     for (const ModelPtr& model : active_) {
@@ -277,7 +283,7 @@ void InferenceServer::worker_loop() {
       const std::uint64_t parked_generation = work_generation_;
       const auto parked = [&] {
         if (stopping_ || work_generation_ != parked_generation) return true;
-        const std::uint64_t tick = now_ns();
+        const std::uint64_t tick = decision_ns();
         return std::any_of(active_.begin(), active_.end(),
                            [&](const ModelPtr& model) {
                              return sla_flushable(sched_view(*model, stopping_),
@@ -333,6 +339,8 @@ void InferenceServer::worker_loop() {
       while (batch.size() < model.config.max_batch && !model.queue.empty()) {
         const detail::Request& front = model.queue.front();
         if (front.rung >= 0 && front.rung != batch_rung) break;
+        telemetry::record_named_duration(model.metrics.stage_queue,
+                                         now - front.enqueue_ns);
         batch.push_back(model.queue.pop_front());
       }
     }
@@ -448,6 +456,7 @@ void InferenceServer::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ && workers_.empty()) return;  // already shut down
     stopping_ = true;
+    event_ns_ = std::max(event_ns_, now_ns());
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();

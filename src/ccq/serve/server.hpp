@@ -24,12 +24,16 @@
 //     `deadline_us` budget that expires while queued are dropped at
 //     dequeue time (typed `DeadlineExceededError`) instead of wasting a
 //     batch slot — serve/sla.hpp holds the policy primitives;
-//   * dynamic batching per model — a worker flushes a model's queue
-//     when `max_batch` requests wait or the oldest has waited
-//     `max_delay_us` (both per-model `ModelConfig` knobs).  Per-sample
-//     outputs of the integer engine are independent of batch
-//     composition, so served results are bit-identical to a direct
-//     `IntegerNetwork::forward` regardless of coalescing;
+//   * work-conserving dynamic batching per model — a free worker takes
+//     whatever a model has queued, up to `max_batch`, so batches form
+//     from the requests that arrive while every worker is busy and a
+//     lone request on an idle server is served at once.  A positive
+//     `max_delay_us` instead holds a partial batch until `max_batch`
+//     requests wait or the oldest has waited that long (both are
+//     per-model `ModelConfig` knobs).  Per-sample outputs of the integer
+//     engine are independent of batch composition, so served results
+//     are bit-identical to a direct `IntegerNetwork::forward` regardless
+//     of coalescing;
 //   * N shared worker threads, each owning a warm `Workspace` and a
 //     private `ExecContext` (server-wide `ServeConfig` knobs), picking
 //     the next model to flush by weighted fair scheduling: every model
@@ -74,8 +78,11 @@ struct ServeConfig {
   /// seam, which is how `tests/serve_sla_test.cpp` asserts scheduler
   /// properties exactly under a virtual clock.  With an injected clock
   /// workers never park on a timer: deadlines are (re)evaluated at
-  /// queue events (submit / retire / shutdown), so virtual-clock tests
-  /// drive flushes explicitly (e.g. by filling `max_batch`).
+  /// queue events (submit / retire / shutdown), as of the instant of the
+  /// latest one, so advancing the clock between events cannot race a
+  /// worker's wakeup.  Under the default `max_delay_us` of 0 every
+  /// submit is flushable at once; a test that sets a positive hold
+  /// drives its flushes explicitly (e.g. by filling `max_batch`).
   std::function<std::uint64_t()> now_fn;
 };
 
@@ -197,6 +204,9 @@ class InferenceServer {
   /// The server clock: `config_.now_fn` when injected, else the
   /// monotonic telemetry clock.  Called both under and outside mutex_.
   std::uint64_t now_ns() const;
+  /// The instant a worker's scheduling decision is made at (mutex_
+  /// held): the live clock, or under an injected clock `event_ns_`.
+  std::uint64_t decision_ns() const;
 
   void worker_loop();
   void run_batch(detail::LoadedModel& model,
@@ -227,6 +237,12 @@ class InferenceServer {
   /// picked model.  A model going idle→busy rejoins at this value, so
   /// idle time never accrues into a catch-up burst (serve/sla.hpp).
   double vclock_ = 0.0;
+  /// Latest queue event (admission, retirement, shutdown) on the server
+  /// clock.  Under an injected clock workers decide as of this instant
+  /// instead of re-reading the clock, so a virtual-clock run's outcome
+  /// is fixed by its events and their times, never by when a worker
+  /// thread happens to wake relative to the test advancing the clock.
+  std::uint64_t event_ns_ = 0;
   std::size_t total_queued_ = 0;
   std::size_t total_in_flight_ = 0;
   bool stopping_ = false;

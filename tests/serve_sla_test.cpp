@@ -19,10 +19,13 @@
 //   3. InferenceServer integration under an injected virtual clock
 //      (`ServeConfig::now_fn`, one worker): shed-lowest-first through
 //      real submit futures, deadline expiry at dequeue (never at
-//      admission), u64-max deadline saturation, plus the harness
+//      admission), u64-max deadline saturation, the work-conserving
+//      default (`ModelConfig{}` never holds a lone request), the exact
+//      `serve.<name>.stage.queue` sum, plus the harness
 //      offered/admitted accounting regression.
 //
-// Labelled `sla` and run under the TSan quick tier and both CI legs.
+// Labelled `sla` and run under the TSan quick tier, CI's `tsan-serve`
+// job and both CI legs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "ccq/common/telemetry.hpp"
 #include "ccq/models/simple.hpp"
 #include "ccq/serve/harness.hpp"
 
@@ -411,7 +415,9 @@ hw::IntegerNetwork make_network() {
 }
 
 /// A server on a virtual clock: one worker, time advances only when the
-/// test says so, flushes triggered by filling max_batch or by shutdown.
+/// test says so.  Under the default zero hold every submit is flushable
+/// at once; tests that set a hold trigger flushes by filling max_batch
+/// or by shutdown.
 struct VirtualClockServer {
   std::atomic<std::uint64_t> now{1'000};
   InferenceServer server;
@@ -554,6 +560,56 @@ TEST(ServeSlaTest, MaxDeadlineSaturatesInsteadOfWrapping) {
   EXPECT_NO_THROW(reply_a.get());
   EXPECT_NO_THROW(reply_b.get());
   vs.server.shutdown();
+}
+
+TEST(ServeSlaTest, DefaultConfigNeverHoldsALoneRequest) {
+  // ModelConfig{} is work-conserving: a free worker takes what is
+  // queued.  The virtual clock never advances, so any batch-fill hold
+  // would park this lone request until shutdown.  The buffers outlive
+  // the server, whose shutdown still serves the request if it was held.
+  const Tensor sample = make_inputs(1).reshaped({3, 8, 8});
+  Tensor out;
+  VirtualClockServer vs;
+  const ModelHandle handle =
+      vs.server.load("lone", make_network(), ModelConfig{});
+  std::future<void> reply = vs.server.submit(handle, sample, out);
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_NO_THROW(reply.get());
+  EXPECT_EQ(out.dim(0), 5u);
+  vs.server.shutdown();
+}
+
+TEST(ServeSlaTest, QueueStageTimesAdmissionToDequeue) {
+  // serve.<name>.stage.queue takes one sample per request that joins a
+  // batch.  Under an explicit hold A waits 700 us of virtual time for B
+  // to fill the batch and B joins at once: exactly 700 000 ns over 2.
+  const bool metrics_were_on = telemetry::metrics_enabled();
+  telemetry::set_metrics_enabled(true);
+  const Tensor sample_a = make_inputs(1).reshaped({3, 8, 8});
+  const Tensor sample_b = make_inputs(1).reshaped({3, 8, 8});
+  Tensor out_a, out_b;
+  VirtualClockServer vs;
+  ModelConfig mc;
+  mc.max_batch = 2;
+  mc.max_delay_us = kU64Max;  // only the second submit flushes
+  const ModelHandle handle = vs.server.load("queue-stage", make_network(), mc);
+  const int timer = telemetry::find_named_metric(
+      telemetry::NamedKind::kTimer, "serve.queue-stage.stage.queue");
+  ASSERT_GE(timer, 0);
+  const telemetry::TimerStats before = telemetry::named_timer_stats(timer);
+
+  std::future<void> reply_a = vs.server.submit(handle, sample_a, out_a);
+  vs.now += 700'000;
+  std::future<void> reply_b = vs.server.submit(handle, sample_b, out_b);
+  EXPECT_NO_THROW(reply_a.get());
+  EXPECT_NO_THROW(reply_b.get());
+
+  const telemetry::TimerStats after = telemetry::named_timer_stats(timer);
+  EXPECT_EQ(after.count - before.count, 2u);
+  EXPECT_EQ(after.total_ns - before.total_ns, 700'000u);
+  vs.server.shutdown();
+  telemetry::set_metrics_enabled(metrics_were_on);
 }
 
 TEST(ServeSlaTest, WeightMustBePositiveAndFinite) {

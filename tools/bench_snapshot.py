@@ -12,11 +12,14 @@ Four suites cover the integer-inference datapath and the serving stack:
             epilogues, integer pooling, final decode) vs forward_reference
   serve     BM_Serve* (bench_serve binary) -> BENCH_serve.json
             the registry-routed inference server: closed-loop capacity
-            (producers x workers), an open-loop offered-load sweep with
-            p50/p99 latency and shed rate, idle round-trip latency, and
-            a two-model weighted mixed-priority sweep with per-class
-            p50/p99 and the shed split (shed rates are fractions of
-            offered submission attempts, not the sample count)
+            (producers x workers) and an open-loop offered-load sweep
+            with p50/p99 latency and shed rate, each at batch-fill hold
+            0 and at a positive hold (row suffix /d<max_delay_us>), idle
+            round-trip latency, the per-sample engine forward at batch
+            1..16 (forward/b<N>, us_per_sample), and a two-model
+            weighted mixed-priority sweep with per-class p50/p99 and the
+            shed split (shed rates are fractions of offered submission
+            attempts, not the sample count)
   adaptive  BM_Adaptive* (bench_serve binary) -> BENCH_adaptive.json
             adaptive-precision serving: the per-rung price list (closed
             loop, 3-rung artifact pinned at each rung) and a scripted
@@ -119,7 +122,9 @@ def parse_mode_rows(raw: dict, suite: dict) -> dict:
 
 
 def parse_serve_rows(raw: dict) -> dict:
-    """bench_serve JSON -> rows keyed closed/pPwW, open/Rrps, latency/wW."""
+    """bench_serve JSON -> rows keyed closed/pPwW/dD, open/Rrps/dD,
+    latency/wW, forward/bB, mixed/Rrps, rung/R and ramp (D = the row's
+    max_delay_us batch-fill hold)."""
     rows = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -131,9 +136,12 @@ def parse_serve_rows(raw: dict) -> dict:
                 k, v = p.split(":", 1)
                 args[k] = int(v)
         if parts[0] == "BM_ServeClosedLoop":
-            key = f"closed/p{args['producers']}w{args['workers']}"
+            key = (f"closed/p{args['producers']}w{args['workers']}"
+                   f"/d{args['max_delay_us']}")
         elif parts[0] == "BM_ServeOpenLoop":
-            key = f"open/{args['offered_rps']}rps"
+            key = f"open/{args['offered_rps']}rps/d{args['max_delay_us']}"
+        elif parts[0] == "BM_ServeForwardBatch":
+            key = f"forward/b{args['batch']}"
         elif parts[0] == "BM_ServeMixedPriority":
             key = f"mixed/{args['offered_rps']}rps"
         elif parts[0] == "BM_ServeLatency":
@@ -152,7 +160,8 @@ def parse_serve_rows(raw: dict) -> dict:
             "shed_rate": b.get("shed_rate"),
             "allocs_per_iter": b.get("allocs_per_iter"),
         }
-        for counter in ("rung_switches", "deepest_rung", "final_rung"):
+        for counter in ("us_per_sample", "rung_switches", "deepest_rung",
+                        "final_rung"):
             if counter in b:
                 rows[key][counter] = b[counter]
         # Mixed-priority rows: per-class latency quantiles + shed split.
@@ -189,7 +198,7 @@ def compare(rows: dict, snapshot: dict, tolerance: float) -> bool:
         if p99:
             extra += f"  p99 {p99:8.0f} us"
         print(
-            f"{verdict:9} {key:14} {cur['real_time_ns'] / 1e6:9.3f} ms "
+            f"{verdict:9} {key:20} {cur['real_time_ns'] / 1e6:9.3f} ms "
             f"(baseline {base['real_time_ns'] / 1e6:9.3f} ms, "
             f"ratio {ratio:5.2f}){extra}"
         )

@@ -405,10 +405,22 @@ serve::OperatingPointPolicy adaptive_policy_from(const Args& args) {
   return policy;
 }
 
-// SLA knobs shared by `serve` and `serve-bench`.
-void apply_sla_flags(const Args& args, serve::ModelConfig& mc) {
-  mc.weight = args.get_double("weight", 1.0);
-  mc.slo_us = static_cast<std::uint64_t>(args.get_int("slo-us", 0));
+// Per-model knobs shared by `serve` and `serve-bench`.  Every flag
+// defaults to the `ModelConfig{}` value, so both commands serve what an
+// embedding application serves (usage() prints the same defaults).
+serve::ModelConfig model_config_from(const Args& args) {
+  serve::ModelConfig mc;
+  mc.max_batch = static_cast<std::size_t>(
+      args.get_int("max-batch", static_cast<int>(mc.max_batch)));
+  mc.max_delay_us = static_cast<std::uint64_t>(
+      args.get_int("max-delay-us", static_cast<int>(mc.max_delay_us)));
+  mc.queue_capacity = static_cast<std::size_t>(
+      args.get_int("queue-cap", static_cast<int>(mc.queue_capacity)));
+  mc.weight = args.get_double("weight", mc.weight);
+  mc.slo_us = static_cast<std::uint64_t>(
+      args.get_int("slo-us", static_cast<int>(mc.slo_us)));
+  mc.adaptive = adaptive_policy_from(args);
+  return mc;
 }
 
 // Shared by `serve` and `serve-bench`: the network to host — a packed
@@ -448,13 +460,7 @@ int cmd_serve(const Args& args) {
   sc.intra_op_threads =
       static_cast<std::size_t>(args.get_int("intra-op", 1));
   serve::InferenceServer server(sc);
-  serve::ModelConfig mc;
-  mc.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
-  mc.max_delay_us =
-      static_cast<std::uint64_t>(args.get_int("max-delay-us", 1000));
-  mc.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  mc.adaptive = adaptive_policy_from(args);
-  apply_sla_flags(args, mc);
+  const serve::ModelConfig mc = model_config_from(args);
   const std::string name = serve_model_name(args);
   const serve::ModelHandle handle = server.load(name, serve_network(args), mc);
 
@@ -482,13 +488,7 @@ int cmd_serve_bench(const Args& args) {
   sc.workers = static_cast<std::size_t>(args.get_int("workers", 2));
   sc.intra_op_threads =
       static_cast<std::size_t>(args.get_int("intra-op", 1));
-  serve::ModelConfig mc;
-  mc.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
-  mc.max_delay_us =
-      static_cast<std::uint64_t>(args.get_int("max-delay-us", 200));
-  mc.queue_capacity = static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  mc.adaptive = adaptive_policy_from(args);
-  apply_sla_flags(args, mc);
+  const serve::ModelConfig mc = model_config_from(args);
   const auto requests = static_cast<std::size_t>(args.get_int("requests", 512));
   const auto image = static_cast<std::size_t>(args.get_int("image", 16));
   const double rate = args.get_double("rate", 0.0);  // 0 = closed loop
@@ -573,6 +573,11 @@ int cmd_policies() {
 }
 
 void usage() {
+  const serve::ModelConfig mc;
+  const std::string model_flags =
+      "  --max-batch " + std::to_string(mc.max_batch) + " --max-delay-us " +
+      std::to_string(mc.max_delay_us) + " (0 = no batch-fill hold)" +
+      " --queue-cap " + std::to_string(mc.queue_capacity) + "\n";
   std::cout <<
       "usage: ccq <command> [--flags]\n"
       "  run       full CCQ pipeline (pretrain + competition/collaboration)\n"
@@ -599,11 +604,13 @@ void usage() {
       "export flags: --snapshot s.bin --out model.ccqa\n"
       "  --rungs K --rung-budget 1.5   multi-point artifact\n"
       "serve flags: --listen 7070 --artifact model.ccqa --name m\n"
-      "  --workers 2 --max-batch 8 --max-delay-us 1000 --queue-cap 64\n"
+      "  --workers 2 --intra-op 1\n"
+      << model_flags <<
       "  --weight 1.0 (fair-share weight) --slo-us 0 (p99 target gauge)\n"
       "serve-bench flags: --artifact model.ccqa (else random weights)\n"
-      "  --workers 2 --max-batch 8 --max-delay-us 200 --queue-cap 64\n"
-      "  --intra-op 1 --requests 512 --producers 4\n"
+      "  --workers 2 --intra-op 1\n"
+      << model_flags <<
+      "  --requests 512 --producers 4\n"
       "  --rate R   open loop at R offered req/s (default: closed loop)\n"
       "  --tcp      drive through a loopback TCP front end\n"
       "  --weight 1.0 --slo-us 0   model SLA knobs (as for serve)\n"

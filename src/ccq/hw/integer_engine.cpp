@@ -334,6 +334,25 @@ IntegerNetwork IntegerNetwork::from_rungs(
 
 namespace {
 
+/// A conv's weight codes permuted from their serialized (oc, c, ky, kx)
+/// order into the (oc, ky, kx, c) order of its channels-last patches.
+std::vector<std::int32_t> channels_last_codes(const IntLayerPlan& plan) {
+  const std::size_t c = plan.in_channels, k = plan.kernel;
+  CCQ_CHECK(plan.weight_codes.size() == plan.out_channels * c * k * k,
+            "integer engine: layer '" + plan.name +
+                "' weight code count does not match its geometry");
+  std::vector<std::int32_t> out(plan.weight_codes.size());
+  for (std::size_t oc = 0; oc < plan.out_channels; ++oc) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      for (std::size_t t = 0; t < k * k; ++t) {  // t = ky·k + kx
+        out[(oc * k * k + t) * c + ch] =
+            plan.weight_codes[(oc * c + ch) * k * k + t];
+      }
+    }
+  }
+  return out;
+}
+
 /// One rung's finalize pass.  Static bound on |incoming activation
 /// codes|, threaded layer to layer: the input snap is 8-bit (codes in
 /// [0, 255]); a b-bit activation grid emits codes in [0, 2^b − 1];
@@ -368,11 +387,12 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
                        : IgemmAccum::kInt64;
       plan.igemm_kernel = igemm_select_kernel(requested, plan.max_abs_code,
                                               plan.in_code_bound, plan.accum);
-      // Conv consumes the panel on the left (kWX, per-row epilogue);
-      // linear on the right (kXW), so outputs land row-major (batch×out).
-      plan.panel = igemm_pack(plan.weight_codes, rows, depth,
-                              conv ? IgemmForm::kWX : IgemmForm::kXW,
-                              plan.igemm_kernel);
+      // Both run as activation dot rows × the panel, so the panel rows
+      // follow the lowering's patch order: (ky, kx, c) for a conv, whose
+      // codes are serialized (c, ky, kx); a linear layer is the 1×1 case.
+      plan.panel = igemm_pack(conv ? channels_last_codes(plan)
+                                   : plan.weight_codes,
+                              rows, depth, plan.igemm_kernel);
       // Fused fixed-point requantization: fold channel_scale/bias and
       // the activation grid into int32-multiplier requant parameters so
       // the igemm epilogue writes the next layer's codes directly.
@@ -488,8 +508,14 @@ void apply_act(Tensor& x, const IntLayerPlan& plan) {
 //
 // Activations flow layer to layer as integer *codes* on the current
 // activation grid (u8 for grids up to 8 bits, i16 above; exact int32 on
-// the reference backend) instead of a float tensor.  These helpers are
-// templated on the code type, so both MAC backends share them.
+// the reference backend) instead of a float tensor, stored channels-last
+// — (N, H, W, C) — while the map is spatial, so each conv lowers its
+// patches from contiguous channel runs and its epilogue writes the next
+// map without a transpose.  The walk keeps the logical NCHW shape; only
+// the storage order differs, and it is undone wherever the layout
+// becomes visible: a flatten of a spatial map and the final decode.
+// These helpers are templated on the code type, so both MAC backends
+// share them.
 
 /// Valid-window pool output extent (matches nn::MaxPool2d/AvgPool2d).
 inline std::size_t pool_out(std::size_t in, std::size_t k, std::size_t s) {
@@ -503,89 +529,146 @@ inline std::int64_t mean_code(std::int64_t sum, std::int64_t cnt) {
   return (2 * sum + cnt) / (2 * cnt);
 }
 
-/// Snap a float tensor whose values lie on (or near) the grid `scale`
-/// onto integer codes in [0, qmax].  Used for the 8-bit input snap and
-/// for re-entering the code domain after an unfused layer's apply_act
-/// (where the snap is exact: every value is already k·scale).
-template <typename T>
-void snap_codes(const Tensor& t, float scale, std::int64_t qmax, T* dst) {
-  auto p = t.data();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    dst[i] = static_cast<T>(
-        std::clamp<long>(std::lround(p[i] / scale), 0L,
-                         static_cast<long>(qmax)));
-  }
+/// Snap one value onto a code in [0, qmax], rounding half up.  The
+/// coordinate is clamped in float *before* any integer conversion, so
+/// every input has a defined, monotone code: NaN and negatives give 0,
+/// +Inf and anything at or above qmax give qmax.  Inside the clamp the
+/// truncation is exact and q − trunc(q) is the exact fraction, so this
+/// equals clamp(lround(q), 0, qmax) wherever lround is defined.
+inline std::int32_t snap_code(float v, float scale, std::int32_t qmax) {
+  // std::max(0, q) keeps 0 for a NaN q; std::min saturates +Inf.
+  const float q =
+      std::min(std::max(0.0f, v / scale), static_cast<float>(qmax));
+  const auto t = static_cast<std::int32_t>(q);
+  return t + (q - static_cast<float>(t) >= 0.5f ? 1 : 0);
 }
 
-/// Decode codes back to a float tensor: value = code · scale.
+/// Snap the (N, C, H, W) float input onto its 8-bit grid, transposing to
+/// channels-last codes in the same pass.
 template <typename T>
-Tensor decode_codes(const T* src, const Shape& shape, float scale,
-                    Workspace& ws) {
-  Tensor out = ws.tensor_uninit(shape);
-  auto p = out.data();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = static_cast<float>(src[i]) * scale;
-  }
-  return out;
-}
-
-/// Integer max pool over code planes (exact: max commutes with the
-/// positive decode scale).
-template <typename T>
-void pool_max_codes(const T* src, T* dst, std::size_t n, std::size_t c,
-                    std::size_t h, std::size_t w, std::size_t k,
-                    std::size_t s) {
-  const std::size_t oh = pool_out(h, k, s), ow = pool_out(w, k, s);
-  for (std::size_t i = 0; i < n * c; ++i) {
-    const T* plane = src + i * h * w;
-    T* out = dst + i * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        T best = plane[oy * s * w + ox * s];
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            best = std::max(best, plane[(oy * s + ky) * w + (ox * s + kx)]);
-          }
-        }
-        out[oy * ow + ox] = best;
+void snap_input(const Tensor& x, float scale, T* dst) {
+  const std::size_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
+  const float* src = x.data().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const float* plane = src + (i * c + ch) * hw;
+      T* out = dst + i * hw * c + ch;
+      for (std::size_t p = 0; p < hw; ++p) {
+        out[p * c] = static_cast<T>(snap_code(plane[p], scale, 255));
       }
     }
   }
 }
 
-/// Integer average pool over code planes; each window mean is
-/// requantized back onto the grid with mean_code.
+/// Snap float values already on the grid `scale` back into codes, in
+/// place order — the re-entry after an unfused layer's apply_act, where
+/// the snap is exact because every value is already k·scale.
+template <typename T>
+void snap_codes(const Tensor& t, float scale, std::int32_t qmax, T* dst) {
+  auto p = t.data();
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    dst[i] = static_cast<T>(snap_code(p[i], scale, qmax));
+  }
+}
+
+/// Reorder channels-last (n, hw, c) storage into (n, c, hw), converting
+/// each element with `f`.  The flatten of a spatial map and the final
+/// decode use it, so features and outputs keep the NCHW order trained
+/// weights and callers expect.
+template <typename S, typename D, typename F>
+void to_nchw(const S* src, D* dst, std::size_t n, std::size_t c,
+             std::size_t hw, F&& f) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const S* in = src + i * hw * c + ch;
+      D* out = dst + (i * c + ch) * hw;
+      for (std::size_t p = 0; p < hw; ++p) out[p] = f(in[p * c]);
+    }
+  }
+}
+
+/// Decode codes back to a float tensor: value = code · scale, in NCHW
+/// order for a spatial (rank-4) shape.
+template <typename T>
+Tensor decode_codes(const T* src, const Shape& shape, float scale,
+                    Workspace& ws) {
+  Tensor out = ws.tensor_uninit(shape);
+  const auto decode = [scale](T code) {
+    return static_cast<float>(code) * scale;
+  };
+  float* dst = out.data().data();
+  if (shape.size() == 4) {
+    to_nchw(src, dst, shape[0], shape[1], shape[2] * shape[3], decode);
+  } else {
+    for (std::size_t i = 0; i < out.numel(); ++i) dst[i] = decode(src[i]);
+  }
+  return out;
+}
+
+/// Integer max pool over channels-last code maps (exact: max commutes
+/// with the positive decode scale).
+template <typename T>
+void pool_max_codes(const T* src, T* dst, std::size_t n, std::size_t c,
+                    std::size_t h, std::size_t w, std::size_t k,
+                    std::size_t s) {
+  const std::size_t oh = pool_out(h, k, s), ow = pool_out(w, k, s);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        T* out = dst + ((i * oh + oy) * ow + ox) * c;
+        const T* corner = src + ((i * h + oy * s) * w + ox * s) * c;
+        std::copy(corner, corner + c, out);
+        for (std::size_t ky = 0; ky < k; ++ky) {
+          for (std::size_t kx = 0; kx < k; ++kx) {
+            const T* tap = corner + (ky * w + kx) * c;
+            for (std::size_t ch = 0; ch < c; ++ch) {
+              out[ch] = std::max(out[ch], tap[ch]);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Integer average pool over channels-last code maps; each window mean
+/// is requantized back onto the grid with mean_code.
 template <typename T>
 void pool_avg_codes(const T* src, T* dst, std::size_t n, std::size_t c,
                     std::size_t h, std::size_t w, std::size_t k,
                     std::size_t s) {
   const std::size_t oh = pool_out(h, k, s), ow = pool_out(w, k, s);
   const auto cnt = static_cast<std::int64_t>(k * k);
-  for (std::size_t i = 0; i < n * c; ++i) {
-    const T* plane = src + i * h * w;
-    T* out = dst + i * oh * ow;
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       for (std::size_t ox = 0; ox < ow; ++ox) {
-        std::int64_t sum = 0;
-        for (std::size_t ky = 0; ky < k; ++ky) {
-          for (std::size_t kx = 0; kx < k; ++kx) {
-            sum += plane[(oy * s + ky) * w + (ox * s + kx)];
+        T* out = dst + ((i * oh + oy) * ow + ox) * c;
+        const T* corner = src + ((i * h + oy * s) * w + ox * s) * c;
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          std::int64_t sum = 0;
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              sum += corner[(ky * w + kx) * c + ch];
+            }
           }
+          out[ch] = static_cast<T>(mean_code(sum, cnt));
         }
-        out[oy * ow + ox] = static_cast<T>(mean_code(sum, cnt));
       }
     }
   }
 }
 
-/// Integer global average pool: (n, c, h, w) codes → (n, c) codes.
+/// Integer global average pool: channels-last (n, hw, c) codes → (n, c).
 template <typename T>
 void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
                std::size_t hw) {
-  for (std::size_t i = 0; i < n * c; ++i) {
-    std::int64_t sum = 0;
-    for (std::size_t j = 0; j < hw; ++j) sum += src[i * hw + j];
-    dst[i] = static_cast<T>(mean_code(sum, static_cast<std::int64_t>(hw)));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      std::int64_t sum = 0;
+      for (std::size_t j = 0; j < hw; ++j) sum += src[(i * hw + j) * c + ch];
+      dst[i * c + ch] =
+          static_cast<T>(mean_code(sum, static_cast<std::int64_t>(hw)));
+    }
   }
 }
 
@@ -639,12 +722,16 @@ class CodeStore {
 // The layer walk below is written once and instantiated over two MAC
 // backends (policy structs).  Each names the leases its codes travel in,
 // hands out a fresh lease for a grid topping out at `qmax`, and runs one
-// conv (`g` set) or linear (`g` null) layer over `n` images from codes
-// `src` into `out`: the next layer's codes through the fused requant
-// epilogue when `out` is integer, the float epilogue when it is float.
+// conv/linear layer of geometry `g` (a linear layer is the 1×1 kernel
+// over a 1×1 map of in_features channels) over `n` images from
+// channels-last codes `src` into channels-last `out`: the next layer's
+// codes through the fused requant epilogue when `out` is integer, the
+// float epilogue when it is float.
 
-/// The serving datapath: u8/i16 codes into `IgemmOp`s executed by each
-/// layer's selected kernel over its packed weight panel.
+/// The serving datapath: each layer lowers its u8/i16 codes once, with
+/// `im2row`, into the dot rows of its selected kernel (that kernel's
+/// lane type, `panel.stride` lanes per row, the whole batch folded into
+/// the rows) and runs one `IgemmOp` over its packed weight panel.
 struct IgemmMac {
   using Codes = CodeStore<Workspace::ByteLease, Workspace::ShortLease>;
 
@@ -659,43 +746,34 @@ struct IgemmMac {
   }
 
   template <typename TIn, typename TOut>
-  static void run(const IntLayerPlan& plan, std::size_t n,
-                  const ConvGeometry* g, const TIn* src, TOut* out,
-                  Workspace& ws, const ExecContext& ctx) {
+  static void run(const IntLayerPlan& plan, const ConvGeometry& g,
+                  std::size_t n, const TIn* src, TOut* out, Workspace& ws,
+                  const ExecContext& ctx) {
     IgemmOp op;
+    op.m = n * g.out_spatial();
+    op.n = plan.panel.rows;
+    op.k = g.patch_size();
     op.panel = &plan.panel;
     op.accum = plan.accum;
     op.x_bound = plan.in_code_bound;
-    op.ws = &ws;
     if constexpr (std::is_same_v<TOut, float>) {
+      op.c = out;
       op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
     } else {
+      set_out(op, out);
       op.requant = plan.requant.data();
       op.requant_qmax = plan.out_qmax;
     }
-    if (g == nullptr) {
-      op.form = IgemmForm::kXW;
-      op.m = n;
-      op.n = plan.out_features;
-      op.k = plan.in_features;
-      set_x(op, src);
-      set_out(op, out);
-      igemm_run(op, ctx);
-      return;
-    }
-    // Conv consumes the panel on the left: one igemm per image over its
-    // im2col'd codes.
-    op.form = IgemmForm::kWX;
-    op.m = plan.out_channels;
-    op.n = g->out_spatial();
-    op.k = g->patch_size();
-    const std::size_t in_stride = g->in_channels * g->in_h * g->in_w;
-    Lease<TIn> cols(ws, op.k * op.n);
-    for (std::size_t img = 0; img < n; ++img) {
-      im2col(src + img * in_stride, *g, cols.data(), ctx);
-      set_x(op, static_cast<const TIn*>(cols.data()));
-      set_out(op, out + img * op.m * op.n);
-      igemm_run(op, ctx);
+    switch (plan.igemm_kernel) {
+      case IgemmKernel::kVecPacked:
+        lower_and_run<std::uint8_t>(op, g, n, src, ws, ctx);
+        break;
+      case IgemmKernel::kVec16:
+        lower_and_run<std::int16_t>(op, g, n, src, ws, ctx);
+        break;
+      default:  // scalar reads the codes in their own type
+        lower_and_run<TIn>(op, g, n, src, ws, ctx);
+        break;
     }
   }
 
@@ -703,6 +781,18 @@ struct IgemmMac {
   template <typename T>
   using Lease = std::conditional_t<std::is_same_v<T, std::uint8_t>,
                                    Workspace::ByteLease, Workspace::ShortLease>;
+
+  /// Lower `src` into `Lane` dot rows and run `op` over them.
+  template <typename Lane, typename TIn>
+  static void lower_and_run(IgemmOp& op, const ConvGeometry& g,
+                            std::size_t n, const TIn* src, Workspace& ws,
+                            const ExecContext& ctx) {
+    const std::size_t stride = op.panel->stride;
+    Lease<Lane> rows(ws, op.m * stride);
+    im2row(src, g, n, rows.data(), stride, ctx);
+    set_x(op, static_cast<const Lane*>(rows.data()));
+    igemm_run(op, ctx);
+  }
 
   template <typename T>
   static void set_x(IgemmOp& op, const T* x) {
@@ -716,18 +806,18 @@ struct IgemmMac {
   static void set_out(IgemmOp& op, T* out) {
     if constexpr (std::is_same_v<T, std::uint8_t>) {
       op.out8 = out;
-    } else if constexpr (std::is_same_v<T, std::int16_t>) {
-      op.out16 = out;
     } else {
-      op.c = out;
+      op.out16 = out;
     }
   }
 };
 
-/// The specification oracle: exact int32 codes, naive triple loops with
-/// unconditional int64 accumulation, and `requant_apply` per output —
-/// no packing, blocking, narrowing or kernel selection, so it checks
-/// all of those in the serving backend independently.
+/// The specification oracle: a direct convolution over exact int32
+/// channels-last codes, reading `weight_codes` in their serialized
+/// (oc, c, ky, kx) order, with unconditional int64 accumulation, padding
+/// taps skipped, and `requant_apply` per output — no lowering, panel
+/// permutation, packing, blocking, narrowing or kernel selection, so it
+/// checks all of those in the serving backend independently.
 struct ReferenceMac {
   using Codes = CodeStore<Workspace::IntLease>;
 
@@ -738,65 +828,83 @@ struct ReferenceMac {
   }
 
   template <typename TOut>
-  static void run(const IntLayerPlan& plan, std::size_t n,
-                  const ConvGeometry* g, const std::int32_t* src, TOut* out,
-                  Workspace& ws, const ExecContext& ctx) {
-    const auto store = [&](TOut& dst, std::size_t ch, std::int64_t acc) {
-      if constexpr (std::is_same_v<TOut, float>) {
-        dst = static_cast<float>(acc) * plan.channel_scale[ch] + plan.bias[ch];
-      } else {
-        dst = requant_apply(acc, plan.requant[ch], plan.out_qmax);
-      }
-    };
-    if (g == nullptr) {
-      const std::size_t k = plan.in_features, m = plan.out_features;
-      for (std::size_t img = 0; img < n; ++img) {
-        const std::int32_t* arow = src + img * k;
-        for (std::size_t oc = 0; oc < m; ++oc) {
-          const std::int32_t* wrow = plan.weight_codes.data() + oc * k;
-          std::int64_t acc = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            acc += static_cast<std::int64_t>(wrow[p]) *
-                   static_cast<std::int64_t>(arow[p]);
-          }
-          store(out[img * m + oc], oc, acc);
-        }
-      }
-      return;
-    }
-    const std::size_t patch = g->patch_size(), spatial = g->out_spatial();
-    const std::size_t in_stride = g->in_channels * g->in_h * g->in_w;
-    Workspace::IntLease cols = ws.ints(patch * spatial);
-    for (std::size_t img = 0; img < n; ++img) {
-      im2col(src + img * in_stride, *g, cols.data(), ctx);
-      TOut* dst = out + img * plan.out_channels * spatial;
-      // Integer MACs are exact, so any partition over the disjoint
-      // output-channel rows is trivially deterministic.
-      parallel_for(ctx, plan.out_channels, 4,
-                   [&](std::size_t oc0, std::size_t oc1) {
-        for (std::size_t oc = oc0; oc < oc1; ++oc) {
-          const std::int32_t* wrow = plan.weight_codes.data() + oc * patch;
-          for (std::size_t s = 0; s < spatial; ++s) {
-            std::int64_t acc = 0;  // the integer MAC datapath
-            for (std::size_t p = 0; p < patch; ++p) {
-              acc += static_cast<std::int64_t>(wrow[p]) *
-                     static_cast<std::int64_t>(cols.data()[p * spatial + s]);
+  static void run(const IntLayerPlan& plan, const ConvGeometry& g,
+                  std::size_t n, const std::int32_t* src, TOut* out,
+                  Workspace& /*ws*/, const ExecContext& ctx) {
+    const std::size_t oh = g.out_h(), ow = g.out_w();
+    const std::size_t c = g.in_channels, k = g.kernel;
+    const std::size_t outs = plan.kind == IntLayerPlan::Kind::kConv
+                                 ? plan.out_channels
+                                 : plan.out_features;
+    const auto h = static_cast<long>(g.in_h), w = static_cast<long>(g.in_w);
+    // Integer MACs are exact, so any partition over the disjoint output
+    // pixels is trivially deterministic.
+    parallel_for(ctx, n * oh * ow, 4, [&](std::size_t r0, std::size_t r1) {
+      for (std::size_t r = r0; r < r1; ++r) {
+        const std::size_t img = r / (oh * ow);
+        const std::size_t oy = (r / ow) % oh, ox = r % ow;
+        for (std::size_t oc = 0; oc < outs; ++oc) {
+          std::int64_t acc = 0;  // the integer MAC datapath
+          for (std::size_t ch = 0; ch < c; ++ch) {
+            for (std::size_t ky = 0; ky < k; ++ky) {
+              const long iy = static_cast<long>(oy * g.stride + ky) -
+                              static_cast<long>(g.pad);
+              if (iy < 0 || iy >= h) continue;
+              for (std::size_t kx = 0; kx < k; ++kx) {
+                const long ix = static_cast<long>(ox * g.stride + kx) -
+                                static_cast<long>(g.pad);
+                if (ix < 0 || ix >= w) continue;
+                const std::int64_t code =
+                    src[((img * g.in_h + static_cast<std::size_t>(iy)) *
+                             g.in_w +
+                         static_cast<std::size_t>(ix)) *
+                            c +
+                        ch];
+                acc += static_cast<std::int64_t>(
+                           plan.weight_codes[((oc * c + ch) * k + ky) * k +
+                                             kx]) *
+                       code;
+              }
             }
-            store(dst[oc * spatial + s], oc, acc);
+          }
+          if constexpr (std::is_same_v<TOut, float>) {
+            out[r * outs + oc] =
+                static_cast<float>(acc) * plan.channel_scale[oc] +
+                plan.bias[oc];
+          } else {
+            out[r * outs + oc] =
+                requant_apply(acc, plan.requant[oc], plan.out_qmax);
           }
         }
-      });
-    }
+      }
+    });
   }
 };
 
+/// The geometry a conv/linear layer runs at for a (logical NCHW) input
+/// `shape`: a linear layer is the 1×1 kernel over a 1×1 map.
+ConvGeometry layer_geometry(const IntLayerPlan& plan, const Shape& shape) {
+  if (plan.kind == IntLayerPlan::Kind::kConv) {
+    return ConvGeometry{.in_channels = plan.in_channels,
+                        .in_h = shape[2],
+                        .in_w = shape[3],
+                        .kernel = plan.kernel,
+                        .stride = plan.stride,
+                        .pad = plan.pad};
+  }
+  CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
+            "linear input mismatch in integer engine");
+  return ConvGeometry{.in_channels = plan.in_features, .in_h = 1, .in_w = 1};
+}
+
 /// The one layer walk behind forward and forward_reference.  The input
-/// is snapped onto its 8-bit grid; codes then flow through every layer
-/// of rung `rung` over backend `Mac` and are decoded once at the edge.
-/// An unfused conv/linear runs the float epilogue: with a quantized
-/// activation (make_requant refused the layer) its output snaps back
-/// into codes, without one it is the result — finalize_plans lets only
-/// flattens follow an unquantized producer.
+/// is snapped onto its 8-bit grid into channels-last codes; codes then
+/// flow through every layer of rung `rung` over backend `Mac` and are
+/// decoded once at the edge, back in NCHW order.  An unfused conv/linear
+/// runs the float epilogue: with a quantized activation (make_requant
+/// refused the layer) its output snaps back into codes, without one it
+/// is the result — finalize_plans lets only flattens follow an
+/// unquantized producer.
 template <typename Mac>
 Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
             std::size_t rung, const Tensor& x, Workspace& ws,
@@ -805,61 +913,62 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
   CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
   typename Mac::Codes codes;
   Tensor act;
-  Shape shape = x.shape();
+  Shape shape = x.shape();  // logical NCHW; spatial codes are NHWC
   float scale = kInputScale;
-  const auto snap = [&](const Tensor& t, std::int64_t qmax) {
+  {
+    // Standard 8-bit input quantization.
     telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    Mac::with_lease(qmax, t.numel(), ws, [&](auto lease) {
-      snap_codes(t, scale, qmax, lease.data());
+    Mac::with_lease(255, x.numel(), ws, [&](auto lease) {
+      snap_input(x, scale, lease.data());
       codes.adopt(std::move(lease));
     });
-  };
-  snap(x, 255);  // standard 8-bit input quantization
+  }
 
   for (const auto& plan : rungs[rung]) {
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv:
       case IntLayerPlan::Kind::kLinear: {
         const std::size_t n = shape[0];
-        const bool conv = plan.kind == IntLayerPlan::Kind::kConv;
-        ConvGeometry g{};
-        Shape out_shape;
-        if (conv) {
-          g = ConvGeometry{.in_channels = plan.in_channels,
-                           .in_h = shape[2],
-                           .in_w = shape[3],
-                           .kernel = plan.kernel,
-                           .stride = plan.stride,
-                           .pad = plan.pad};
-          out_shape = {n, plan.out_channels, g.out_h(), g.out_w()};
-        } else {
-          CCQ_CHECK(shape.size() == 2 && shape[1] == plan.in_features,
-                    "linear input mismatch in integer engine");
-          out_shape = {n, plan.out_features};
-        }
-        const ConvGeometry* geom = conv ? &g : nullptr;
+        const ConvGeometry g = layer_geometry(plan, shape);
+        const Shape out_shape =
+            plan.kind == IntLayerPlan::Kind::kConv
+                ? Shape{n, plan.out_channels, g.out_h(), g.out_w()}
+                : Shape{n, plan.out_features};
         if (plan.requant_fused) {
           // The epilogue writes the next layer's codes directly; no
           // float tensor is materialised at the boundary.
           Mac::with_lease(plan.out_qmax, shape_numel(out_shape), ws,
                           [&](auto out) {
             codes.visit([&](const auto* src) {
-              Mac::run(plan, n, geom, src, out.data(), ws, ctx);
+              Mac::run(plan, g, n, src, out.data(), ws, ctx);
             });
             codes.adopt(std::move(out));
           });
           scale = act_scale(plan);
         } else {
-          Tensor out = ws.tensor_uninit(out_shape);
+          Tensor out = ws.tensor_uninit(out_shape);  // channels-last
           codes.visit([&](const auto* src) {
-            Mac::run(plan, n, geom, src, out.data().data(), ws, ctx);
+            Mac::run(plan, g, n, src, out.data().data(), ws, ctx);
           });
           codes.reset();
           apply_act(out, plan);
           if (plan.has_act && plan.act_bits < 16) {
             // Exact re-entry: apply_act put every value on the grid.
             scale = act_scale(plan);
-            snap(out, (std::int64_t{1} << plan.act_bits) - 1);
+            const auto qmax = static_cast<std::int32_t>(
+                (std::int32_t{1} << plan.act_bits) - 1);
+            telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
+            Mac::with_lease(qmax, out.numel(), ws, [&](auto lease) {
+              snap_codes(out, scale, qmax, lease.data());
+              codes.adopt(std::move(lease));
+            });
+            ws.recycle(std::move(out));
+          } else if (out_shape.size() == 4) {
+            // The result leaves the grid spatially: back to NCHW now,
+            // since only flattens may follow.
+            act = ws.tensor_uninit(out_shape);
+            to_nchw(out.data().data(), act.data().data(), n, out_shape[1],
+                    out_shape[2] * out_shape[3], [](float v) { return v; });
             ws.recycle(std::move(out));
           } else {
             act = std::move(out);
@@ -899,11 +1008,23 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
         shape = {n, c};
         break;
       }
-      case IntLayerPlan::Kind::kFlatten:
-        // Shape-only: codes/float storage is untouched.
+      case IntLayerPlan::Kind::kFlatten: {
+        // Features follow NCHW order, as the linear weights were
+        // trained: a spatial code map with more than one channel and
+        // more than one pixel is reordered; otherwise the layouts agree
+        // and the flatten is shape-only.
+        if (codes.engaged() && shape.size() == 4 && shape[1] > 1 &&
+            shape[2] * shape[3] > 1) {
+          const std::size_t n = shape[0], c = shape[1];
+          const std::size_t hw = shape[2] * shape[3];
+          codes.map(shape_numel(shape), ws, [&](const auto* src, auto* dst) {
+            to_nchw(src, dst, n, c, hw, [](auto v) { return v; });
+          });
+        }
         shape = {shape[0], shape_numel(shape) / shape[0]};
         if (!codes.engaged()) act.resize(shape);
         break;
+      }
     }
   }
   if (codes.engaged()) {

@@ -9,25 +9,37 @@
 //     scale γ/σ and bias β − γμ/σ, using the running statistics);
 //   * quantized weights are stored as k-bit integer codes plus a
 //     per-layer scale (per-channel after folding);
+//   * activations flow layer-to-layer as integer *codes* (u8 for grids
+//     up to 8 bits, i16 above) with no intermediate float tensor, stored
+//     channels-last — (N, H, W, C) — while the map is spatial;
 //   * every convolution / fully-connected inner product runs through the
-//     igemm kernel-dispatch API (`ccq::IgemmOp` + `igemm_run`): at
+//     igemm kernel-dispatch API (`ccq::IgemmOp` + `igemm_run`) as one
+//     product of activation dot rows against a packed weight panel.  At
 //     plan-finalize time each layer picks a named kernel variant from
 //     the registry (scalar / vec16 / vec-packed, overridable via
 //     `$CCQ_IGEMM_KERNEL`) based on its bit width and static code
-//     bounds, packs its weight codes into that kernel's panel layout,
-//     and accumulates in int32 with a statically bounded int64 fallback;
-//     `forward_reference` runs the same layer walk over naive int64
-//     triple loops, the golden datapath every kernel is differentially
-//     tested against;
-//   * activations flow layer-to-layer as integer *codes* (u8 for grids
-//     up to 8 bits, i16 above) with no intermediate float tensor: each
-//     layer's BN fold and the next grid's quantization are folded into
-//     per-channel fixed-point requant parameters (hw::make_requant) and
-//     fused into the igemm epilogue, which writes requantized codes
-//     directly.  Only the last weighted layer (the classifier head) may
-//     leave the grid: it keeps the float epilogue and its output is the
-//     result.  There is no float-activation datapath, so finalize
-//     rejects any layer but a flatten after an unquantized producer.
+//     bounds, packs its weight codes into that kernel's panel layout —
+//     a conv's in its (ky, kx, c) patch order — and accumulates in int32
+//     with a statically bounded int64 fallback.  At run time each conv
+//     lowers its codes once (`im2row`) straight into the kernel's dot
+//     rows, one row per output pixel of the whole batch; a linear layer
+//     is the 1×1-kernel-over-a-1×1-map case of the same lowering;
+//   * each layer's BN fold and the next grid's quantization are folded
+//     into per-channel fixed-point requant parameters (hw::make_requant)
+//     and fused into the igemm epilogue, which writes the next layer's
+//     channels-last codes directly.  Only the last weighted layer (the
+//     classifier head) may leave the grid: it keeps the float epilogue
+//     and its output is the result.  There is no float-activation
+//     datapath, so finalize rejects any layer but a flatten after an
+//     unquantized producer;
+//   * the input stays NCHW float and outputs are NCHW: a flatten of a
+//     spatial map reorders its codes into NCHW feature order (so linear
+//     weights trained on NCHW features stay valid), and so does the
+//     final decode of a net that ends spatially;
+//   * `forward_reference` is a direct naive int64 convolution over the
+//     same channels-last codes, reading the weight codes in their
+//     serialized order — the golden datapath every kernel, the lowering
+//     and the panel permutation are differentially tested against.
 //
 // Tests assert parity with the float-simulated forward pass — the
 // property that makes training-time accuracy numbers meaningful for the
@@ -47,6 +59,8 @@
 #include <string>
 #include <vector>
 
+#include "ccq/common/exec.hpp"
+#include "ccq/common/workspace.hpp"
 #include "ccq/models/model.hpp"
 #include "ccq/tensor/igemm.hpp"
 #include "ccq/tensor/im2col.hpp"
@@ -78,8 +92,9 @@ struct IntLayerPlan {
   /// Kernel variant selected for this layer (igemm_select_kernel over
   /// the layer's static bounds, seeded by `$CCQ_IGEMM_KERNEL`).
   IgemmKernel igemm_kernel = IgemmKernel::kScalar;
-  /// `weight_codes` packed in `igemm_kernel`'s panel layout (kWX for
-  /// conv, kXW for linear — see igemm_pack).
+  /// `weight_codes` packed in `igemm_kernel`'s panel layout (see
+  /// igemm_pack), one panel row per output channel; a conv's rows are
+  /// permuted to the (ky, kx, c) order of its channels-last patches.
   IgemmPanel panel;
   std::int32_t max_abs_code = 0;   ///< max |weight code|
   /// Static bound on |incoming activation codes| (255 for the 8-bit
@@ -187,15 +202,17 @@ class IntegerNetwork {
                  std::size_t rung) const;
 
   /// Specification datapath: the same layer walk as `forward` over a
-  /// reference MAC backend — exact int32 codes, naive triple loops with
-  /// unconditional int64 accumulation, and the *same* `requant_apply` on
-  /// fused layers (the same float epilogue on unfused ones) — with no
-  /// packing, blocking, narrowing or kernel selection.  Integer
-  /// arithmetic is associative, so `forward` is bit-identical to this
-  /// oracle for every kernel, blocking and thread count.  The walk's
-  /// own glue (input snap, pooling, flatten, decode) is shared, so tests
-  /// check it against the float-simulated forward and recorded golden
-  /// codes instead.  Not a serving path.
+  /// reference MAC backend — exact int32 channels-last codes, a direct
+  /// naive convolution with unconditional int64 accumulation that reads
+  /// `weight_codes` in their serialized (oc, c, ky, kx) order and skips
+  /// padding taps, and the *same* `requant_apply` on fused layers (the
+  /// same float epilogue on unfused ones) — with no lowering, panel
+  /// permutation, packing, blocking, narrowing or kernel selection.
+  /// Integer arithmetic is associative, so `forward` is bit-identical to
+  /// this oracle for every kernel, blocking and thread count.  The
+  /// walk's own glue (input snap, pooling, the NCHW reorders, decode) is
+  /// shared, so tests check it against the float-simulated forward and
+  /// recorded golden codes instead.  Not a serving path.
   Tensor forward_reference(const Tensor& x) const;
   Tensor forward_reference(const Tensor& x, Workspace& ws,
                            const ExecContext& ctx) const;
@@ -212,8 +229,8 @@ class IntegerNetwork {
   /// Provenance of rung `rung` (all-default for single-point networks).
   const RungInfo& rung_info(std::size_t rung) const;
 
-  /// Total integer MAC operations for one sample at the compiled input
-  /// geometry (populated during the first forward).
+  /// Total integer MAC operations for one sample of an h×w input (a
+  /// pure function of the plans and the input size).
   std::size_t macs_per_sample(std::size_t h, std::size_t w) const;
 
   /// Validate one C×H×W sample geometry against the compiled plans

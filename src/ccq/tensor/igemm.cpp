@@ -13,52 +13,52 @@ namespace ccq {
 
 namespace {
 
-/// Serial scalar microkernel over output rows [row0, row1).  One
-/// accumulator strip of up to kIgemmMaxNc lives on the stack per row;
-/// depth is walked in kc panels with the zero-multiplier skip of
-/// tensor/gemm.  Integer math is exact, so the jc/pc blocking order
-/// cannot change the result — only overflow could, and the caller's
-/// accumulator choice rules that out.  The epilogue policy (float affine
-/// or fixed-point requant, igemm_detail) consumes each finished
-/// accumulator; for the float policy the expression shape matches the
-/// naive engine loop, so outputs match it bit for bit.
-template <typename TA, typename TB, typename Acc, bool kPerRowScale,
-          typename Epi>
+/// Serial scalar microkernel over output rows [row0, row1) of
+/// C = X·Wᵀ: `x` holds m activation rows of k codes, `w` the transposed
+/// k×n panel.  One accumulator strip of up to kIgemmMaxNc lives on the
+/// stack per row; depth is walked in kc panels with the zero-multiplier
+/// skip of tensor/gemm.  Integer math is exact, so the jc/pc blocking
+/// order cannot change the result — only overflow could, and the
+/// caller's accumulator choice rules that out.  The epilogue policy
+/// (float affine or fixed-point requant, igemm_detail) consumes each
+/// finished accumulator; for the float policy the expression shape
+/// matches the naive engine loop, so outputs match it bit for bit.
+template <typename TX, typename Acc, typename Epi>
 void igemm_rows(std::size_t row0, std::size_t row1, std::size_t n,
-                std::size_t k, const TA* a, const TB* b, const Epi& epi,
-                const IgemmBlocking& blk) {
+                std::size_t k, const TX* x, const std::int16_t* w,
+                const Epi& epi, const IgemmBlocking& blk) {
   const std::size_t nc_max = std::min(std::max<std::size_t>(blk.nc, 1),
                                       kIgemmMaxNc);
   const std::size_t kc_max = std::max<std::size_t>(blk.kc, 1);
   Acc acc[kIgemmMaxNc];
   for (std::size_t i = row0; i < row1; ++i) {
-    const TA* arow = a + i * k;
+    const TX* xrow = x + i * k;
     for (std::size_t jc = 0; jc < n; jc += nc_max) {
       const std::size_t nc = std::min(nc_max, n - jc);
       std::fill(acc, acc + nc, Acc{0});
       for (std::size_t pc = 0; pc < k; pc += kc_max) {
         const std::size_t kc = std::min(kc_max, k - pc);
         for (std::size_t p = 0; p < kc; ++p) {
-          const Acc av = static_cast<Acc>(arow[pc + p]);
-          if (av == 0) continue;
-          const TB* brow = b + (pc + p) * n + jc;
+          const Acc xv = static_cast<Acc>(xrow[pc + p]);
+          if (xv == 0) continue;
+          const std::int16_t* wrow = w + (pc + p) * n + jc;
           for (std::size_t j = 0; j < nc; ++j) {
-            acc[j] += av * static_cast<Acc>(brow[j]);
+            acc[j] += xv * static_cast<Acc>(wrow[j]);
           }
         }
       }
       for (std::size_t j = 0; j < nc; ++j) {
-        epi.store(i * n + jc + j, kPerRowScale ? i : jc + j, acc[j]);
+        epi.store(i * n + jc + j, jc + j, acc[j]);
       }
     }
   }
 }
 
-/// Scalar-kernel execution of a validated IgemmOp.  kWX reads the panel
-/// as the left operand (rows×depth row-major); kXW reads it as the right
-/// operand (depth×rows) — both are the layouts igemm_pack emits for
-/// IgemmKernel::kScalar.  Dispatches over the op's activation code type
-/// and epilogue policy (igemm_detail::with_x / dispatch_epilogue).
+/// Scalar-kernel execution of a validated IgemmOp over the transposed
+/// panel igemm_pack emits for IgemmKernel::kScalar (its stride is k, so
+/// the activation rows are dense).  Dispatches over the op's activation
+/// code type and epilogue policy (igemm_detail::with_x /
+/// dispatch_epilogue).
 void run_scalar(const IgemmOp& op, const ExecContext& ctx) {
   const std::int16_t* w = op.panel->i16.data();
   const std::size_t grain = std::max<std::size_t>(op.blocking.row_grain, 1);
@@ -66,22 +66,12 @@ void run_scalar(const IgemmOp& op, const ExecContext& ctx) {
     using TX = std::remove_cv_t<std::remove_pointer_t<decltype(x)>>;
     igemm_detail::dispatch_epilogue(op, [&](const auto& epi) {
       parallel_for(ctx, op.m, grain, [&](std::size_t row0, std::size_t row1) {
-        if (op.form == IgemmForm::kWX) {
-          if (op.accum == IgemmAccum::kInt32) {
-            igemm_rows<std::int16_t, TX, std::int32_t, true>(
-                row0, row1, op.n, op.k, w, x, epi, op.blocking);
-          } else {
-            igemm_rows<std::int16_t, TX, std::int64_t, true>(
-                row0, row1, op.n, op.k, w, x, epi, op.blocking);
-          }
+        if (op.accum == IgemmAccum::kInt32) {
+          igemm_rows<TX, std::int32_t>(row0, row1, op.n, op.k, x, w, epi,
+                                       op.blocking);
         } else {
-          if (op.accum == IgemmAccum::kInt32) {
-            igemm_rows<TX, std::int16_t, std::int32_t, false>(
-                row0, row1, op.n, op.k, x, w, epi, op.blocking);
-          } else {
-            igemm_rows<TX, std::int16_t, std::int64_t, false>(
-                row0, row1, op.n, op.k, x, w, epi, op.blocking);
-          }
+          igemm_rows<TX, std::int64_t>(row0, row1, op.n, op.k, x, w, epi,
+                                       op.blocking);
         }
       });
     });
@@ -227,7 +217,7 @@ std::vector<std::int16_t> igemm_pack_panel(
 }
 
 IgemmPanel igemm_pack(const std::vector<std::int32_t>& codes,
-                      std::size_t rows, std::size_t depth, IgemmForm form,
+                      std::size_t rows, std::size_t depth,
                       IgemmKernel kernel) {
   CCQ_CHECK(kernel != IgemmKernel::kAuto,
             "igemm_pack: kAuto is a selection policy — resolve it with "
@@ -236,17 +226,15 @@ IgemmPanel igemm_pack(const std::vector<std::int32_t>& codes,
             "igemm panel: code count does not match rows x depth");
   IgemmPanel panel;
   panel.kernel = kernel;
-  panel.form = form;
   panel.rows = rows;
   panel.depth = depth;
   panel.max_abs = igemm_max_abs(codes);
   switch (kernel) {
     case IgemmKernel::kScalar:
-      // The rank-1 layouts the scalar microkernel walks: kWX keeps the
-      // row-major rows×depth matrix; kXW transposes to depth×rows.
-      panel.stride = form == IgemmForm::kWX ? depth : rows;
-      panel.i16 = igemm_pack_panel(codes, rows, depth,
-                                   /*transpose=*/form == IgemmForm::kXW);
+      // The rank-1 layout the scalar microkernel walks: depth×rows, each
+      // activation code broadcast against one contiguous weight row.
+      panel.stride = depth;
+      panel.i16 = igemm_pack_panel(codes, rows, depth, /*transpose=*/true);
       break;
     case IgemmKernel::kVec16: {
       panel.stride =
@@ -287,13 +275,10 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
   CCQ_CHECK(panel.kernel != IgemmKernel::kAuto,
             "igemm_run: panel was packed for kAuto (not executable)");
-  CCQ_CHECK(panel.form == op.form,
-            "igemm_run: panel form does not match op form");
-  const std::size_t panel_rows = op.form == IgemmForm::kWX ? op.m : op.n;
-  if (panel.rows != panel_rows || panel.depth != op.k) {
+  if (panel.rows != op.n || panel.depth != op.k) {
     throw Error("igemm_run: panel shape (" + std::to_string(panel.rows) +
                 " x " + std::to_string(panel.depth) +
-                ") does not match op (rows " + std::to_string(panel_rows) +
+                ") does not match op (n " + std::to_string(op.n) +
                 ", depth " + std::to_string(op.k) + ")");
   }
   if (op.m == 0 || op.n == 0) return;
@@ -316,6 +301,14 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
   CCQ_CHECK(op.k == 0 ? x_inputs <= 1 : x_inputs == 1,
             "igemm_run: exactly one activation code input (x, x8 or x16) "
             "must be set");
+  // The dot kernels read the caller's rows as-is, so the rows must come
+  // in the kernel's lane type.
+  CCQ_CHECK(op.k == 0 || panel.kernel != IgemmKernel::kVec16 ||
+                op.x16 != nullptr,
+            "igemm_run: vec16 reads int16 activation rows (x16)");
+  CCQ_CHECK(op.k == 0 || panel.kernel != IgemmKernel::kVecPacked ||
+                op.x8 != nullptr,
+            "igemm_run: vec-packed reads uint8 activation rows (x8)");
   if (!igemm_kernel_eligible(panel.kernel, panel.max_abs, op.x_bound,
                              op.accum)) {
     throw Error(

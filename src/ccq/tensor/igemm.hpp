@@ -3,20 +3,24 @@
 // The integer engine (hw/integer_engine) computes every conv / linear
 // layer over k-bit integer codes; this kernel family gives that path the
 // same blocked/tiled treatment the float side gets from tensor/gemm —
-// plus explicitly vectorized microkernels behind a small named registry:
+// plus explicitly vectorized microkernels behind a small named registry.
+// Every layer is one product of activation *dot rows* against a packed
+// weight panel, C[m,n] = Σ_k X[m,k]·W[n,k], with a per-output-channel
+// (per-column) epilogue: a conv's rows are the batch's output pixels
+// lowered channels-last (`im2row`), a linear layer's rows are samples.
 //
 //   * weight codes are packed once (plan-compile / artifact-load time)
 //     into an `IgemmPanel` whose layout is owned by the kernel that will
 //     execute it (`igemm_pack`);
-//   * activation codes arrive as `u8` / `i16` / `int32` buffers
-//     (Workspace leases, filled by the matching `im2col` overload — the
-//     fused datapath keeps layer outputs in their narrow code type);
-//   * one igemm invocation is described by an `IgemmOp` — operand form,
-//     shapes, packed panel, activation codes, epilogue (per-channel
-//     float scale/bias, or fixed-point requantization writing the next
-//     layer's codes directly), accumulator width, blocking — and
-//     executed by `igemm_run`, which dispatches on the panel's kernel
-//     variant;
+//   * activation codes arrive as dot rows `panel.stride` lanes apart, in
+//     the kernel's lane type (u8 / i16 / int32 for scalar, i16 for
+//     vec16, u8 for vec-packed), written straight into that layout by
+//     the caller's lowering — the kernels never repack them;
+//   * one igemm invocation is described by an `IgemmOp` — shapes, packed
+//     panel, activation rows, epilogue (per-channel float scale/bias, or
+//     fixed-point requantization writing the next layer's codes
+//     directly), accumulator width, blocking — and executed by
+//     `igemm_run`, which dispatches on the panel's kernel variant;
 //   * kernels: `scalar` (the cache-blocked rank-1-update loop, any
 //     accumulator), `vec16` (register-tiled int16×int16→int32 widening
 //     multiply-accumulate — `pmaddwd`-shaped, so SSE2/AVX2 intrinsics
@@ -50,8 +54,6 @@
 #include <vector>
 
 #include "ccq/common/exec.hpp"
-#include "ccq/common/workspace.hpp"
-#include "ccq/tensor/im2col.hpp"
 #include "ccq/tensor/requant.hpp"
 
 namespace ccq {
@@ -63,8 +65,9 @@ namespace ccq {
 enum class IgemmAccum : std::uint8_t { kInt32, kInt64 };
 
 /// Cache-blocking factors.  The defaults mirror tensor/gemm (an `nc`
-/// column panel of int32 activations plus a `kc` depth slice stay
-/// L2-resident); tests sweep them to prove blocking never changes bits.
+/// strip of output columns of the weight panel plus a `kc` depth slice
+/// stay L2-resident); tests sweep them to prove blocking never changes
+/// bits.
 /// The vector kernels honour `row_grain` (their parallel partition) and
 /// ignore `nc`/`kc` — their dot-product layout is depth-contiguous, so
 /// panelised rank-1 blocking does not apply.
@@ -88,13 +91,6 @@ bool igemm_fits_int32(std::int64_t max_abs_a, std::int64_t max_abs_b,
 std::int32_t igemm_max_abs(const std::vector<std::int32_t>& codes);
 
 // ---- kernel registry --------------------------------------------------------
-
-/// Operand form of one igemm: which side the packed weight panel sits on.
-///   kWX — C[m,n] = Σ_k W[m,k]·X[k,n], per-*row* epilogue (conv after
-///         im2col: rows are output channels).
-///   kXW — C[m,n] = Σ_k X[m,k]·W[k,n], per-*column* epilogue (linear
-///         layers: rows are batch samples, columns output features).
-enum class IgemmForm : std::uint8_t { kWX, kXW };
 
 /// Named kernel variants.  `kAuto` is a selection policy, not an
 /// executable kernel: `igemm_select_kernel` resolves it (and any
@@ -153,19 +149,22 @@ bool igemm_packed_simd();
 
 /// Weight codes packed for one kernel variant.  The layout is owned by
 /// the kernel:
-///   scalar     — i16, kWX: row-major rows×depth; kXW: transposed
-///                depth×rows (the right-hand operand layout);
+///   scalar     — i16, transposed depth×rows (the right-hand operand of
+///                its rank-1 updates);
 ///   vec16      — i16, row-major rows×stride "dot layout" (each output
 ///                channel's codes contiguous over depth, zero-padded to
-///                a lane-multiple stride) for both forms;
+///                a lane-multiple stride);
 ///   vec-packed — same dot layout in i8.
-/// Padding zeros contribute zero products, so the padded dot is exact.
+/// Padding zeros contribute zero products, so the padded dot is exact
+/// whatever the activation rows hold in their padding lanes.
 struct IgemmPanel {
   IgemmKernel kernel = IgemmKernel::kScalar;  ///< layout owner
-  IgemmForm form = IgemmForm::kWX;
   std::size_t rows = 0;    ///< output channels / features
   std::size_t depth = 0;   ///< logical reduction length k
-  std::size_t stride = 0;  ///< elements per packed row (>= depth)
+  /// Lanes per activation dot row (and per packed weight row of the dot
+  /// layouts): depth rounded up to the kernel's lane multiple — 16 for
+  /// vec16, 32 for vec-packed, no padding for scalar.
+  std::size_t stride = 0;
   std::int32_t max_abs = 0;  ///< max |weight code|
   std::vector<std::int16_t> i16;  ///< scalar / vec16 storage
   std::vector<std::int8_t> i8;    ///< vec-packed storage
@@ -173,72 +172,71 @@ struct IgemmPanel {
   bool empty() const { return i16.empty() && i8.empty(); }
 };
 
-/// Pack `rows`×`depth` row-major weight codes for `kernel`/`form`.
-/// Throws ccq::Error naming the offending value when a code does not fit
-/// the kernel's lane type (int16, or int8 for vec-packed) — packed
-/// panels are a compile-time contract, not a silent narrowing.  `kernel`
-/// must be concrete (resolve kAuto with `igemm_select_kernel` first).
+/// Pack `rows`×`depth` row-major weight codes for `kernel`.  Throws
+/// ccq::Error naming the offending value when a code does not fit the
+/// kernel's lane type (int16, or int8 for vec-packed) — packed panels
+/// are a compile-time contract, not a silent narrowing.  `kernel` must
+/// be concrete (resolve kAuto with `igemm_select_kernel` first).
 IgemmPanel igemm_pack(const std::vector<std::int32_t>& codes,
-                      std::size_t rows, std::size_t depth, IgemmForm form,
+                      std::size_t rows, std::size_t depth,
                       IgemmKernel kernel);
 
 // ---- the op descriptor ------------------------------------------------------
 
 /// Per-output-channel affine epilogue: C = float(acc) · scale + bias,
-/// indexed by row (kWX) or column (kXW).
+/// indexed by column.
 struct IgemmEpilogue {
   const float* scale = nullptr;
   const float* bias = nullptr;
 };
 
-/// One igemm invocation, fully described.  The activation code matrix is
-/// given through exactly one of `x` / `x8` / `x16`, in the form's
-/// natural layout (kWX: k×n feeding the panel from the right; kXW: m×k
-/// feeding it from the left) — the narrow overloads let the fused
-/// integer datapath hand layer outputs straight back in without a
-/// widening pass.  The result goes to exactly one of:
-///   * `c` — float epilogue: C = float(acc)·scale + bias (per row for
-///     kWX, per column for kXW);
+/// One igemm invocation, fully described: C[m,n] = Σ_k X[m,k]·W[n,k]
+/// over the packed panel W (`panel->rows == n`).  The activation rows
+/// are given through exactly one of `x` / `x8` / `x16`, `panel->stride`
+/// lanes apart, in the panel kernel's lane type: scalar reads any of the
+/// three, vec16 reads `x16`, vec-packed reads `x8` (lanes past k are
+/// never multiplied by anything but padding zeros).  The result goes to
+/// exactly one of:
+///   * `c` — float epilogue: C = float(acc)·scale[j] + bias[j];
 ///   * `out8` / `out16` — requant epilogue: each accumulator is
-///     requantized by the matching per-channel `requant` entry
-///     (requant_apply, codes clamped to [0, requant_qmax]) and written
-///     as the next layer's activation code.  The caller must have built
-///     the Requant parameters against this op's true accumulator bound
+///     requantized by its column's `requant` entry (requant_apply, codes
+///     clamped to [0, requant_qmax]) and written as the next layer's
+///     activation code.  The caller must have built the Requant
+///     parameters against this op's true accumulator bound
 ///     (hw::make_requant) — that is what keeps acc·M + B inside int64.
-/// `x_bound > 0` asserts the activation codes lie in [0, x_bound] (the
-/// engine's statically threaded per-layer bound); 0 = unknown, which
-/// confines execution to the scalar kernel.  `ws` provides pooled
-/// scratch for the vector kernels' activation repacking (nullptr →
-/// `Workspace::scratch()`).
+/// Outputs are row-major m×n, so a conv over channels-last dot rows
+/// writes channels-last codes.  `x_bound > 0` asserts the activation
+/// codes lie in [0, x_bound] (the engine's statically threaded
+/// per-layer bound); 0 = unknown, which confines execution to the
+/// scalar kernel.
 struct IgemmOp {
-  IgemmForm form = IgemmForm::kWX;
   std::size_t m = 0, n = 0, k = 0;  ///< C is m×n over reduction depth k
   const IgemmPanel* panel = nullptr;
-  const std::int32_t* x = nullptr;    ///< int32 activation codes, or
-  const std::uint8_t* x8 = nullptr;   ///< u8 codes (fused datapath), or
-  const std::int16_t* x16 = nullptr;  ///< i16 codes (9–15-bit grids)
+  const std::int32_t* x = nullptr;    ///< int32 activation rows, or
+  const std::uint8_t* x8 = nullptr;   ///< u8 rows (vec-packed, scalar), or
+  const std::int16_t* x16 = nullptr;  ///< i16 rows (vec16, scalar)
   float* c = nullptr;                 ///< float-epilogue output, or
   std::uint8_t* out8 = nullptr;       ///< requantized u8 codes, or
   std::int16_t* out16 = nullptr;      ///< requantized i16 codes
   IgemmEpilogue epilogue;
-  const Requant* requant = nullptr;  ///< per-channel params (m or n entries)
+  const Requant* requant = nullptr;  ///< per-column params (n entries)
   std::int32_t requant_qmax = 0;     ///< code ceiling: 2^act_bits − 1
   IgemmAccum accum = IgemmAccum::kInt64;
   IgemmBlocking blocking = {};
   std::int64_t x_bound = 0;
-  Workspace* ws = nullptr;
 };
 
 /// Execute an op with the kernel its panel was packed for.  Validates
-/// that the panel matches the op (form, shapes) and that the kernel is
-/// eligible for the op's bounds — a mismatch throws ccq::Error rather
-/// than risking inexact lanes.  Parallel over output rows; deterministic
+/// that the panel matches the op's shapes, that the activation rows come
+/// in the kernel's lane type and that the kernel is eligible for the
+/// op's bounds — a mismatch throws ccq::Error rather than risking
+/// inexact lanes.  Parallel over output rows; deterministic
 /// and bit-identical across kernels, blockings and thread counts.
 void igemm_run(const IgemmOp& op, const ExecContext& ctx = ExecContext::global());
 
-/// Pack int32 weight codes into a bare int16 panel in the *scalar*
-/// kernel's layout.  `igemm_pack` owns layout per kernel variant and
-/// routes here for the scalar rows; exposed for packing tests.
+/// Pack `rows`×`cols` int32 weight codes into a bare int16 panel,
+/// row-major or, with `transpose`, column-major — the scalar kernel's
+/// panel, which `igemm_pack` builds here.  Exposed for packing tests.
 std::vector<std::int16_t> igemm_pack_panel(
     const std::vector<std::int32_t>& codes, std::size_t rows,
     std::size_t cols, bool transpose);

@@ -23,9 +23,9 @@ inline constexpr std::size_t round_up(std::size_t n, std::size_t to) {
 // ---- epilogue policies ------------------------------------------------------
 // Every kernel finishes each output element by calling `store(idx, ch,
 // acc)` on one of these: idx is the flat position in the m×n output, ch
-// the epilogue channel (row for kWX, column for kXW).  Keeping the
-// policy a template parameter lets the same microkernel bodies serve
-// the float datapath and the fused requantizing one.
+// the epilogue channel (its column).  Keeping the policy a template
+// parameter lets the same microkernel bodies serve the float datapath
+// and the fused requantizing one.
 
 /// C[idx] = float(acc)·scale[ch] + bias[ch] — the training-parity
 /// epilogue (identical expression to the naive engine loop).
@@ -84,9 +84,8 @@ void with_x(const IgemmOp& op, F&& f) {
 }
 
 /// Execute a validated vec16 / vec-packed op (igemm_run has already
-/// checked panel/form/shape/eligibility).  Both repack the activation
-/// side into a Workspace-leased dot panel, then run the register-tiled
-/// dot loops parallel over output rows.
+/// checked panel/shape/lane type/eligibility): the register-tiled dot
+/// loops over the caller's activation dot rows, parallel over rows.
 void run_vec16(const IgemmOp& op, const ExecContext& ctx);
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx);
 

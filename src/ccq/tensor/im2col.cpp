@@ -4,8 +4,7 @@ namespace ccq {
 
 namespace {
 
-/// Shared lowering body: float for the training path, int32 codes for
-/// the igemm deployment path.
+/// The float training path's lowering body.
 template <typename T>
 void im2col_impl(const T* image, const ConvGeometry& g, T* columns,
                  const ExecContext& ctx) {
@@ -49,21 +48,6 @@ void im2col_impl(const T* image, const ConvGeometry& g, T* columns,
 
 void im2col(const float* image, const ConvGeometry& g, float* columns,
             const ExecContext& ctx) {
-  im2col_impl(image, g, columns, ctx);
-}
-
-void im2col(const std::int32_t* image, const ConvGeometry& g,
-            std::int32_t* columns, const ExecContext& ctx) {
-  im2col_impl(image, g, columns, ctx);
-}
-
-void im2col(const std::uint8_t* image, const ConvGeometry& g,
-            std::uint8_t* columns, const ExecContext& ctx) {
-  im2col_impl(image, g, columns, ctx);
-}
-
-void im2col(const std::int16_t* image, const ConvGeometry& g,
-            std::int16_t* columns, const ExecContext& ctx) {
   im2col_impl(image, g, columns, ctx);
 }
 

@@ -1,7 +1,11 @@
-// im2col / col2im lowering for convolution.
+// im2col / col2im lowering for convolution, and the channels-last
+// `im2row` lowering of the integer datapath.
 //
-// Convolution forward becomes: columns = im2col(x); y = W_mat · columns.
-// Backward w.r.t. the input inverts the lowering with col2im (scatter-add).
+// Float convolution forward becomes: columns = im2col(x); y = W_mat ·
+// columns.  Backward w.r.t. the input inverts the lowering with col2im
+// (scatter-add).  The integer engine keeps its codes channels-last and
+// lowers with `im2row` instead: one dot row per output pixel, so a conv
+// is the same row × weight-panel product as a linear layer.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +33,11 @@ struct ConvGeometry {
     CCQ_CHECK(in_w + 2 * pad >= kernel, "conv kernel larger than padded input");
     return (in_w + 2 * pad - kernel) / stride + 1;
   }
-  /// Rows of the lowered column matrix: C·k·k.
+  /// Codes per patch, C·k·k: rows of im2col's column matrix, the depth
+  /// of an im2row dot row.
   std::size_t patch_size() const { return in_channels * kernel * kernel; }
-  /// Columns of the lowered matrix: out_h·out_w.
+  /// Output pixels per image, out_h·out_w: columns of im2col's matrix,
+  /// im2row dot rows per image.
   std::size_t out_spatial() const { return out_h() * out_w(); }
 };
 
@@ -41,20 +47,20 @@ struct ConvGeometry {
 void im2col(const float* image, const ConvGeometry& g, float* columns,
             const ExecContext& ctx = ExecContext::global());
 
-/// Integer-code overload (same lowering, zero padding): feeds the igemm
-/// deployment path, where activations are int32 code buffers.
-void im2col(const std::int32_t* image, const ConvGeometry& g,
-            std::int32_t* columns,
-            const ExecContext& ctx = ExecContext::global());
-
-/// Narrow activation-code overloads for the fused integer datapath,
-/// where layer outputs stay u8 (grids up to 8 bits) or i16 codes and
-/// are lowered without ever widening to int32 or float.
-void im2col(const std::uint8_t* image, const ConvGeometry& g,
-            std::uint8_t* columns,
-            const ExecContext& ctx = ExecContext::global());
-void im2col(const std::int16_t* image, const ConvGeometry& g,
-            std::int16_t* columns,
+/// Channels-last lowering for the integer datapath.  `image` holds
+/// `batch` (H, W, C) code maps back to back; for each of the
+/// batch·out_h·out_w output pixels (row-major over image, oy, ox) one
+/// dot row of `stride` lanes is written to `rows`: the pixel's patch in
+/// (ky, kx, c) order, zeros at padding taps and in the lanes
+/// [patch_size, stride).  Each ky of a patch is one contiguous kernel·C
+/// run of the input, so the lowering is a handful of copies per row;
+/// `Dst` may widen `Src` (u8 codes into vec16's int16 lanes) but must
+/// hold every code.  Parallel over output image rows (img, oy), each
+/// lowered by exactly one chunk.  Instantiated for u8 / i16 codes into
+/// u8 / i16 lanes.
+template <typename Src, typename Dst>
+void im2row(const Src* image, const ConvGeometry& g, std::size_t batch,
+            Dst* rows, std::size_t stride,
             const ExecContext& ctx = ExecContext::global());
 
 /// Scatter-add a column matrix back to image gradient layout.  `image`

@@ -41,13 +41,17 @@ struct Requant {
 /// Arithmetic right shift by `shift` in [1, 62], rounding to nearest
 /// with ties to even.  Implemented as floor-shift plus a carry when the
 /// remainder exceeds half a ulp (or equals it and the floor result is
-/// odd).
+/// odd).  The carry is combined with bitwise, not short-circuit, logic:
+/// it depends on the data, and inside the igemm epilogue a branch on it
+/// mispredicts once inputs stop repeating (measured 1.5× slower on a
+/// batch-16 conv).
 inline std::int64_t rne_shift(std::int64_t v, std::int32_t shift) {
   const std::int64_t q = v >> shift;  // floor (arithmetic shift)
   const std::uint64_t rem =
       static_cast<std::uint64_t>(v) & ((std::uint64_t{1} << shift) - 1u);
   const std::uint64_t half = std::uint64_t{1} << (shift - 1);
-  return q + ((rem > half || (rem == half && (q & 1) != 0)) ? 1 : 0);
+  const bool odd = (static_cast<std::uint64_t>(q) & 1u) != 0;
+  return q + static_cast<std::int64_t>((rem > half) | ((rem == half) & odd));
 }
 
 /// Requantize one exact accumulator into a code in [0, qmax].  This is

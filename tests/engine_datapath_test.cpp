@@ -14,9 +14,11 @@
 // differential suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,18 +64,20 @@ const ExecContext& ctx_for(std::size_t threads) {
 /// Random conv plan: `bits`-bit weight codes, optional `act_bits` grid.
 /// Scales are small and positive so make_requant always fits the layer.
 IntLayerPlan conv_plan(Rng& rng, const std::string& name, std::size_t in_ch,
-                       std::size_t out_ch, int bits, int act_bits) {
+                       std::size_t out_ch, int bits, int act_bits,
+                       std::size_t kernel = 3, std::size_t stride = 1,
+                       std::size_t pad = 1) {
   IntLayerPlan plan;
   plan.kind = IntLayerPlan::Kind::kConv;
   plan.name = name;
   plan.in_channels = in_ch;
   plan.out_channels = out_ch;
-  plan.kernel = 3;
-  plan.stride = 1;
-  plan.pad = 1;
+  plan.kernel = kernel;
+  plan.stride = stride;
+  plan.pad = pad;
   plan.weight_bits = bits;
   const std::int32_t max_code = (1 << bits) - 1;  // doubled-code envelope
-  plan.weight_codes.resize(out_ch * in_ch * 9);
+  plan.weight_codes.resize(out_ch * in_ch * kernel * kernel);
   for (auto& c : plan.weight_codes) {
     c = static_cast<std::int32_t>(rng.uniform_int(2 * max_code + 1)) -
         max_code;
@@ -370,6 +374,165 @@ TEST(EngineDatapathTest, AvgPoolRequantizesOffGridWindowsHalfUp) {
   }
   // And the reference path agrees bit for bit.
   expect_bit_identical(net, x, ctx_for(1), "avgpool off-grid");
+}
+
+// ---- input snap ---------------------------------------------------------------
+
+TEST(EngineDatapathTest, InputSnapIsMonotoneOnHostilePixels) {
+  // The same 1×1 identity conv as above passes the input codes straight
+  // through, so the decoded output shows exactly what each pixel snapped
+  // to.  Non-finite and huge pixels reach the engine over TCP (the codec
+  // keeps their bits); each must get a defined code that is monotone in
+  // the pixel: NaN and negatives 0, +Inf and anything past the grid 255.
+  IntLayerPlan conv;
+  conv.kind = IntLayerPlan::Kind::kConv;
+  conv.name = "identity";
+  conv.in_channels = 1;
+  conv.out_channels = 1;
+  conv.weight_bits = 2;
+  conv.weight_codes = {2};
+  conv.channel_scale = {0.5f / 255.0f};
+  conv.bias = {0.0f};
+  conv.has_act = true;
+  conv.act_bits = 8;
+  conv.act_clip = 1.0f;
+  const IntegerNetwork net = IntegerNetwork::from_plans({conv});
+  ASSERT_TRUE(net.plan(0).requant_fused);
+
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> pixels{std::numeric_limits<float>::quiet_NaN(),
+                            kInf,
+                            -kInf,
+                            -0.0f,
+                            1e16f,
+                            1e17f,
+                            -1e17f,
+                            1.0f,
+                            std::nextafter(1.0f, 2.0f),
+                            -1e-30f};
+  std::vector<std::int32_t> want{0, 255, 0, 0, 255, 255, 0, 255, 255, 0};
+  // Pixels one ulp either side of (and on) each code's half-point: the
+  // snap rounds v / (1/255) half up, which exact double arithmetic on
+  // the float quotient states independently of the engine's formula.
+  const float scale = 1.0f / 255.0f;
+  for (int code : {0, 1, 2, 7, 100, 127, 128, 200, 253, 254}) {
+    const float mid = (static_cast<float>(code) + 0.5f) * scale;
+    for (float v : {std::nextafter(mid, 0.0f), mid,
+                    std::nextafter(mid, 2.0f)}) {
+      const double q = static_cast<double>(v / scale);
+      pixels.push_back(v);
+      want.push_back(static_cast<std::int32_t>(
+          std::clamp(std::floor(q + 0.5), 0.0, 255.0)));
+    }
+  }
+  Tensor x({1, 1, 1, pixels.size()});
+  std::copy(pixels.begin(), pixels.end(), x.data().begin());
+  Workspace ws;
+  const Tensor out = net.forward(x, ws, ctx_for(1));
+  ASSERT_EQ(out.shape(), x.shape());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out.data()[i], static_cast<float>(want[i]) * scale)
+        << "pixel " << i << " = " << pixels[i];
+  }
+  expect_bit_identical(net, x, ctx_for(1), "hostile pixels");
+}
+
+// ---- lowering geometry ------------------------------------------------------
+
+/// How a swept net ends: the channels-last codes leave through a global
+/// average pool, through a flatten of the spatial map (reordered into
+/// NCHW feature order), or directly as the output (decoded in NCHW
+/// order), either as codes or as an unfused float head.
+enum class Head { kGapLinear, kFlattenLinear, kBareCodes, kBareFloat };
+
+TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
+  // Every swept conv before this one is 3×3, stride 1, pad 1.  Here the
+  // conv under test runs every kernel/stride/pad combination on odd,
+  // non-square maps, with channel counts putting the patch depth K·K·C
+  // on either side of vec16's 16-lane and vec-packed's 32-lane row
+  // padding, behind a 1×1 conv that feeds it u8 (8-bit) or i16 (12-bit)
+  // codes.  Five output channels leave a tail after the 4-wide tiles.
+  KernelEnvGuard guard;
+  struct Map {
+    std::size_t h, w;
+  };
+  const Map maps[] = {{7, 5}, {9, 4}};
+  std::size_t configs = 0;
+  for (std::size_t k : {1, 2, 3, 5}) {
+    // Channel counts hitting K·K·C = 15, 16, 17, 31, 32, 33 where K·K
+    // divides them, and depths straddling a lane multiple otherwise.
+    const std::vector<std::size_t> channels =
+        k == 1   ? std::vector<std::size_t>{15, 16, 17, 31, 32, 33}
+        : k == 2 ? std::vector<std::size_t>{3, 4, 8}
+        : k == 3 ? std::vector<std::size_t>{2, 4}
+                 : std::vector<std::size_t>{1, 2};
+    for (std::size_t stride : {1, 2, 3}) {
+      for (std::size_t pad = 0; pad < std::min<std::size_t>(k, 3); ++pad) {
+        for (const Map& map : maps) {
+          if (map.h + 2 * pad < k || map.w + 2 * pad < k) continue;
+          const std::size_t oh = (map.h + 2 * pad - k) / stride + 1;
+          const std::size_t ow = (map.w + 2 * pad - k) / stride + 1;
+          for (std::size_t c : channels) {
+            for (int grid : {8, 12}) {
+              for (Head head : {Head::kGapLinear, Head::kFlattenLinear,
+                                Head::kBareCodes, Head::kBareFloat}) {
+                Rng rng(7000 + configs++);
+                std::vector<IntLayerPlan> plans;
+                plans.push_back(conv_plan(rng, "pre", 3, c, 4, grid, 1, 1, 0));
+                plans.push_back(conv_plan(rng, "conv", c, 5, 4,
+                                          head == Head::kBareFloat ? 32 : grid,
+                                          k, stride, pad));
+                if (head == Head::kGapLinear) {
+                  plans.push_back(
+                      pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@2"));
+                  plans.push_back(linear_plan(rng, "fc", 5, 3, 4, 32));
+                } else if (head == Head::kFlattenLinear) {
+                  plans.push_back(
+                      pool_plan(IntLayerPlan::Kind::kFlatten, "flatten@2"));
+                  plans.push_back(
+                      linear_plan(rng, "fc", 5 * oh * ow, 3, 4, 32));
+                }
+                Tensor x({3, 3, map.h, map.w});
+                for (auto& v : x.data()) {
+                  v = static_cast<float>(rng.uniform(0.0, 1.0));
+                }
+                Tensor x1({1, 3, map.h, map.w});  // the first sample
+                std::copy_n(x.data().begin(), x1.numel(), x1.data().begin());
+                for (const char* kernel : {"scalar", "vec16", "vec-packed"}) {
+                  setenv("CCQ_IGEMM_KERNEL", kernel, 1);
+                  const IntegerNetwork net = IntegerNetwork::from_plans(plans);
+                  // An ineligible pin falls down the ladder: that kernel
+                  // already ran.
+                  if (std::string(kernel) !=
+                      igemm_kernel_str(net.plan(1).igemm_kernel)) {
+                    continue;
+                  }
+                  const std::string where =
+                      "k=" + std::to_string(k) + " s=" +
+                      std::to_string(stride) + " p=" + std::to_string(pad) +
+                      " map=" + std::to_string(map.h) + "x" +
+                      std::to_string(map.w) + " c=" + std::to_string(c) +
+                      " grid=" + std::to_string(grid) + " head=" +
+                      std::to_string(static_cast<int>(head)) +
+                      " kernel=" + kernel;
+                  for (const Tensor* xb : {&x1, &x}) {
+                    for (std::size_t threads : {1, 4}) {
+                      expect_bit_identical(
+                          net, *xb, ctx_for(threads),
+                          where + " batch=" + std::to_string(xb->dim(0)) +
+                              " threads=" + std::to_string(threads));
+                      if (HasFatalFailure()) return;
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(configs, 500u);
 }
 
 // ---- allocation discipline --------------------------------------------------

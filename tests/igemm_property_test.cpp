@@ -30,22 +30,7 @@ namespace {
 
 // ---- the specification ------------------------------------------------------
 
-/// C[i,j] = float(Σ_p W[i,p]·X[p,j]) · scale[i] + bias[i]
-void ref_wx(std::size_t m, std::size_t n, std::size_t k,
-            const std::vector<std::int32_t>& w,
-            const std::vector<std::int32_t>& x,
-            const std::vector<float>& scale, const std::vector<float>& bias,
-            std::vector<float>& c) {
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::size_t p = 0; p < k; ++p)
-        acc += std::int64_t{w[i * k + p]} * std::int64_t{x[p * n + j]};
-      c[i * n + j] = static_cast<float>(acc) * scale[i] + bias[i];
-    }
-}
-
-/// C[i,j] = float(Σ_p X[i,p]·W[p,j]) · scale[j] + bias[j]
+/// C[i,j] = float(Σ_p X[i,p]·W[j,p]) · scale[j] + bias[j]
 void ref_xw(std::size_t m, std::size_t n, std::size_t k,
             const std::vector<std::int32_t>& x,
             const std::vector<std::int32_t>& w,
@@ -55,7 +40,7 @@ void ref_xw(std::size_t m, std::size_t n, std::size_t k,
     for (std::size_t j = 0; j < n; ++j) {
       std::int64_t acc = 0;
       for (std::size_t p = 0; p < k; ++p)
-        acc += std::int64_t{x[i * k + p]} * std::int64_t{w[p * n + j]};
+        acc += std::int64_t{x[i * k + p]} * std::int64_t{w[j * k + p]};
       c[i * n + j] = static_cast<float>(acc) * scale[j] + bias[j];
     }
 }
@@ -64,10 +49,9 @@ void ref_xw(std::size_t m, std::size_t n, std::size_t k,
 
 struct Problem {
   std::size_t m, n, k;
-  std::vector<std::int32_t> w;   // m×k weight codes (row-major)
-  std::vector<std::int32_t> x;   // k×n activation codes (row-major)
-  std::vector<float> row_scale, row_bias;  // per-row (kWX)
-  std::vector<float> col_scale, col_bias;  // per-column (kXW)
+  std::vector<std::int32_t> x;   // m×k activation rows (row-major)
+  std::vector<std::int32_t> w;   // n×k weight rows (row-major)
+  std::vector<float> scale, bias;  // per output column
 };
 
 Problem make_problem(Rng& rng, std::size_t m, std::size_t n, std::size_t k,
@@ -76,8 +60,8 @@ Problem make_problem(Rng& rng, std::size_t m, std::size_t n, std::size_t k,
   p.m = m;
   p.n = n;
   p.k = k;
-  p.w.resize(m * k);
-  p.x.resize(k * n);
+  p.w.resize(n * k);
+  p.x.resize(m * k);
   for (auto& v : p.w) {
     v = static_cast<std::int32_t>(rng.uniform_int(2 * max_w + 1)) - max_w;
   }
@@ -87,17 +71,11 @@ Problem make_problem(Rng& rng, std::size_t m, std::size_t n, std::size_t k,
     v = static_cast<std::int32_t>(rng.uniform_int(max_x + 1));
     if (rng.uniform() < 0.25) v = 0;
   }
-  p.row_scale.resize(m);
-  p.row_bias.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    p.row_scale[i] = static_cast<float>(rng.uniform(0.001, 0.1));
-    p.row_bias[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  }
-  p.col_scale.resize(n);
-  p.col_bias.resize(n);
+  p.scale.resize(n);
+  p.bias.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    p.col_scale[j] = static_cast<float>(rng.uniform(0.001, 0.1));
-    p.col_bias[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    p.scale[j] = static_cast<float>(rng.uniform(0.001, 0.1));
+    p.bias[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return p;
 }
@@ -113,8 +91,56 @@ std::vector<IgemmKernel> eligible_kernels(std::int32_t w_max,
   return kernels;
 }
 
-/// Run both op forms through every eligible kernel × accumulator and
-/// demand bit-identity with the int64 reference.
+/// `x` (m rows of k codes) laid out as dot rows of `Lane` codes,
+/// `stride` lanes apart, with every padding lane poisoned: a kernel may
+/// only ever multiply padding lanes by the panel's zero padding.
+template <typename Lane>
+std::vector<Lane> dot_rows(const std::vector<std::int32_t>& x, std::size_t m,
+                           std::size_t k, std::size_t stride) {
+  std::vector<Lane> rows(m * stride, Lane{0x55});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      rows[i * stride + p] = static_cast<Lane>(x[i * k + p]);
+    }
+  }
+  return rows;
+}
+
+/// Activation rows lowered for one panel: the kernel's lane type (int16
+/// for vec16, uint8 for vec-packed) and for scalar the code type the
+/// caller names — int32, or the engine's narrow u8 / i16 codes.
+struct DotRows {
+  std::vector<std::int32_t> x32;
+  std::vector<std::int16_t> x16;
+  std::vector<std::uint8_t> x8;
+
+  enum class Codes { kInt32, kI16, kU8 };
+
+  /// Lower `x` for `op.panel` and point `op` at the rows.
+  void lower(IgemmOp& op, const std::vector<std::int32_t>& x,
+             Codes scalar_codes) {
+    const IgemmPanel& panel = *op.panel;
+    const bool wide = panel.kernel == IgemmKernel::kVec16 ||
+                      (panel.kernel == IgemmKernel::kScalar &&
+                       scalar_codes == Codes::kI16);
+    const bool narrow = panel.kernel == IgemmKernel::kVecPacked ||
+                        (panel.kernel == IgemmKernel::kScalar &&
+                         scalar_codes == Codes::kU8);
+    if (wide) {
+      x16 = dot_rows<std::int16_t>(x, op.m, op.k, panel.stride);
+      op.x16 = x16.data();
+    } else if (narrow) {
+      x8 = dot_rows<std::uint8_t>(x, op.m, op.k, panel.stride);
+      op.x8 = x8.data();
+    } else {
+      x32 = dot_rows<std::int32_t>(x, op.m, op.k, panel.stride);
+      op.x = x32.data();
+    }
+  }
+};
+
+/// Run the op through every eligible kernel × accumulator and demand
+/// bit-identity with the int64 reference.
 void expect_bit_identical(const Problem& p, const ExecContext& ctx,
                           const IgemmBlocking& blk) {
   const std::int32_t max_w = igemm_max_abs(p.w);
@@ -126,70 +152,31 @@ void expect_bit_identical(const Problem& p, const ExecContext& ctx,
     accums.push_back(IgemmAccum::kInt32);
   }
 
-  // W·X form (conv after im2col): W is m×k, X is k×n, per-row epilogue.
+  // X·Wᵀ: activation rows against the weight panel, per-column
+  // scale/bias — exactly how the engine drives conv (rows = lowered
+  // output pixels) and linear (rows = samples) layers.
   std::vector<float> want(p.m * p.n), got(p.m * p.n);
-  ref_wx(p.m, p.n, p.k, p.w, p.x, p.row_scale, p.row_bias, want);
+  ref_xw(p.m, p.n, p.k, p.x, p.w, p.scale, p.bias, want);
   for (IgemmAccum accum : accums) {
     for (IgemmKernel kernel : eligible_kernels(max_w, x_bound, accum)) {
-      const IgemmPanel panel =
-          igemm_pack(p.w, p.m, p.k, IgemmForm::kWX, kernel);
+      const IgemmPanel panel = igemm_pack(p.w, p.n, p.k, kernel);
       IgemmOp op;
-      op.form = IgemmForm::kWX;
       op.m = p.m;
       op.n = p.n;
       op.k = p.k;
       op.panel = &panel;
-      op.x = p.x.data();
+      DotRows rows;
+      rows.lower(op, p.x, DotRows::Codes::kInt32);
       op.c = got.data();
-      op.epilogue = {p.row_scale.data(), p.row_bias.data()};
+      op.epilogue = {p.scale.data(), p.bias.data()};
       op.accum = accum;
       op.blocking = blk;
       op.x_bound = x_bound;
       std::fill(got.begin(), got.end(), -7.0f);
       igemm_run(op, ctx);
       ASSERT_EQ(want, got)
-          << "kWX kernel=" << igemm_kernel_str(kernel) << " m=" << p.m
+          << "kernel=" << igemm_kernel_str(kernel) << " m=" << p.m
           << " n=" << p.n << " k=" << p.k << " threads=" << ctx.threads()
-          << " nc=" << blk.nc << " kc=" << blk.kc
-          << " accum=" << static_cast<int>(accum);
-    }
-  }
-
-  // X·W form (linear): a batch of k-length activation rows (columns of
-  // the X above) against the weight panel on the right, so the output
-  // lands batch×m with per-column scale/bias — exactly how the engine
-  // drives linear layers.
-  const std::size_t batch = p.n == 0 ? 0 : std::min<std::size_t>(p.n, 6);
-  std::vector<std::int32_t> xl(batch * p.k);
-  for (std::size_t i = 0; i < batch; ++i)
-    for (std::size_t pp = 0; pp < p.k; ++pp)
-      xl[i * p.k + pp] = p.x[pp * p.n + i];  // column i of X
-  std::vector<std::int32_t> wt(p.k * p.m);
-  for (std::size_t pp = 0; pp < p.k; ++pp)
-    for (std::size_t i = 0; i < p.m; ++i) wt[pp * p.m + i] = p.w[i * p.k + pp];
-  std::vector<float> want2(batch * p.m), got2(batch * p.m);
-  ref_xw(batch, p.m, p.k, xl, wt, p.row_scale, p.row_bias, want2);
-  for (IgemmAccum accum : accums) {
-    for (IgemmKernel kernel : eligible_kernels(max_w, x_bound, accum)) {
-      const IgemmPanel panel =
-          igemm_pack(p.w, p.m, p.k, IgemmForm::kXW, kernel);
-      IgemmOp op;
-      op.form = IgemmForm::kXW;
-      op.m = batch;
-      op.n = p.m;
-      op.k = p.k;
-      op.panel = &panel;
-      op.x = xl.data();
-      op.c = got2.data();
-      op.epilogue = {p.row_scale.data(), p.row_bias.data()};
-      op.accum = accum;
-      op.blocking = blk;
-      op.x_bound = x_bound;
-      std::fill(got2.begin(), got2.end(), -7.0f);
-      igemm_run(op, ctx);
-      ASSERT_EQ(want2, got2)
-          << "kXW kernel=" << igemm_kernel_str(kernel) << " batch=" << batch
-          << " m=" << p.m << " k=" << p.k << " threads=" << ctx.threads()
           << " nc=" << blk.nc << " kc=" << blk.kc
           << " accum=" << static_cast<int>(accum);
     }
@@ -424,15 +411,13 @@ TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
 
 TEST(IgemmRunValidation, RejectsMismatchedPanels) {
   const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};  // 2×3
-  const IgemmPanel panel =
-      igemm_pack(codes, 2, 3, IgemmForm::kWX, IgemmKernel::kScalar);
+  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kScalar);
   const std::vector<std::int32_t> x(3, 1);
   const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
   std::vector<float> c(2);
   IgemmOp op;
-  op.form = IgemmForm::kWX;
-  op.m = 2;
-  op.n = 1;
+  op.m = 1;
+  op.n = 2;
   op.k = 3;
   op.panel = &panel;
   op.x = x.data();
@@ -441,11 +426,9 @@ TEST(IgemmRunValidation, RejectsMismatchedPanels) {
   op.accum = IgemmAccum::kInt64;
   EXPECT_NO_THROW(igemm_run(op));
 
-  IgemmOp bad_form = op;
-  bad_form.form = IgemmForm::kXW;
-  bad_form.m = 1;
-  bad_form.n = 2;
-  EXPECT_THROW(igemm_run(bad_form), Error);
+  IgemmOp bad_rows = op;  // the panel holds 2 output channels, not 3
+  bad_rows.n = 3;
+  EXPECT_THROW(igemm_run(bad_rows), Error);
 
   IgemmOp bad_depth = op;
   bad_depth.k = 4;
@@ -458,18 +441,16 @@ TEST(IgemmRunValidation, RejectsMismatchedPanels) {
 
 TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
   const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};
-  const IgemmPanel panel =
-      igemm_pack(codes, 2, 3, IgemmForm::kWX, IgemmKernel::kVec16);
-  const std::vector<std::int32_t> x(3, 1);
+  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
+  const std::vector<std::int16_t> x(panel.stride, 1);  // one dot row
   const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
   std::vector<float> c(2);
   IgemmOp op;
-  op.form = IgemmForm::kWX;
-  op.m = 2;
-  op.n = 1;
+  op.m = 1;
+  op.n = 2;
   op.k = 3;
   op.panel = &panel;
-  op.x = x.data();
+  op.x16 = x.data();
   op.c = c.data();
   op.epilogue = {scale.data(), bias.data()};
   op.accum = IgemmAccum::kInt32;
@@ -482,10 +463,43 @@ TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
   EXPECT_THROW(igemm_run(op), Error);
 }
 
+TEST(IgemmRunValidation, VectorKernelsReadOnlyTheirLaneType) {
+  // The dot kernels read the caller's rows as-is, so rows in another
+  // code type are refused rather than reinterpreted.
+  const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};
+  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
+  const std::vector<std::uint8_t> x8(panel.stride, 1);
+  const std::vector<std::int32_t> x32(panel.stride, 1);
+  const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
+  std::vector<float> c(2);
+  IgemmOp op;
+  op.m = 1;
+  op.n = 2;
+  op.k = 3;
+  op.panel = &panel;
+  op.c = c.data();
+  op.epilogue = {scale.data(), bias.data()};
+  op.accum = IgemmAccum::kInt32;
+  op.x_bound = 255;
+  op.x8 = x8.data();
+  EXPECT_THROW(igemm_run(op), Error);
+  op.x8 = nullptr;
+  op.x = x32.data();
+  EXPECT_THROW(igemm_run(op), Error);
+  if (igemm_packed_simd()) {
+    const IgemmPanel packed =
+        igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
+    const std::vector<std::int16_t> x16(packed.stride, 1);
+    op.panel = &packed;
+    op.x = nullptr;
+    op.x16 = x16.data();
+    EXPECT_THROW(igemm_run(op), Error);
+  }
+}
+
 TEST(IgemmPack, DotLayoutPadsDepthToLaneMultiples) {
   const std::vector<std::int32_t> codes{1, 2, 3, 4, 5, 6};  // 2×3
-  const IgemmPanel v16 =
-      igemm_pack(codes, 2, 3, IgemmForm::kWX, IgemmKernel::kVec16);
+  const IgemmPanel v16 = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
   EXPECT_EQ(v16.stride, 16u);
   ASSERT_EQ(v16.i16.size(), 2u * 16u);
   EXPECT_EQ(v16.i16[0], 1);
@@ -494,31 +508,30 @@ TEST(IgemmPack, DotLayoutPadsDepthToLaneMultiples) {
   EXPECT_EQ(v16.i16[16], 4);  // second row starts on the stride
   EXPECT_EQ(v16.max_abs, 6);
 
-  const IgemmPanel v8 =
-      igemm_pack(codes, 2, 3, IgemmForm::kXW, IgemmKernel::kVecPacked);
+  const IgemmPanel v8 = igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
   EXPECT_EQ(v8.stride, 32u);
   ASSERT_EQ(v8.i8.size(), 2u * 32u);
   EXPECT_EQ(v8.i8[32], 4);
   EXPECT_TRUE(v8.i16.empty());
+
+  // Scalar pads nothing: its activation rows are dense, its panel the
+  // transposed depth×rows rank-1 layout.
+  const IgemmPanel scalar = igemm_pack(codes, 2, 3, IgemmKernel::kScalar);
+  EXPECT_EQ(scalar.stride, 3u);
+  EXPECT_EQ(scalar.i16, (std::vector<std::int16_t>{1, 4, 2, 5, 3, 6}));
 }
 
 TEST(IgemmPack, RejectsCodesOutsideTheKernelLaneType) {
   std::vector<std::int32_t> codes{0, 1, 200, 2};
   // 200 fits int16 lanes but not vec-packed's int8 lanes.
-  EXPECT_NO_THROW(
-      igemm_pack(codes, 2, 2, IgemmForm::kWX, IgemmKernel::kVec16));
-  EXPECT_THROW(
-      igemm_pack(codes, 2, 2, IgemmForm::kWX, IgemmKernel::kVecPacked),
-      Error);
+  EXPECT_NO_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16));
+  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVecPacked), Error);
   codes[2] = 40000;  // beyond int16: every kernel rejects
-  EXPECT_THROW(
-      igemm_pack(codes, 2, 2, IgemmForm::kWX, IgemmKernel::kScalar), Error);
-  EXPECT_THROW(
-      igemm_pack(codes, 2, 2, IgemmForm::kWX, IgemmKernel::kVec16), Error);
+  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kScalar), Error);
+  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16), Error);
   // kAuto is not a packable layout.
   codes[2] = 1;
-  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmForm::kWX, IgemmKernel::kAuto),
-               Error);
+  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kAuto), Error);
 }
 
 // ---- accumulator bound unit tests -------------------------------------------
@@ -546,12 +559,10 @@ TEST(IgemmFitsInt32, BoundaryCodesRunExactInInt32) {
   const std::vector<std::int32_t> w{32767};
   const std::vector<std::int32_t> x{65535};
   ASSERT_TRUE(igemm_fits_int32(32767, 65535, 1));
-  const IgemmPanel panel =
-      igemm_pack(w, 1, 1, IgemmForm::kWX, IgemmKernel::kScalar);
+  const IgemmPanel panel = igemm_pack(w, 1, 1, IgemmKernel::kScalar);
   const std::vector<float> scale{1.0f}, bias{0.0f};
   float got = 0.0f;
   IgemmOp op;
-  op.form = IgemmForm::kWX;
   op.m = 1;
   op.n = 1;
   op.k = 1;
@@ -580,12 +591,10 @@ TEST(IgemmFitsInt32, WrapBeyondTheBoundIsWhyThePredicateGates) {
   // The int64 path the predicate falls back to stays exact.
   const std::vector<std::int32_t> w{32767, 32767};
   const std::vector<std::int32_t> x{65535, 65535};
-  const IgemmPanel panel =
-      igemm_pack(w, 1, 2, IgemmForm::kWX, IgemmKernel::kScalar);
+  const IgemmPanel panel = igemm_pack(w, 1, 2, IgemmKernel::kScalar);
   const std::vector<float> scale{1.0f}, bias{0.0f};
   float got = 0.0f;
   IgemmOp op;
-  op.form = IgemmForm::kWX;
   op.m = 1;
   op.n = 1;
   op.k = 2;
@@ -623,22 +632,22 @@ TEST(IgemmPackPanel, RejectsCodesOutsideInt16) {
 /// The fused-datapath spec: every kernel's requant epilogue must equal a
 /// naive int64 accumulation followed by `requant_apply` — same integer
 /// associativity argument as the float epilogue, now in the multiplier
-/// domain.  Sweeps u8 and i16 code inputs/outputs, per-row (kWX) and
-/// per-column (kXW) channel mapping, kernels, threads and a k-splitting
-/// blocking (the epilogue must fire only after the full reduction).
+/// domain.  Sweeps u8 and i16 code inputs/outputs, per-column channel
+/// mapping, kernels, threads and a k-splitting blocking (the epilogue
+/// must fire only after the full reduction).
 TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
   Rng rng(0xCC01);
   struct Cfg {
-    std::size_t m, n, k;
+    std::size_t m, n, k;  // m activation rows × n output channels
     std::int32_t max_w, max_x, qmax;
   };
   const Cfg configs[] = {
-      {8, 33, 27, 7, 3, 255},      // vec-packed-eligible bounds, u8 codes
-      {6, 18, 40, 100, 255, 255},  // full 8-bit input grid, u8 codes
-      {5, 21, 16, 40, 1000, 4095}, // 10-bit codes: i16 in, i16 out
+      {33, 8, 27, 7, 3, 255},      // vec-packed-eligible bounds, u8 codes
+      {18, 6, 40, 100, 255, 255},  // full 8-bit input grid, u8 codes
+      {21, 5, 16, 40, 1000, 4095}, // 10-bit codes: i16 in, i16 out
   };
   for (const Cfg& cfg : configs) {
-    std::vector<std::int32_t> w(cfg.m * cfg.k), x(cfg.k * cfg.n);
+    std::vector<std::int32_t> w(cfg.n * cfg.k), x(cfg.m * cfg.k);
     for (auto& v : w) {
       v = static_cast<std::int32_t>(rng.uniform_int(2 * cfg.max_w + 1)) -
           cfg.max_w;
@@ -647,13 +656,11 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
       v = static_cast<std::int32_t>(rng.uniform_int(cfg.max_x + 1));
     }
     const bool u8_codes = cfg.max_x <= 255 && cfg.qmax <= 255;
-    std::vector<std::uint8_t> x8(x.begin(), x.end());
-    std::vector<std::int16_t> x16(x.begin(), x.end());
 
     // Realistic per-channel parameters straight from make_requant.
     const std::int64_t bound = std::int64_t{cfg.max_w} * cfg.max_x *
                                static_cast<std::int64_t>(cfg.k);
-    std::vector<Requant> rq(cfg.m);
+    std::vector<Requant> rq(cfg.n);
     for (auto& r : rq) {
       ASSERT_TRUE(hw::make_requant(rng.uniform(0.001, 0.05),
                                    rng.uniform(-3.0, 3.0), bound, r));
@@ -665,10 +672,10 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
       for (std::size_t j = 0; j < cfg.n; ++j) {
         std::int64_t acc = 0;
         for (std::size_t p = 0; p < cfg.k; ++p) {
-          acc += std::int64_t{w[i * cfg.k + p]} *
-                 std::int64_t{x[p * cfg.n + j]};
+          acc += std::int64_t{x[i * cfg.k + p]} *
+                 std::int64_t{w[j * cfg.k + p]};
         }
-        want[i * cfg.n + j] = requant_apply(acc, rq[i], cfg.qmax);
+        want[i * cfg.n + j] = requant_apply(acc, rq[j], cfg.qmax);
       }
     }
 
@@ -677,15 +684,13 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
     if (igemm_fits_int32(max_abs, cfg.max_x, cfg.k)) {
       accums.push_back(IgemmAccum::kInt32);
     }
-    const IgemmBlocking blockings[] = {{}, {.nc = 8, .kc = 7}};
+    const IgemmBlocking blockings[] = {{}, {.nc = 3, .kc = 7}};
     for (IgemmAccum accum : accums) {
       for (IgemmKernel kernel : eligible_kernels(max_abs, cfg.max_x, accum)) {
-        const IgemmPanel panel =
-            igemm_pack(w, cfg.m, cfg.k, IgemmForm::kWX, kernel);
+        const IgemmPanel panel = igemm_pack(w, cfg.n, cfg.k, kernel);
         for (const IgemmBlocking& blk : blockings) {
           for (std::size_t threads : {1, 2, 4}) {
             IgemmOp op;
-            op.form = IgemmForm::kWX;
             op.m = cfg.m;
             op.n = cfg.n;
             op.k = cfg.k;
@@ -695,13 +700,14 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
             op.x_bound = cfg.max_x;
             op.requant = rq.data();
             op.requant_qmax = cfg.qmax;
+            DotRows rows;
+            rows.lower(op, x,
+                       u8_codes ? DotRows::Codes::kU8 : DotRows::Codes::kI16);
             std::vector<std::uint8_t> got8(cfg.m * cfg.n, 0xEE);
             std::vector<std::int16_t> got16(cfg.m * cfg.n, -7);
             if (u8_codes) {
-              op.x8 = x8.data();
               op.out8 = got8.data();
             } else {
-              op.x16 = x16.data();
               op.out16 = got16.data();
             }
             igemm_run(op, ctx_for(threads));
@@ -710,7 +716,7 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
                   u8_codes ? static_cast<std::int32_t>(got8[i])
                            : static_cast<std::int32_t>(got16[i]);
               ASSERT_EQ(got, want[i])
-                  << "kWX kernel=" << igemm_kernel_str(kernel)
+                  << "kernel=" << igemm_kernel_str(kernel)
                   << " accum=" << static_cast<int>(accum)
                   << " threads=" << threads << " nc=" << blk.nc
                   << " kc=" << blk.kc << " idx=" << i;
@@ -722,9 +728,9 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
   }
 }
 
-/// kXW form (linear layers): activations on the left, requant entries
-/// indexed by output column.
-TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
+/// Linear-layer shape: a small batch of activation rows, requant entries
+/// indexed by output column, the weight given depth-major as trained.
+TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveForLinearLayers) {
   Rng rng(0xCC02);
   const std::size_t batch = 5, out = 9, k = 31;
   std::vector<std::int32_t> wt(k * out), x(batch * k);
@@ -734,7 +740,6 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
   for (auto& v : x) {
     v = static_cast<std::int32_t>(rng.uniform_int(256));
   }
-  std::vector<std::uint8_t> x8(x.begin(), x.end());
   const std::int64_t bound = std::int64_t{15} * 255 * k;
   std::vector<Requant> rq(out);
   for (auto& r : rq) {
@@ -751,7 +756,7 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
       want[i * out + j] = requant_apply(acc, rq[j], 255);
     }
   }
-  // Pack via the kXW form: igemm_pack takes the weight as rows×depth.
+  // igemm_pack takes the weight as rows×depth (one row per output).
   std::vector<std::int32_t> w_rows(out * k);
   for (std::size_t p = 0; p < k; ++p) {
     for (std::size_t j = 0; j < out; ++j) {
@@ -760,16 +765,16 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
   }
   const std::int32_t max_abs = igemm_max_abs(w_rows);
   for (IgemmKernel kernel : eligible_kernels(max_abs, 255, IgemmAccum::kInt32)) {
-    const IgemmPanel panel = igemm_pack(w_rows, out, k, IgemmForm::kXW, kernel);
+    const IgemmPanel panel = igemm_pack(w_rows, out, k, kernel);
     IgemmOp op;
-    op.form = IgemmForm::kXW;
     op.m = batch;
     op.n = out;
     op.k = k;
     op.panel = &panel;
     op.accum = IgemmAccum::kInt32;
     op.x_bound = 255;
-    op.x8 = x8.data();
+    DotRows rows;
+    rows.lower(op, x, DotRows::Codes::kU8);
     op.requant = rq.data();
     op.requant_qmax = 255;
     std::vector<std::uint8_t> got(batch * out, 0xEE);
@@ -777,7 +782,7 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveInXwForm) {
     igemm_run(op, ctx_for(2));
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(static_cast<std::int32_t>(got[i]), want[i])
-          << "kXW kernel=" << igemm_kernel_str(kernel) << " idx=" << i;
+          << "kernel=" << igemm_kernel_str(kernel) << " idx=" << i;
     }
   }
 }

@@ -37,15 +37,22 @@ Typical use:
 
 Comparison is per row against the committed snapshot; a row regressing
 by more than --tolerance (default 25%, benchmarks on shared runners are
-noisy) fails the check.  igemm/engine speedup columns are derived from
-the mode-0 reference row at the same bit width.  Open-loop serve rows
-are wall-clock-paced by construction, so their regression signal is the
-p99_us column, reported alongside.
+noisy) fails the check.  The igemm and engine suites gate on
+speedup_vs_reference — each kernel row against the naive-oracle row at
+the same bit width, measured in the same processes — because a ratio
+carries from one machine to another and absolute real_time_ns does not;
+their reference rows are reported, not gated.  Their rows are medians
+over 3 processes of 5 interleaved repetitions each (about a minute per
+suite).  The serve and adaptive
+suites gate on real_time_ns.  Open-loop serve rows are wall-clock-paced
+by construction, so their regression signal is the p99_us column,
+reported alongside.
 """
 
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -56,12 +63,16 @@ SUITES = {
         "binary": "bench_kernels",
         "snapshot": REPO / "BENCH_igemm.json",
         "modes": {0: "reference", 1: "scalar", 2: "vec16", 3: "vec-packed"},
+        "repetitions": 5,
+        "processes": 3,
     },
     "engine": {
         "filter": "BM_EngineForward",
         "binary": "bench_kernels",
         "snapshot": REPO / "BENCH_engine.json",
         "modes": {0: "reference", 1: "fused"},
+        "repetitions": 5,
+        "processes": 3,
     },
     "serve": {
         "filter": "BM_Serve",
@@ -84,6 +95,8 @@ def real_time_ns(b: dict) -> float:
 
 
 def run_bench(build_dir: pathlib.Path, suite: dict) -> dict:
+    """Run the suite's grid in `processes` separate processes (default 1)
+    and return one benchmark JSON holding every process's rows."""
     exe = build_dir / "bench" / suite["binary"]
     if not exe.exists():
         sys.exit(f"bench binary not found: {exe} (build the '{suite['binary']}' target)")
@@ -93,26 +106,47 @@ def run_bench(build_dir: pathlib.Path, suite: dict) -> dict:
         "--benchmark_format=json",
         "--benchmark_min_warmup_time=0.2",
     ]
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout)
+    if "repetitions" in suite:
+        # Each process reports the median of repetitions run in random
+        # interleaved order, so a drift in the host's speed hits the
+        # kernel rows and the reference rows of a gated ratio alike.
+        cmd += [f"--benchmark_repetitions={suite['repetitions']}",
+                "--benchmark_enable_random_interleaving=true",
+                "--benchmark_report_aggregates_only=true"]
+    raw = {"benchmarks": []}
+    for _ in range(suite.get("processes", 1)):
+        out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+        one = json.loads(out.stdout)
+        raw.setdefault("context", one.get("context", {}))
+        raw["benchmarks"] += one.get("benchmarks", [])
+    return raw
 
 
 def parse_mode_rows(raw: dict, suite: dict) -> dict:
-    """google-benchmark JSON -> {"<bits>/<mode-name>": row} with speedups."""
+    """google-benchmark JSON -> {"<bits>/<mode-name>": row} with speedups.
+    A row is the median over the runs of its benchmark in `raw`: one per
+    process, each the median aggregate of that process's repetitions
+    when it has them.  Medians across processes matter on a shared host:
+    one process's ratios can sit 20-30% off another's, and repetitions
+    inside a process do not average that out."""
     bench_filter, modes = suite["filter"], suite["modes"]
-    rows = {}
-    for b in raw.get("benchmarks", []):
-        if b.get("run_type") == "aggregate" or bench_filter not in b["name"]:
-            continue
+    runs = [b for b in raw.get("benchmarks", []) if bench_filter in b["name"]]
+    medians = [b for b in runs if b.get("aggregate_name") == "median"]
+    samples = {}
+    for b in medians or [b for b in runs if b.get("run_type") != "aggregate"]:
         # Name is <filter>/<bits>/<mode>.
-        parts = b["name"].split("/")
-        bits, mode = int(parts[1]), int(parts[2])
+        parts = b.get("run_name", b["name"]).split("/")
+        samples.setdefault((int(parts[1]), int(parts[2])), []).append(b)
+    rows = {}
+    for (bits, mode), group in sorted(samples.items()):
+        ips = [b["items_per_second"] for b in group if "items_per_second" in b]
+        allocs = [b["allocs_per_iter"] for b in group if "allocs_per_iter" in b]
         rows[f"{bits}/{modes[mode]}"] = {
             "bits": bits,
             "mode": modes[mode],
-            "real_time_ns": real_time_ns(b),
-            "items_per_second": b.get("items_per_second"),
-            "allocs_per_iter": b.get("allocs_per_iter"),
+            "real_time_ns": statistics.median(real_time_ns(b) for b in group),
+            "items_per_second": statistics.median(ips) if ips else None,
+            "allocs_per_iter": max(allocs) if allocs else None,
         }
     for key, row in rows.items():
         ref = rows.get(f"{row['bits']}/reference")
@@ -180,7 +214,12 @@ def parse_rows(raw: dict, suite: dict) -> dict:
     return rows
 
 
-def compare(rows: dict, snapshot: dict, tolerance: float) -> bool:
+def compare(rows: dict, snapshot: dict, tolerance: float,
+            by_speedup: bool) -> bool:
+    """Check every snapshot row against this run.  With by_speedup the
+    gated ratio is baseline speedup_vs_reference / current (reference
+    rows carry no speedup and are only reported); otherwise it is
+    current real_time_ns / baseline.  Ratios above 1 + tolerance fail."""
     ok = True
     for key, base in snapshot.get("rows", {}).items():
         cur = rows.get(key)
@@ -188,19 +227,30 @@ def compare(rows: dict, snapshot: dict, tolerance: float) -> bool:
             print(f"MISSING  {key}: present in snapshot, absent from this run")
             ok = False
             continue
-        ratio = cur["real_time_ns"] / base["real_time_ns"]
-        verdict = "OK" if ratio <= 1.0 + tolerance else "REGRESSED"
-        if verdict != "OK":
-            ok = False
         speed = cur.get("speedup_vs_reference")
+        if by_speedup:
+            base_speed = base.get("speedup_vs_reference")
+            ratio = base_speed / speed if base_speed and speed else None
+        else:
+            ratio = cur["real_time_ns"] / base["real_time_ns"]
+        if ratio is None:
+            verdict = "INFO"
+        elif ratio <= 1.0 + tolerance:
+            verdict = "OK"
+        else:
+            verdict = "REGRESSED"
+            ok = False
         extra = f"  {speed:6.2f}x vs ref" if speed else ""
+        if by_speedup and base.get("speedup_vs_reference"):
+            extra += f" (baseline {base['speedup_vs_reference']:6.2f}x)"
         p99 = cur.get("p99_us")
         if p99:
             extra += f"  p99 {p99:8.0f} us"
+        shown = f"ratio {ratio:5.2f}" if ratio is not None else "not gated "
         print(
             f"{verdict:9} {key:20} {cur['real_time_ns'] / 1e6:9.3f} ms "
             f"(baseline {base['real_time_ns'] / 1e6:9.3f} ms, "
-            f"ratio {ratio:5.2f}){extra}"
+            f"{shown}){extra}"
         )
     for key in rows:
         if key not in snapshot.get("rows", {}):
@@ -218,7 +268,8 @@ def run_suite(name: str, args: argparse.Namespace, raw: dict | None) -> bool:
     print(f"== suite {name} ({suite['filter']}) ==")
     ok = True
     if snapshot_path.exists():
-        ok = compare(rows, json.loads(snapshot_path.read_text()), args.tolerance)
+        ok = compare(rows, json.loads(snapshot_path.read_text()), args.tolerance,
+                     by_speedup="modes" in suite)
     else:
         print(f"no snapshot at {snapshot_path}; this run becomes the baseline")
 
@@ -246,7 +297,9 @@ def main() -> int:
                     help="which benchmark grid to run (default: all)")
     ap.add_argument("--check", action="store_true", help="compare only, never write")
     ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed slowdown vs snapshot before failing (fraction)")
+                    help="allowed slowdown vs snapshot before failing "
+                         "(fraction; of speedup_vs_reference for the igemm "
+                         "and engine suites)")
     args = ap.parse_args()
 
     names = list(SUITES) if args.suite == "all" else [args.suite]

@@ -1,5 +1,7 @@
 #include "ccq/nn/conv.hpp"
 
+#include <algorithm>
+
 #include "ccq/common/telemetry.hpp"
 #include "ccq/nn/init.hpp"
 #include "ccq/tensor/gemm.hpp"
@@ -39,6 +41,24 @@ std::size_t Conv2d::macs_per_sample(std::size_t in_h, std::size_t in_w) const {
   return out_channels_ * g.patch_size() * g.out_spatial();
 }
 
+namespace {
+
+// Samples are lowered side by side into one column panel of at most
+// kPanelFloats floats (1 MiB), so small layers run one wide GEMM over a
+// group of samples instead of one narrow GEMM per sample.  The group
+// size is a pure function of layer geometry and batch size.
+constexpr std::size_t kPanelFloats = std::size_t{1} << 18;
+
+// dW elements per task of the in-order partial sum.
+constexpr std::size_t kAddGrain = 4096;
+
+std::size_t group_size(std::size_t panel_per_sample, std::size_t batch) {
+  return std::max<std::size_t>(
+      1, std::min(batch, kPanelFloats / panel_per_sample));
+}
+
+}  // namespace
+
 Tensor Conv2d::forward(const Tensor& x, Workspace& ws) {
   telemetry::ScopedTimer timer(telemetry::Timer::kConvForward);
   CCQ_CHECK(x.rank() == 4, "Conv2d expects NCHW input");
@@ -53,31 +73,38 @@ Tensor Conv2d::forward(const Tensor& x, Workspace& ws) {
 
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const auto g = geometry(h, w);
-  const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t patch = g.patch_size(), spatial = g.out_spatial();
+  const std::size_t image = in_channels_ * h * w;
+  const std::size_t group = group_size(patch * spatial, n);
 
-  // Fully overwritten below (gemm beta=0 zero-fills each row panel).
-  Tensor y = ws.tensor_uninit({n, out_channels_, oh, ow});
+  Tensor y = ws.tensor_uninit({n, out_channels_, g.out_h(), g.out_w()});
   const float* wp = qweight_.data().data();
   const ExecContext& ctx = exec();
-  // Parallel over batch samples: each sample writes a disjoint output
-  // slice and owns a private column buffer leased from the workspace
-  // (per-thread arenas keep reuse thread-local).  With a single sample
-  // the loop runs inline (no parallel region), so the inner im2col/GEMM
-  // parallelise instead.
+  // Parallel over samples: a chunk lowers its samples in groups, each
+  // group one wide GEMM.  The outputs do not depend on how samples are
+  // grouped or chunked.
   parallel_for(ctx, n, 1, [&](std::size_t i0, std::size_t i1) {
-    Workspace::FloatLease cols = ws.floats(patch * spatial);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* xi = x.data().data() + i * in_channels_ * h * w;
-      float* yi = y.data().data() + i * out_channels_ * spatial;
-      im2col(xi, g, cols.data(), ctx);
-      gemm(out_channels_, spatial, patch, 1.0f, wp, patch, cols.data(),
-           spatial, 0.0f, yi, spatial, ctx);
-      if (has_bias_) {
-        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+    const std::size_t most = std::min(group, i1 - i0);
+    Workspace::FloatLease cols = ws.floats(patch * most * spatial);
+    Workspace::FloatLease panel = ws.floats(out_channels_ * most * spatial);
+    for (std::size_t n0 = i0; n0 < i1; n0 += group) {
+      const std::size_t count = std::min(group, i1 - n0);
+      const std::size_t width = count * spatial;
+      // panel (out × count·S) = W (out × patch) · cols (patch × count·S)
+      im2col(x.data().data() + n0 * image, g, count, cols.data(), width,
+             ctx);
+      gemm(out_channels_, width, patch, wp, patch, cols.data(), width,
+           panel.data(), width, ctx);
+      // Unfold the panel into NCHW, adding the bias after the sum.
+      for (std::size_t r = 0; r < count * out_channels_; ++r) {
+        const std::size_t i = r / out_channels_, oc = r % out_channels_;
+        const float* src = panel.data() + oc * width + i * spatial;
+        float* dst = y.data().data() + (n0 * out_channels_ + r) * spatial;
+        if (has_bias_) {
           const float b = bias_.value.at(oc);
-          float* row = yi + oc * spatial;
-          for (std::size_t s = 0; s < spatial; ++s) row[s] += b;
+          for (std::size_t s = 0; s < spatial; ++s) dst[s] = src[s] + b;
+        } else {
+          std::copy_n(src, spatial, dst);
         }
       }
     }
@@ -92,66 +119,84 @@ Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
   const std::size_t h = input_.dim(2), w = input_.dim(3);
   const auto g = geometry(h, w);
   const std::size_t patch = g.patch_size(), spatial = g.out_spatial();
+  const std::size_t out = out_channels_;
   CCQ_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
-                grad_out.dim(1) == out_channels_ &&
+                grad_out.dim(1) == out &&
                 grad_out.dim(2) * grad_out.dim(3) == spatial,
             "Conv2d grad shape mismatch");
+  const std::size_t image = in_channels_ * h * w;
+  const std::size_t group = group_size(patch * spatial, n);
 
-  // col2im scatters with +=, and dW accumulates across samples: both
-  // need zeroed workspace tensors, not uninit ones.
+  // col2im scatters with +=, so the input gradient starts zeroed.
   Tensor grad_in = ws.tensor(input_.shape());
-  Tensor grad_qw = ws.tensor(weight_.value.shape());  // dL/d(quantized w)
-  Workspace::FloatLease cols = ws.floats(patch * spatial);
-  Workspace::FloatLease cols_grad = ws.floats(patch * spatial);
+  // dWᵀ (patch × out) accumulates one partial product per sample, each
+  // formed on its own and added in sample order — never summed over a
+  // group in one pass.
+  const std::size_t weights = patch * out;
+  Workspace::FloatLease dwt = ws.floats(weights);
+  std::fill(dwt.data(), dwt.data() + weights, 0.0f);
+  Workspace::FloatLease parts = ws.floats(group * weights);
+  Workspace::FloatLease cols = ws.floats(patch * group * spatial);
+  Workspace::FloatLease dcols = ws.floats(patch * group * spatial);
+  Workspace::FloatLease gy_rows = ws.floats(out * group * spatial);
+  Workspace::FloatLease gy_cols = ws.floats(group * spatial * out);
   const float* wp = qweight_.data().data();
-  float* gwp = grad_qw.data().data();
   const ExecContext& ctx = exec();
 
-  // The sample loop stays serial: dW and dbias accumulate across samples
-  // and their order must not depend on thread count.  Within a sample
-  // every parallel loop writes disjoint rows, and each element's
-  // reduction runs in the serial kernel order, so results are
-  // bit-identical for any thread count.
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* xi = input_.data().data() + i * in_channels_ * h * w;
-    const float* gyi = grad_out.data().data() + i * out_channels_ * spatial;
-    float* gxi = grad_in.data().data() + i * in_channels_ * h * w;
-
-    // dW += gy (out × spatial) · colsᵀ (spatial × patch)
-    im2col(xi, g, cols.data(), ctx);
-    parallel_for(ctx, out_channels_, 4, [&](std::size_t oc0, std::size_t oc1) {
-      for (std::size_t oc = oc0; oc < oc1; ++oc) {
-        const float* gyrow = gyi + oc * spatial;
-        float* gwrow = gwp + oc * patch;
-        for (std::size_t p = 0; p < patch; ++p) {
-          const float* crow = cols.data() + p * spatial;
-          float acc = 0.0f;
-          for (std::size_t s = 0; s < spatial; ++s) acc += gyrow[s] * crow[s];
-          gwrow[p] += acc;
+  for (std::size_t n0 = 0; n0 < n; n0 += group) {
+    const std::size_t count = std::min(group, n - n0);
+    const std::size_t width = count * spatial;
+    // Parallel over the group's samples: a chunk fills its columns of the
+    // group's panels and its samples' dX and dW partials.  Every output
+    // is written by one chunk in its kernel's order, so results are
+    // bit-identical for any thread count.
+    parallel_for(ctx, count, 1, [&](std::size_t i0, std::size_t i1) {
+      const std::size_t col0 = i0 * spatial;
+      im2col(input_.data().data() + (n0 + i0) * image, g, i1 - i0,
+             cols.data() + col0, width, ctx);
+      // gy as rows (out × count·S) and as columns (count·S × out): the
+      // B operands of dX and dW.
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t oc = 0; oc < out; ++oc) {
+          const float* src =
+              grad_out.data().data() + ((n0 + i) * out + oc) * spatial;
+          std::copy_n(src, spatial, gy_rows.data() + oc * width + i * spatial);
+          float* col = gy_cols.data() + i * spatial * out + oc;
+          for (std::size_t s = 0; s < spatial; ++s) col[s * out] = src[s];
         }
       }
-    });
-
-    // dcols = Wᵀ (patch × out) · gy (out × spatial), then scatter via
-    // col2im.  Parallel over patch rows; the inner oc loop keeps the
-    // serial accumulation order per element.
-    parallel_for(ctx, patch, 8, [&](std::size_t p0, std::size_t p1) {
-      for (std::size_t p = p0; p < p1; ++p) {
-        float* dst = cols_grad.data() + p * spatial;
-        std::fill(dst, dst + spatial, 0.0f);
-        for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-          const float wv = wp[oc * patch + p];
-          if (wv == 0.0f) continue;
-          const float* gyrow = gyi + oc * spatial;
-          for (std::size_t s = 0; s < spatial; ++s) dst[s] += wv * gyrow[s];
-        }
+      // dcols (patch × S per sample) = Wᵀ · gy, scattered into the images.
+      gemm_tn(patch, (i1 - i0) * spatial, out, wp, patch,
+              gy_rows.data() + col0, width, dcols.data() + col0, width, ctx);
+      col2im(dcols.data() + col0, width, g, i1 - i0,
+             grad_in.data().data() + (n0 + i0) * image, ctx);
+      // Sample i's dWᵀ partial = cols_i (patch × S) · gyᵀ_i (S × out).
+      for (std::size_t i = i0; i < i1; ++i) {
+        gemm(patch, out, spatial, cols.data() + i * spatial, width,
+             gy_cols.data() + i * spatial * out, out,
+             parts.data() + i * weights, out, ctx);
       }
     });
-    col2im(cols_grad.data(), g, gxi, ctx);
+    parallel_for(ctx, weights, kAddGrain, [&](std::size_t e0, std::size_t e1) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const float* part = parts.data() + i * weights;
+        for (std::size_t e = e0; e < e1; ++e) dwt.data()[e] += part[e];
+      }
+    });
+  }
 
-    if (has_bias_) {
-      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-        const float* gyrow = gyi + oc * spatial;
+  // dL/d(quantized w) = (dWᵀ)ᵀ
+  Tensor grad_qw = ws.tensor_uninit(weight_.value.shape());
+  float* gwp = grad_qw.data().data();
+  for (std::size_t oc = 0; oc < out; ++oc) {
+    for (std::size_t p = 0; p < patch; ++p) {
+      gwp[oc * patch + p] = dwt.data()[p * out + oc];
+    }
+  }
+  if (has_bias_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t oc = 0; oc < out; ++oc) {
+        const float* gyrow = grad_out.data().data() + (i * out + oc) * spatial;
         float acc = 0.0f;
         for (std::size_t s = 0; s < spatial; ++s) acc += gyrow[s];
         bias_.grad.at(oc) += acc;

@@ -1,4 +1,26 @@
 // 2-D convolution layer (NCHW, square kernel) lowered to GEMM via im2col.
+//
+// Samples run in groups: as many as fit a fixed 2^18-float lowered panel
+// (at least one) are lowered side by side, so each group's forward, dX
+// and dW are GEMMs over wide panels.  Backward lowers each group again
+// rather than keeping the forward's panels alive.  Both passes are
+// parallel over samples.  A forward chunk lowers and multiplies its own
+// samples (one sample per chunk once threads split the batch).  A
+// backward chunk fills its own columns of the group's panels and stores
+// each of its samples' dW partials, which are added in sample order once
+// the chunks finish.  Every output keeps the per-sample scalar order
+// (tensor/gemm.hpp's contract):
+//
+//   forward  y[n][oc][s] = Σ_p W[oc][p]·cols[p][s], p ascending from +0,
+//            then + bias[oc]
+//   dX       dcols[p][s] = Σ_oc W[oc][p]·gy[oc][s], oc ascending from
+//            +0, then col2im adds into each pixel in (c, ky, kx) order
+//   dW       each sample's Σ_s gy[oc][s]·cols[p][s], s ascending from +0,
+//            added to dW in sample order — never summed over a group in
+//            one pass
+//
+// so training is bit-identical to a one-sample-at-a-time scalar loop, for
+// any group size and thread count.
 #pragma once
 
 #include <memory>

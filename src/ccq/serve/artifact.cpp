@@ -182,11 +182,10 @@ void write_packed_codes(ByteWriter& w, const std::vector<std::int32_t>& codes) {
 }
 
 /// Read a packed code stream that must hold exactly `expect_count`
-/// codes.  Count, bit width and byte count are untrusted bytes, so they
-/// are checked against the layer's geometry (and for overflow) before
-/// anything is sized by them.
-std::vector<std::int32_t> read_packed_codes(ByteReader& r,
-                                            std::uint64_t expect_count) {
+/// codes, without expanding it (see expand_codes).  Count, bit width and
+/// byte count are untrusted bytes, so they are checked against the
+/// layer's geometry (and for overflow) before anything is sized by them.
+PackedCodes read_packed_codes(ByteReader& r, std::uint64_t expect_count) {
   PackedCodes packed;
   packed.min_code = static_cast<std::int32_t>(r.zigzag());
   packed.divisor = static_cast<std::uint32_t>(r.varint());
@@ -218,6 +217,36 @@ std::vector<std::int32_t> read_packed_codes(ByteReader& r,
            std::to_string(expect_bytes));
   }
   packed.bytes = r.raw(static_cast<std::size_t>(byte_count));
+  return packed;
+}
+
+/// Deepest weight row a constant code stream may declare.
+constexpr std::uint64_t kMaxConstantDepth = std::uint64_t{1} << 16;
+
+/// Expand a layer's code stream into its weight codes.  A stream of
+/// nonzero width is backed by its payload bytes.  A constant stream
+/// (0 bits: every code equal) is backed by none, so geometry alone would
+/// size the vector: its rows must first match the scales and biases
+/// already read, each backed by payload bytes, and its depth is capped.
+std::vector<std::int32_t> expand_codes(ByteReader& r,
+                                       const hw::IntLayerPlan& plan,
+                                       const PackedCodes& packed) {
+  if (packed.bits == 0 && packed.count != 0) {
+    const std::size_t rows = plan.kind == hw::IntLayerPlan::Kind::kConv
+                                 ? plan.out_channels
+                                 : plan.out_features;
+    if (plan.channel_scale.size() != rows || plan.bias.size() != rows) {
+      r.fail("has " + std::to_string(plan.channel_scale.size()) +
+             " scales / " + std::to_string(plan.bias.size()) +
+             " biases, expected " + std::to_string(rows) +
+             " output channels for its constant code stream");
+    }
+    if (packed.count / rows > kMaxConstantDepth) {
+      r.fail("constant code stream declares rows of " +
+             std::to_string(packed.count / rows) + " codes, more than " +
+             std::to_string(kMaxConstantDepth));
+    }
+  }
   return unpack_codes(packed);
 }
 
@@ -318,10 +347,11 @@ hw::IntLayerPlan read_plan(ByteReader& r) {
                            &plan.pool_stride}) {
     *dim = static_cast<std::size_t>(r.varint());
   }
-  plan.weight_codes = read_packed_codes(r, expected_codes(r, plan));
+  const PackedCodes codes = read_packed_codes(r, expected_codes(r, plan));
   plan.channel_scale = r.floats();
   plan.bias = r.floats();
   read_requant(r, plan);
+  plan.weight_codes = expand_codes(r, plan, codes);
   // out_qmax / acc_bound are not serialized: finalize_plans rederives
   // them from act_bits and the unpacked weight codes.
   return plan;
@@ -344,7 +374,9 @@ void write_delta_codes(ByteWriter& w, const hw::IntLayerPlan& plan) {
 
 void read_delta_codes(ByteReader& r, hw::IntLayerPlan& plan) {
   plan.weight_bits = r.pod<std::uint8_t>();
-  plan.weight_codes = read_packed_codes(r, expected_codes(r, plan));
+  // The rung below was validated, so its scales back the rows.
+  plan.weight_codes =
+      expand_codes(r, plan, read_packed_codes(r, expected_codes(r, plan)));
 }
 
 void write_delta_meta(ByteWriter& w, const hw::IntLayerPlan& plan) {

@@ -1,6 +1,7 @@
 #include "ccq/tensor/gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "ccq/common/telemetry.hpp"
 
@@ -8,111 +9,179 @@ namespace ccq {
 
 namespace {
 
-// Block sizes chosen so an (MC×KC) A-panel plus a (KC×NC) B-panel fit in
-// L2 on typical x86 cores.
-constexpr std::size_t kMc = 64;
-constexpr std::size_t kKc = 128;
-constexpr std::size_t kNc = 256;
-
-// Row-panel grain for thread partitioning.  Smaller than kMc so matrices
-// with few rows (conv weight panels, mini-batches) still split; a fixed
-// constant keeps the partition a pure function of the problem size.
+// Work is cut into tasks of kRowGrain rows × kNc columns of C, and every
+// task walks the reduction in kKc-deep slices, so the A rows of a task
+// (kRowGrain × kKc) stay in L1 while its column tiles stream past.  Both
+// task edges are fixed constants, so the partition is a pure function of
+// the problem size.
 constexpr std::size_t kRowGrain = 16;
+constexpr std::size_t kKc = 128;
+constexpr std::size_t kNc = 128;
 
-// Serial kernel over the row range [row0, row1).  Per-element
-// accumulation order (jc, pc ascending) is independent of the range, so
-// any row partition reproduces the full-matrix result bit for bit.
-void gemm_rows(std::size_t row0, std::size_t row1, std::size_t n,
-               std::size_t k, float alpha, const float* a, std::size_t lda,
-               const float* b, std::size_t ldb, float beta, float* c,
-               std::size_t ldc) {
-  // Scale C by beta first so the accumulation loop is pure FMA.
-  if (beta == 0.0f) {
-    for (std::size_t i = row0; i < row1; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
-  } else if (beta != 1.0f) {
-    for (std::size_t i = row0; i < row1; ++i) {
-      for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] *= beta;
+// Register tile: kMr rows × kNr columns of C held in 4-lane vectors.
+// 4×8 keeps eight accumulators, two B vectors, one broadcast and two
+// product temporaries inside SSE2's sixteen registers.
+constexpr std::size_t kMr = 4;
+constexpr std::size_t kNr = 8;
+
+// Portable 4-lane float vector (SSE2 on x86-64).  `acc += a * b` on it is
+// the same multiply then add, lane by lane, as the scalar statement, and
+// the compiler contracts both forms to FMA under the same flags.
+using v4 = float __attribute__((vector_size(16)));
+
+inline v4 load4(const float* p) {
+  v4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, v4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// A operand addressed by strides: A(i, p) = a[i·row + p·depth] — (lda, 1)
+/// for gemm, (1, lda) for gemm_tn.
+struct StridedA {
+  const float* a;
+  std::size_t row, depth;
+};
+
+/// C tile of kMr rows × 4·NV columns over one kc-deep slice of the
+/// reduction: arow[i] is row i's first A element in the slice (the next
+/// ones `step` apart) and b the slice's first B row.  Each accumulator
+/// starts at +0 on the first slice and from the stored C value on later
+/// ones, then adds A(i,p)·B(p,j) for p ascending — the scalar loop's
+/// operation sequence, one lane per C element.
+template <std::size_t NV>
+[[gnu::always_inline]] inline void tile(const float* const (&arow)[kMr],
+                                        std::size_t step, std::size_t kc,
+                                        const float* b, std::size_t ldb,
+                                        float* c, std::size_t ldc,
+                                        bool first) {
+  v4 acc[kMr][NV];
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < kMr; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[i][v] = first ? v4{} : load4(c + i * ldc + 4 * v);
     }
   }
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      for (std::size_t ic = row0; ic < row1; ic += kMc) {
-        const std::size_t mc = std::min(kMc, row1 - ic);
-        for (std::size_t i = 0; i < mc; ++i) {
-          const float* arow = a + (ic + i) * lda + pc;
-          float* crow = c + (ic + i) * ldc + jc;
-          for (std::size_t p = 0; p < kc; ++p) {
-            const float av = alpha * arow[p];
-            if (av == 0.0f) continue;
-            const float* brow = b + (pc + p) * ldb + jc;
-            for (std::size_t j = 0; j < nc; ++j) crow[j] += av * brow[j];
-          }
+  for (std::size_t p = 0; p < kc; ++p) {
+    v4 bv[NV];
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = load4(b + p * ldb + 4 * v);
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < kMr; ++i) {
+      const float s = arow[i][p * step];
+      const v4 av = {s, s, s, s};
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < NV; ++v) acc[i][v] += av * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < kMr; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < NV; ++v) store4(c + i * ldc + 4 * v, acc[i][v]);
+  }
+}
+
+/// A tile at the edge of C, with mr < kMr rows or nr < 4·NV columns:
+/// the full tile runs on zero-padded copies of the C columns (and of the
+/// B columns when nr < 4·NV; `arow` repeats the last real row past mr)
+/// and only the real elements are kept.
+template <std::size_t NV>
+void tile_edge(std::size_t mr, std::size_t nr, const float* const (&arow)[kMr],
+               std::size_t step, std::size_t kc, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc, bool first) {
+  constexpr std::size_t w = 4 * NV;
+  float bpad[kKc * w];
+  if (nr < w) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      std::copy_n(b + p * ldb, nr, bpad + p * w);
+      std::fill(bpad + p * w + nr, bpad + (p + 1) * w, 0.0f);
+    }
+    b = bpad;
+    ldb = w;
+  }
+  float cpad[kMr * w] = {};
+  for (std::size_t i = 0; i < mr && !first; ++i) {
+    std::copy_n(c + i * ldc, nr, cpad + i * w);
+  }
+  tile<NV>(arow, step, kc, b, ldb, cpad, w, first);
+  for (std::size_t i = 0; i < mr; ++i) {
+    std::copy_n(cpad + i * w, nr, c + i * ldc);
+  }
+}
+
+/// C rows [i0, i1) × columns [j0, j1) over the full depth k: the k slices
+/// run outermost, so each element's products are added in ascending p.
+void gemm_task(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+               std::size_t k, const StridedA& a, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc) {
+  if (k == 0) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::fill(c + i * ldc + j0, c + i * ldc + j1, 0.0f);
+    }
+    return;
+  }
+  for (std::size_t pc = 0; pc < k; pc += kKc) {
+    const std::size_t kc = std::min(kKc, k - pc);
+    const bool first = pc == 0;
+    const float* bslice = b + pc * ldb;
+    for (std::size_t jr = j0; jr < j1; jr += kNr) {
+      const std::size_t nr = std::min(kNr, j1 - jr);
+      for (std::size_t ir = i0; ir < i1; ir += kMr) {
+        const std::size_t mr = std::min(kMr, i1 - ir);
+        const float* arow[kMr];
+        for (std::size_t i = 0; i < kMr; ++i) {
+          arow[i] = a.a + (ir + std::min(i, mr - 1)) * a.row + pc * a.depth;
+        }
+        float* ct = c + ir * ldc + jr;
+        const float* bt = bslice + jr;
+        if (mr == kMr && nr == kNr) {
+          tile<2>(arow, a.depth, kc, bt, ldb, ct, ldc, first);
+        } else if (mr == kMr && nr == 4) {
+          tile<1>(arow, a.depth, kc, bt, ldb, ct, ldc, first);
+        } else if (nr <= 4) {
+          tile_edge<1>(mr, nr, arow, a.depth, kc, bt, ldb, ct, ldc, first);
+        } else {
+          tile_edge<2>(mr, nr, arow, a.depth, kc, bt, ldb, ct, ldc, first);
         }
       }
     }
   }
 }
 
-// Transpose-free Aᵀ·B over C rows [row0, row1): row i of C reads column
-// i of A.  The rank-1-update loop order keeps B and C rows contiguous
-// and accumulates each element in ascending-p order (identical to
-// transposing A and running gemm_rows).
-void gemm_tn_rows(std::size_t row0, std::size_t row1, std::size_t n,
-                  std::size_t k, float alpha, const float* a, std::size_t lda,
-                  const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc) {
-  if (beta == 0.0f) {
-    for (std::size_t i = row0; i < row1; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
-  } else if (beta != 1.0f) {
-    for (std::size_t i = row0; i < row1; ++i) {
-      for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] *= beta;
-    }
-  }
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kKc) {
-      const std::size_t kc = std::min(kKc, k - pc);
-      for (std::size_t i = row0; i < row1; ++i) {
-        float* crow = c + i * ldc + jc;
-        for (std::size_t p = 0; p < kc; ++p) {
-          const float av = alpha * a[(pc + p) * lda + i];
-          if (av == 0.0f) continue;
-          const float* brow = b + (pc + p) * ldb + jc;
-          for (std::size_t j = 0; j < nc; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
+/// Parallel over kRowGrain × kNc tasks of C.  Every C element is
+/// produced whole by one task, so any split is bit-identical to the
+/// serial one.
+void gemm_tasks(std::size_t m, std::size_t n, std::size_t k,
+                const StridedA& a, const float* b, std::size_t ldb, float* c,
+                std::size_t ldc, const ExecContext& ctx) {
+  if (m == 0 || n == 0) return;
+  telemetry::ScopedTimer timer(telemetry::Timer::kGemm);
+  const std::size_t col_tasks = chunk_count(n, kNc);
+  parallel_for(ctx, chunk_count(m, kRowGrain) * col_tasks, 1,
+               [&](std::size_t t0, std::size_t t1) {
+                 for (std::size_t t = t0; t < t1; ++t) {
+                   const std::size_t i0 = (t / col_tasks) * kRowGrain;
+                   const std::size_t j0 = (t % col_tasks) * kNc;
+                   gemm_task(i0, std::min(m, i0 + kRowGrain), j0,
+                             std::min(n, j0 + kNc), k, a, b, ldb, c, ldc);
+                 }
+               });
 }
 
 }  // namespace
 
-void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
-          const float* a, std::size_t lda, const float* b, std::size_t ldb,
-          float beta, float* c, std::size_t ldc, const ExecContext& ctx) {
-  telemetry::ScopedTimer timer(telemetry::Timer::kGemm);
-  parallel_for(ctx, m, kRowGrain,
-               [&](std::size_t row0, std::size_t row1) {
-                 gemm_rows(row0, row1, n, k, alpha, a, lda, b, ldb, beta, c,
-                           ldc);
-               });
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t lda, const float* b, std::size_t ldb, float* c,
+          std::size_t ldc, const ExecContext& ctx) {
+  gemm_tasks(m, n, k, StridedA{a, lda, 1}, b, ldb, c, ldc, ctx);
 }
 
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, float alpha,
-             const float* a, std::size_t lda, const float* b, std::size_t ldb,
-             float beta, float* c, std::size_t ldc, const ExecContext& ctx) {
-  telemetry::ScopedTimer timer(telemetry::Timer::kGemm);
-  parallel_for(ctx, m, kRowGrain,
-               [&](std::size_t row0, std::size_t row1) {
-                 gemm_tn_rows(row0, row1, n, k, alpha, a, lda, b, ldb, beta,
-                              c, ldc);
-               });
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
+             std::size_t ldc, const ExecContext& ctx) {
+  gemm_tasks(m, n, k, StridedA{a, 1, lda}, b, ldb, c, ldc, ctx);
 }
 
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
@@ -121,8 +190,8 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& c,
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   CCQ_CHECK(b.dim(0) == k, "matmul inner dimensions differ");
   c.resize({m, n});
-  gemm(m, n, k, 1.0f, a.data().data(), k, b.data().data(), n, 0.0f,
-       c.data().data(), n, ctx);
+  gemm(m, n, k, a.data().data(), k, b.data().data(), n, c.data().data(), n,
+       ctx);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, const ExecContext& ctx) {
@@ -137,8 +206,8 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& c,
   CCQ_CHECK(b.dim(0) == a.dim(0), "matmul_tn inner dimensions differ");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   c.resize({m, n});
-  gemm_tn(m, n, k, 1.0f, a.data().data(), m, b.data().data(), n, 0.0f,
-          c.data().data(), n, ctx);
+  gemm_tn(m, n, k, a.data().data(), m, b.data().data(), n, c.data().data(),
+          n, ctx);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b, const ExecContext& ctx) {

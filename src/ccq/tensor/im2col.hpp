@@ -1,9 +1,13 @@
 // im2col / col2im lowering for convolution, and the channels-last
 // `im2row` lowering of the integer datapath.
 //
-// Float convolution forward becomes: columns = im2col(x); y = W_mat ·
-// columns.  Backward w.r.t. the input inverts the lowering with col2im
-// (scatter-add).  The integer engine keeps its codes channels-last and
+// Float convolution lowers a group of images side by side into one
+// column panel: columns = im2col(x[n0 .. n0+G)); y = W_mat · columns is
+// then one GEMM over G·out_spatial columns.  Backward w.r.t. the input
+// inverts the lowering with col2im (scatter-add) from a panel of the
+// same layout.  Both take the panel's leading dimension and work out
+// which output pixels of a kernel tap fall in the padding once per tap,
+// not per pixel.  The integer engine keeps its codes channels-last and
 // lowers with `im2row` instead: one dot row per output pixel, so a conv
 // is the same row × weight-panel product as a linear layer.
 #pragma once
@@ -41,10 +45,13 @@ struct ConvGeometry {
   std::size_t out_spatial() const { return out_h() * out_w(); }
 };
 
-/// Lower one image (C,H,W flattened in `image`) to a (patch_size ×
-/// out_spatial) column matrix written to `columns`.  Parallel over
-/// column-matrix rows (each row is written by exactly one chunk).
-void im2col(const float* image, const ConvGeometry& g, float* columns,
+/// Lower `batch` images ((C,H,W) each, back to back in `images`) into a
+/// column panel of patch_size rows and leading dimension `ld` ≥
+/// batch·out_spatial: image n fills columns [n·S, (n+1)·S) of every row
+/// (S = out_spatial), zeros at padding taps.  Parallel over panel rows
+/// (each row is written by exactly one chunk).
+void im2col(const float* images, const ConvGeometry& g, std::size_t batch,
+            float* columns, std::size_t ld,
             const ExecContext& ctx = ExecContext::global());
 
 /// Channels-last lowering for the integer datapath.  `image` holds
@@ -63,12 +70,13 @@ void im2row(const Src* image, const ConvGeometry& g, std::size_t batch,
             Dst* rows, std::size_t stride,
             const ExecContext& ctx = ExecContext::global());
 
-/// Scatter-add a column matrix back to image gradient layout.  `image`
-/// must be pre-zeroed by the caller (we accumulate).  Parallel over
-/// channels: rows of one channel scatter only into that channel's plane,
-/// and within a channel the serial (ky, kx) order is kept, so the
-/// accumulation is deterministic for any thread count.
-void col2im(const float* columns, const ConvGeometry& g, float* image,
+/// Scatter-add a column panel (im2col's layout, leading dimension `ld`)
+/// back into `batch` images.  The images accumulate: the caller zeroes
+/// them first.  Parallel over (image, channel) planes: a plane receives
+/// only its own rows, and each pixel adds its taps in (ky, kx) order, so
+/// the accumulation is deterministic for any thread count.
+void col2im(const float* columns, std::size_t ld, const ConvGeometry& g,
+            std::size_t batch, float* images,
             const ExecContext& ctx = ExecContext::global());
 
 }  // namespace ccq

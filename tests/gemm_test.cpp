@@ -49,24 +49,6 @@ TEST(GemmTest, MatchesNaiveOnOddSizes) {
   }
 }
 
-TEST(GemmTest, BetaAccumulates) {
-  Tensor a({1, 2}, std::vector<float>{1, 1});
-  Tensor b({2, 1}, std::vector<float>{1, 1});
-  Tensor c({1, 1}, std::vector<float>{10});
-  gemm(1, 1, 2, 1.0f, a.data().data(), 2, b.data().data(), 1, 1.0f,
-       c.data().data(), 1);
-  EXPECT_FLOAT_EQ(c(0, 0), 12.0f);
-}
-
-TEST(GemmTest, AlphaScales) {
-  Tensor a({1, 1}, std::vector<float>{3});
-  Tensor b({1, 1}, std::vector<float>{4});
-  Tensor c({1, 1});
-  gemm(1, 1, 1, 0.5f, a.data().data(), 1, b.data().data(), 1, 0.0f,
-       c.data().data(), 1);
-  EXPECT_FLOAT_EQ(c(0, 0), 6.0f);
-}
-
 TEST(GemmTest, ShapeValidation) {
   Tensor a({2, 3});
   Tensor b({4, 2});
@@ -119,7 +101,7 @@ TEST(Im2ColTest, IdentityKernelCopiesImage) {
   std::vector<float> image(18);
   for (std::size_t i = 0; i < image.size(); ++i) image[i] = static_cast<float>(i);
   std::vector<float> cols(g.patch_size() * g.out_spatial());
-  im2col(image.data(), g, cols.data());
+  im2col(image.data(), g, 1, cols.data(), g.out_spatial());
   for (std::size_t i = 0; i < image.size(); ++i) {
     EXPECT_EQ(cols[i], image[i]);
   }
@@ -130,7 +112,7 @@ TEST(Im2ColTest, PaddingProducesZeros) {
                  .stride = 1, .pad = 1};
   std::vector<float> image{1, 2, 3, 4};
   std::vector<float> cols(g.patch_size() * g.out_spatial());
-  im2col(image.data(), g, cols.data());
+  im2col(image.data(), g, 1, cols.data(), g.out_spatial());
   // Kernel position (0,0) at output (0,0) reads the padded corner.
   EXPECT_EQ(cols[0], 0.0f);
   // Centre kernel position (1,1) at output (0,0) reads pixel (0,0).
@@ -149,14 +131,48 @@ TEST(Im2ColTest, Col2ImIsAdjoint) {
   Tensor x = Tensor::randn({img_n}, rng);
   Tensor y = Tensor::randn({col_n}, rng);
   std::vector<float> cols(col_n);
-  im2col(x.data().data(), g, cols.data());
+  im2col(x.data().data(), g, 1, cols.data(), g.out_spatial());
   double lhs = 0.0;
   for (std::size_t i = 0; i < col_n; ++i) lhs += cols[i] * y(i);
   std::vector<float> back(img_n, 0.0f);
-  col2im(y.data().data(), g, back.data());
+  col2im(y.data().data(), g.out_spatial(), g, 1, back.data());
   double rhs = 0.0;
   for (std::size_t i = 0; i < img_n; ++i) rhs += x(i) * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Im2ColTest, BatchedPanelHoldsEachImageAtItsColumnOffset) {
+  // A batch lowered into one panel with a wider leading dimension puts
+  // image n's columns at [n·S, (n+1)·S) of every row, leaves the columns
+  // past the batch untouched, and col2im reads the same layout back.
+  Rng rng(8);
+  const ConvGeometry g{.in_channels = 2, .in_h = 5, .in_w = 4, .kernel = 3,
+                       .stride = 2, .pad = 2};
+  const std::size_t batch = 3, s = g.out_spatial(), ld = batch * s + 3;
+  const std::size_t img_n = g.in_channels * g.in_h * g.in_w;
+  Tensor x = Tensor::randn({batch * img_n}, rng);
+  std::vector<float> panel(g.patch_size() * ld, -7.0f);
+  im2col(x.data().data(), g, batch, panel.data(), ld);
+  std::vector<float> back(batch * img_n, 0.0f);
+  col2im(panel.data(), ld, g, batch, back.data());
+  for (std::size_t n = 0; n < batch; ++n) {
+    std::vector<float> cols(g.patch_size() * s);
+    im2col(x.data().data() + n * img_n, g, 1, cols.data(), s);
+    std::vector<float> one(img_n, 0.0f);
+    col2im(cols.data(), s, g, 1, one.data());
+    for (std::size_t row = 0; row < g.patch_size(); ++row) {
+      for (std::size_t j = 0; j < s; ++j) {
+        ASSERT_EQ(panel[row * ld + n * s + j], cols[row * s + j])
+            << "image " << n << " row " << row << " col " << j;
+      }
+      for (std::size_t j = batch * s; j < ld; ++j) {
+        ASSERT_EQ(panel[row * ld + j], -7.0f) << "row " << row;
+      }
+    }
+    for (std::size_t i = 0; i < img_n; ++i) {
+      ASSERT_EQ(back[n * img_n + i], one[i]) << "image " << n << " pixel " << i;
+    }
+  }
 }
 
 TEST(Im2RowTest, ChannelsLastPatchesMatchIm2colColumns) {
@@ -180,7 +196,7 @@ TEST(Im2RowTest, ChannelsLastPatchesMatchIm2colColumns) {
       }
     }
     std::vector<float> cols(g.patch_size() * g.out_spatial());
-    im2col(nchw.data(), g, cols.data());
+    im2col(nchw.data(), g, 1, cols.data(), g.out_spatial());
     for (std::size_t s = 0; s < g.out_spatial(); ++s) {
       const std::int16_t* row = rows.data() + (img * g.out_spatial() + s) * stride;
       for (std::size_t ch = 0; ch < c; ++ch) {

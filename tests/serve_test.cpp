@@ -345,6 +345,80 @@ TEST(ArtifactTest, CraftedCountsFailNamingTheLayerBeforeAllocating) {
   }
 }
 
+TEST(ArtifactTest, ConstantCodeStreamIsBoundedBeforeItIsExpanded) {
+  // A layer whose codes are all equal packs to 0 bits and 0 bytes, so its
+  // declared geometry alone would size the code vector: 2^20 × 2^20 codes
+  // is 4 TiB of int32.  The reader must throw a typed error naming the
+  // layer (std::bad_alloc fails the test), and so must one row deeper
+  // than the constant-stream cap.
+  const CraftedLayer layers[] = {
+      {.out_channels = std::uint64_t{1} << 20,
+       .in_channels = std::uint64_t{1} << 20,
+       .code_count = std::uint64_t{1} << 40},
+      {.out_channels = 1,
+       .in_channels = std::uint64_t{1} << 17,
+       .code_count = std::uint64_t{1} << 17},
+  };
+  for (const CraftedLayer& layer : layers) {
+    const std::string path = write_crafted("ccq_serve_constant.ccqa", layer);
+    std::string message;
+    EXPECT_THROW(
+        {
+          try {
+            inspect_artifact(path);
+          } catch (const Error& e) {
+            message = e.what();
+            throw;
+          }
+        },
+        Error)
+        << layer.in_channels << " codes per row";
+    EXPECT_NE(message.find("layer 'hostile'"), std::string::npos) << message;
+    EXPECT_NE(message.find("constant code stream"), std::string::npos)
+        << message;
+    EXPECT_EQ(error_message([&] { load_artifact(path); }), message);
+    fs::remove(path);
+  }
+}
+
+TEST(ArtifactTest, ConstantLayerRoundTrips) {
+  // A legitimate constant layer — every code equal, so a 0-bit stream —
+  // still loads and serves bit-identically.
+  Rng rng(17);
+  auto conv = [&](std::size_t in_c, std::size_t out_c, std::string name,
+                  bool constant) {
+    hw::IntLayerPlan p;
+    p.kind = hw::IntLayerPlan::Kind::kConv;
+    p.name = std::move(name);
+    p.in_channels = in_c;
+    p.out_channels = out_c;
+    p.kernel = 3;
+    p.stride = 1;
+    p.pad = 1;
+    p.weight_bits = 4;
+    p.weight_codes.resize(out_c * in_c * 9);
+    for (auto& c : p.weight_codes) {
+      c = constant ? 3 : static_cast<std::int32_t>(rng.uniform_int(15)) - 7;
+    }
+    p.channel_scale.assign(out_c, 0.01f);
+    p.bias.assign(out_c, 0.02f);
+    p.has_act = true;
+    p.act_bits = 4;
+    p.act_clip = 1.0f;
+    return p;
+  };
+  hw::IntegerNetwork direct = hw::IntegerNetwork::from_plans(
+      {conv(3, 8, "conv1", false), conv(8, 4, "conv2", true)});
+  ASSERT_EQ(pack_codes(direct.plan(1).weight_codes).bits, 0);
+  const std::string path = temp_path("ccq_serve_constant_layer.ccqa");
+  export_artifact(direct, path);
+  hw::IntegerNetwork loaded = load_artifact(path);
+  EXPECT_EQ(loaded.plan(1).weight_codes, direct.plan(1).weight_codes);
+  const Tensor x = make_inputs(4);
+  EXPECT_EQ(max_abs_diff(direct.forward(x), loaded.forward(x)), 0.0f);
+  fs::remove(path);
+}
+
 TEST(ArtifactTest, RejectsForeignFiles) {
   const std::string path = temp_path("ccq_serve_notartifact.bin");
   {

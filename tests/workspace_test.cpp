@@ -15,8 +15,11 @@
 #include "ccq/core/trainer.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/resnet.hpp"
+#include "ccq/models/simple.hpp"
 #include "ccq/nn/conv.hpp"
 #include "ccq/nn/linear.hpp"
+#include "ccq/nn/loss.hpp"
+#include "ccq/nn/optim.hpp"
 
 namespace ccq {
 namespace {
@@ -331,6 +334,50 @@ TEST(WorkspaceAllocTest, WarmEvaluateBatchIsAllocationFree) {
       << "warm evaluate_batch must not touch the heap";
   EXPECT_FLOAT_EQ(cold.loss, warm.loss);
   EXPECT_FLOAT_EQ(cold.accuracy, warm.accuracy);
+}
+
+TEST(WorkspaceAllocTest, WarmTrainingStepIsAllocationFree) {
+  // A recovery-epoch SGD step (forward, loss, backward, update) leases
+  // every float buffer — the conv's folded sample-group panels included —
+  // from the pool, so once one step has warmed it the next allocates
+  // nothing.  40 samples split the SimpleCNN's first conv into two groups.
+  if (!alloc_stats::enabled()) GTEST_SKIP() << "CCQ_COUNT_ALLOCS is off";
+  data::SyntheticConfig dc;
+  dc.num_classes = 10;
+  dc.samples_per_class = 4;
+  dc.height = dc.width = 16;
+  dc.seed = 81;
+  const data::Batch batch = data::make_synthetic_vision(dc).all();
+  models::ModelConfig mc;
+  mc.num_classes = 10;
+  mc.image_size = 16;
+  mc.width_multiplier = 0.25f;
+  mc.seed = 7;
+  const quant::QuantFactory factory{.policy = quant::Policy::kPact};
+  models::QuantModel nets[] = {
+      tiny_resnet(),
+      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}))};
+  for (models::QuantModel& model : nets) {
+    Workspace ws;
+    nn::Sgd optimizer(model.parameters(), nn::SgdConfig{});
+    nn::SoftmaxCrossEntropy loss(ws);
+    model.set_training(true);
+    Tensor grad = ws.tensor_uninit({batch.size(), 10});
+    auto step = [&] {
+      optimizer.zero_grad();
+      Tensor logits = model.forward(batch.images, ws);
+      loss.forward(logits, batch.labels);
+      ws.recycle(std::move(logits));
+      loss.backward_into(grad);
+      ws.recycle(model.backward(grad, ws));
+      optimizer.step();
+    };
+    step();
+    alloc_stats::reset();
+    step();
+    EXPECT_EQ(alloc_stats::count(), 0u)
+        << "warm " << model.name() << " training step must not touch the heap";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,21 @@
 #!/usr/bin/env python3
 """Run a benchmark grid and snapshot it to a committed BENCH_*.json.
 
-Four suites cover the integer-inference datapath and the serving stack:
+Five suites cover float training, the integer-inference datapath and the
+serving stack:
+
+  train     BM_Gemm, BM_ConvForward, BM_ConvBackward,
+            BM_ConvForwardThreads, BM_ConvBackwardThreads, BM_TrainStep/0
+            and BM_ProbeStep/0 -> BENCH_train.json
+            the float path that pretraining, every competition probe and
+            every recovery epoch run: the SGEMM tile, batch-folded conv
+            forward / backward at 1, 2 and 4 threads, and one SGD step and
+            one probe on a thin ResNet-20 (allocs_per_iter must stay 0).
+            Rows are medians over 3 processes of 5 interleaved
+            repetitions and gate on real_time_ns.  The suite stays out of
+            CI's bench smoke: absolute times do not carry from one runner
+            to another, and the suite has no in-process reference row to
+            form a ratio against
 
   igemm     BM_IgemmForward -> BENCH_igemm.json
             the kernel registry (scalar / vec16 / vec-packed) vs the naive
@@ -32,12 +46,13 @@ Typical use:
 
     tools/bench_snapshot.py --build build                 # all suites: run + compare + update
     tools/bench_snapshot.py --build build --suite engine  # one suite
+    tools/bench_snapshot.py --build build --suite train   # float training rows
     tools/bench_snapshot.py --build build --check         # run + compare, no write
     tools/bench_snapshot.py --json out.json --suite igemm --check
 
 Comparison is per row against the committed snapshot; a row regressing
 by more than --tolerance (default 25%, benchmarks on shared runners are
-noisy) fails the check.  The igemm and engine suites gate on
+noisy) fails the check.  The train suite gates on real_time_ns.  The igemm and engine suites gate on
 speedup_vs_reference — each kernel row against the naive-oracle row at
 the same bit width, measured in the same processes — because a ratio
 carries from one machine to another and absolute real_time_ns does not;
@@ -58,6 +73,16 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SUITES = {
+    "train": {
+        "filter": ("^BM_Gemm/|^BM_ConvForward/|^BM_ConvBackward/"
+                   "|^BM_ConvForwardThreads/|^BM_ConvBackwardThreads/"
+                   "|^BM_TrainStep/0$|^BM_ProbeStep/0$"),
+        "binary": "bench_kernels",
+        "snapshot": REPO / "BENCH_train.json",
+        "named": True,
+        "repetitions": 5,
+        "processes": 3,
+    },
     "igemm": {
         "filter": "BM_IgemmForward",
         "binary": "bench_kernels",
@@ -155,6 +180,27 @@ def parse_mode_rows(raw: dict, suite: dict) -> dict:
     return rows
 
 
+def parse_named_rows(raw: dict) -> dict:
+    """google-benchmark JSON -> {run name: row}, each row the median over
+    processes of that process's median aggregate."""
+    samples = {}
+    for b in raw.get("benchmarks", []):
+        if b.get("aggregate_name") == "median":
+            samples.setdefault(b["run_name"], []).append(b)
+    def natural(name):  # BM_Gemm/64 before BM_Gemm/128
+        return [int(p) if p.isdigit() else p for p in name.split("/")]
+    rows = {}
+    for name, group in sorted(samples.items(), key=lambda kv: natural(kv[0])):
+        ips = [b["items_per_second"] for b in group if "items_per_second" in b]
+        allocs = [b["allocs_per_iter"] for b in group if "allocs_per_iter" in b]
+        rows[name] = {
+            "real_time_ns": statistics.median(real_time_ns(b) for b in group),
+            "items_per_second": statistics.median(ips) if ips else None,
+            "allocs_per_iter": max(allocs) if allocs else None,
+        }
+    return rows
+
+
 def parse_serve_rows(raw: dict) -> dict:
     """bench_serve JSON -> rows keyed closed/pPwW/dD, open/Rrps/dD,
     latency/wW, forward/bB, mixed/Rrps, rung/R and ramp (D = the row's
@@ -207,8 +253,12 @@ def parse_serve_rows(raw: dict) -> dict:
 
 
 def parse_rows(raw: dict, suite: dict) -> dict:
-    rows = (parse_mode_rows(raw, suite) if "modes" in suite
-            else parse_serve_rows(raw))
+    if "modes" in suite:
+        rows = parse_mode_rows(raw, suite)
+    elif suite.get("named"):
+        rows = parse_named_rows(raw)
+    else:
+        rows = parse_serve_rows(raw)
     if not rows:
         sys.exit(f"no {suite['filter']} rows in benchmark output")
     return rows

@@ -13,7 +13,9 @@
 #include "ccq/models/resnet.hpp"
 #include "ccq/nn/conv.hpp"
 #include "ccq/nn/loss.hpp"
+#include "ccq/nn/norm.hpp"
 #include "ccq/nn/optim.hpp"
+#include "ccq/quant/act_quant.hpp"
 #include "ccq/quant/calibrate.hpp"
 #include "ccq/quant/weight_hooks.hpp"
 #include "ccq/tensor/gemm.hpp"
@@ -181,6 +183,82 @@ BENCHMARK_TEMPLATE(BM_WeightQuantizer, quant::SawbWeightHook)->Arg(2)->Arg(8);
 BENCHMARK_TEMPLATE(BM_WeightQuantizer, quant::LqNetsWeightHook)->Arg(2)->Arg(8);
 BENCHMARK_TEMPLATE(BM_WeightQuantizer, quant::MinMaxWeightHook)->Arg(2)->Arg(8);
 
+/// Elementwise training layers at the SimpleCNN's first activation shape
+/// (batch 32, 4 channels of 16×16 at width 0.25): one forward plus one
+/// backward in training mode.
+const Shape kActShape = {32, 4, 16, 16};
+
+/// PACT at fp (Arg 32, as in pretraining) and at 8 bits (Arg 8, the
+/// first ladder rung).  α = 2 saturates about 2% of the N(0, 1) inputs,
+/// so the dL/dα sum runs too.
+void BM_PactStep(benchmark::State& state) {
+  quant::PactActivation act(2.0f);
+  act.set_bits(static_cast<int>(state.range(0)));
+  Rng rng(5);
+  const Tensor x = Tensor::randn(kActShape, rng);
+  const Tensor gy = Tensor::randn(kActShape, rng);
+  Workspace ws;
+  auto step = [&] {
+    ws.recycle(act.forward(x, ws));
+    Tensor g = act.backward(gy, ws);
+    benchmark::DoNotOptimize(g.data().data());
+    ws.recycle(std::move(g));
+  };
+  step();  // warm the pool and the input cache
+  const AllocSnapshot before;
+  for (auto _ : state) step();
+  report_allocs(state, before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_PactStep)->Arg(32)->Arg(8);
+
+void BM_BatchNormStep(benchmark::State& state) {
+  nn::BatchNorm2d bn(kActShape[1]);
+  Rng rng(6);
+  const Tensor x = Tensor::randn(kActShape, rng);
+  const Tensor gy = Tensor::randn(kActShape, rng);
+  Workspace ws;
+  auto step = [&] {
+    ws.recycle(bn.forward(x, ws));
+    Tensor g = bn.backward(gy, ws);
+    benchmark::DoNotOptimize(g.data().data());
+    ws.recycle(std::move(g));
+  };
+  step();
+  const AllocSnapshot before;
+  for (auto _ : state) step();
+  report_allocs(state, before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.numel()));
+}
+BENCHMARK(BM_BatchNormStep);
+
+/// One augmented batch of 32 at 3×16×16 (pad-crop 2 and flips, the
+/// training default): the epoch's shuffle of 32 indices, then the batch.
+void BM_LoaderNext(benchmark::State& state) {
+  data::SyntheticConfig dc;
+  dc.num_classes = 4;
+  dc.samples_per_class = 8;
+  dc.height = dc.width = 16;
+  dc.seed = 10;
+  const data::Dataset dataset = data::make_synthetic_vision(dc);
+  data::DataLoader loader(dataset, 32, data::Augment{}, Rng(8));
+  data::Batch batch;
+  loader.next(batch);
+  const AllocSnapshot before;
+  for (auto _ : state) {
+    loader.start_epoch();
+    loader.next(batch);
+    benchmark::DoNotOptimize(batch.images.data().data());
+    benchmark::ClobberMemory();
+  }
+  report_allocs(state, before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_LoaderNext);
+
 /// Shared fixture for the end-to-end benches: a thin ResNet20 plus a
 /// small synthetic probe/train batch (the paper's probe geometry).
 models::QuantModel bench_model() {
@@ -256,7 +334,7 @@ void BM_TrainStep(benchmark::State& state) {
     const float l = loss.forward(logits, batch.labels);
     ws.recycle(std::move(logits));
     loss.backward_into(grad);
-    ws.recycle(model.backward(grad, ws));
+    model.backward(grad, ws);
     optimizer.step();
     return l;
   };

@@ -89,8 +89,7 @@ float train_epoch(models::QuantModel& model, nn::Sgd& optimizer,
     }
     ws.recycle(std::move(logits));
     loss.backward_into(grad_logits);
-    Tensor grad_in = model.backward(grad_logits, ws);
-    ws.recycle(std::move(grad_in));
+    model.backward(grad_logits, ws);
     optimizer.step();
     total += static_cast<double>(batch_loss) *
              static_cast<double>(batch.size());

@@ -1,5 +1,6 @@
 #include "ccq/data/dataset.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "ccq/common/exec.hpp"
@@ -117,45 +118,42 @@ DataLoader::AugmentDraw DataLoader::draw_augment() {
   return draw;
 }
 
-Tensor DataLoader::augment_image(const Tensor& image,
-                                 const AugmentDraw& draw) const {
-  const std::size_t c = dataset_.channels(), h = dataset_.height(),
-                    w = dataset_.width();
-  Tensor out = image;
-  if (augment_.pad_crop > 0) {
-    // Shift by an offset in [-pad, pad] in each axis, zero-filling.
-    const long dy = draw.dy;
-    const long dx = draw.dx;
-    if (dy != 0 || dx != 0) {
-      Tensor shifted({c, h, w});
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t y = 0; y < h; ++y) {
-          const long sy = static_cast<long>(y) + dy;
-          if (sy < 0 || sy >= static_cast<long>(h)) continue;
-          for (std::size_t x = 0; x < w; ++x) {
-            const long sx = static_cast<long>(x) + dx;
-            if (sx < 0 || sx >= static_cast<long>(w)) continue;
-            shifted(ch, y, x) = out(ch, static_cast<std::size_t>(sy),
-                                    static_cast<std::size_t>(sx));
-          }
-        }
+namespace {
+
+/// Write one C×H×W image shifted by (dy, dx) — zero where the source
+/// pixel falls outside — and then, with `flip`, mirrored left to right,
+/// into `dst`.  Pure data movement: every output float is a source float
+/// or +0.
+void augment_into(const float* src, std::size_t c, std::size_t h,
+                  std::size_t w, long dy, long dx, bool flip, float* dst) {
+  const long wl = static_cast<long>(w);
+  // Output columns [lo, hi) read the source; the rest are zero.  Without
+  // a flip column x reads x + dx, with one w − 1 − x + dx.
+  const long lo = std::clamp(flip ? dx : -dx, 0L, wl);
+  const long hi = std::clamp(flip ? wl + dx : wl - dx, lo, wl);
+  for (std::size_t ch = 0; ch < c; ++ch) {
+    for (std::size_t y = 0; y < h; ++y) {
+      float* row = dst + (ch * h + y) * w;
+      const long sy = static_cast<long>(y) + dy;
+      if (sy < 0 || sy >= static_cast<long>(h) || lo == hi) {
+        std::fill(row, row + w, 0.0f);
+        continue;
       }
-      out = std::move(shifted);
+      const float* srow = src + (ch * h + static_cast<std::size_t>(sy)) * w;
+      std::fill(row, row + lo, 0.0f);
+      if (flip) {
+        // Columns lo..hi−1 read w−1−lo+dx down to w−hi+dx.
+        std::reverse_copy(srow + (wl - hi + dx), srow + (wl - lo + dx),
+                          row + lo);
+      } else {
+        std::copy(srow + (lo + dx), srow + (hi + dx), row + lo);
+      }
+      std::fill(row + hi, row + w, 0.0f);
     }
   }
-  if (draw.flip) {
-    Tensor flipped({c, h, w});
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t x = 0; x < w; ++x) {
-          flipped(ch, y, x) = out(ch, y, w - 1 - x);
-        }
-      }
-    }
-    out = std::move(flipped);
-  }
-  return out;
 }
+
+}  // namespace
 
 bool DataLoader::next(Batch& out) {
   if (cursor_ >= order_.size()) return false;
@@ -169,19 +167,18 @@ bool DataLoader::next(Batch& out) {
   out.labels.reserve(take);
   float* dst = out.images.data().data();
   // RNG consumption happens serially in sample order; the augmented
-  // copies (disjoint batch rows) are then assembled in parallel.
-  std::vector<AugmentDraw> draws(take);
+  // images (disjoint batch rows) are then written in parallel.
+  draws_.resize(take);
   for (std::size_t i = 0; i < take; ++i) {
-    draws[i] = draw_augment();
+    draws_[i] = draw_augment();
     out.labels.push_back(dataset_.label(order_[cursor_ + i]));
   }
   parallel_for(ExecContext::global(), take, 4,
                [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
-      const std::size_t idx = order_[cursor_ + i];
-      const Tensor aug = augment_image(dataset_.image(idx), draws[i]);
-      const float* src = aug.data().data();
-      std::copy(src, src + sample, dst + i * sample);
+      const AugmentDraw& d = draws_[i];
+      augment_into(dataset_.image(order_[cursor_ + i]).data().data(), c, h, w,
+                   d.dy, d.dx, d.flip, dst + i * sample);
     }
   });
   cursor_ += take;

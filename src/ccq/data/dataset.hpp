@@ -73,7 +73,14 @@ class DataLoader {
   /// Reshuffle and restart an epoch.
   void start_epoch();
 
-  /// Fetch the next batch; returns false at epoch end.
+  /// Fetch the next batch; returns false at epoch end.  The loader's
+  /// RNG draws, in order: the epoch's shuffle (start_epoch), then per
+  /// sample, in batch order, dy and dx when pad_crop > 0 (each uniform
+  /// in [−pad_crop, pad_crop]) and a flip coin when horizontal_flip is
+  /// set.  Each augmented image is written straight into its batch row:
+  /// pixel (y, x) reads the source at (y + dy, x + dx) — zero where that
+  /// falls outside the image — and a flip mirrors the shifted columns.
+  /// Warm calls into the same `out` allocate no float storage.
   bool next(Batch& out);
 
   std::size_t batches_per_epoch() const;
@@ -96,7 +103,6 @@ class DataLoader {
   };
 
   AugmentDraw draw_augment();
-  Tensor augment_image(const Tensor& image, const AugmentDraw& draw) const;
 
   const Dataset& dataset_;
   std::size_t batch_size_;
@@ -104,6 +110,7 @@ class DataLoader {
   Rng rng_;
   std::vector<std::size_t> order_;
   std::size_t cursor_ = 0;
+  std::vector<AugmentDraw> draws_;  ///< the current batch's draws
 };
 
 }  // namespace ccq::data

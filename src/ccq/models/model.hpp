@@ -46,8 +46,11 @@ class QuantModel {
   Tensor forward(const Tensor& x, Workspace& ws) {
     return net_->forward(x, ws);
   }
-  Tensor backward(const Tensor& grad, Workspace& ws) {
-    return net_->backward(grad, ws);
+  /// Accumulate every parameter gradient of the loss gradient `grad`.
+  /// No caller needs dL/d(image), so the first layers skip forming it
+  /// (Module::backward_params); `net().backward` still returns it.
+  void backward(const Tensor& grad, Workspace& ws) {
+    net_->backward_params(grad, ws);
   }
   std::vector<nn::Parameter*> parameters() { return net_->parameters(); }
   void set_training(bool training) { net_->set_training(training); }

@@ -44,6 +44,25 @@ Tensor Sequential::backward(const Tensor& grad_out, Workspace& ws) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_out, Workspace& ws) {
+  std::size_t first = 0;
+  while (first < children_.size() && children_[first]->parameters().empty()) {
+    ++first;
+  }
+  // `cur` is the gradient at the current child's output: grad_out, then
+  // each gradient the loop forms, which `g` owns.
+  const Tensor* cur = &grad_out;
+  Tensor g;
+  for (std::size_t i = children_.size(); i-- > first + 1;) {
+    Tensor next = children_[i]->backward(*cur, ws);
+    ws.recycle(std::move(g));
+    g = std::move(next);
+    cur = &g;
+  }
+  if (first < children_.size()) children_[first]->backward_params(*cur, ws);
+  ws.recycle(std::move(g));
+}
+
 void Sequential::collect_parameters(std::vector<Parameter*>& out) {
   for (auto& child : children_) child->collect_parameters(out);
 }

@@ -28,6 +28,10 @@ class Sequential : public Module {
 
   Tensor forward(const Tensor& x, Workspace& ws) override;
   Tensor backward(const Tensor& grad_out, Workspace& ws) override;
+  /// Backward through the children after the first one with parameters,
+  /// then that child's backward_params; the parameterless children
+  /// before it are skipped, since their backward has no side effect.
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_buffers(std::vector<NamedBuffer>& out) override;
   void set_training(bool training) override;

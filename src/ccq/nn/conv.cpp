@@ -113,6 +113,15 @@ Tensor Conv2d::forward(const Tensor& x, Workspace& ws) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
+  return backward_body(grad_out, ws, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out, Workspace& ws) {
+  backward_body(grad_out, ws, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backward_body(const Tensor& grad_out, Workspace& ws,
+                             bool input_grad) {
   telemetry::ScopedTimer timer(telemetry::Timer::kConvBackward);
   CCQ_CHECK(input_.rank() == 4, "backward before forward");
   const std::size_t n = input_.dim(0);
@@ -128,7 +137,7 @@ Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
   const std::size_t group = group_size(patch * spatial, n);
 
   // col2im scatters with +=, so the input gradient starts zeroed.
-  Tensor grad_in = ws.tensor(input_.shape());
+  Tensor grad_in = input_grad ? ws.tensor(input_.shape()) : Tensor();
   // dWᵀ (patch × out) accumulates one partial product per sample, each
   // formed on its own and added in sample order — never summed over a
   // group in one pass.
@@ -137,8 +146,10 @@ Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
   std::fill(dwt.data(), dwt.data() + weights, 0.0f);
   Workspace::FloatLease parts = ws.floats(group * weights);
   Workspace::FloatLease cols = ws.floats(patch * group * spatial);
-  Workspace::FloatLease dcols = ws.floats(patch * group * spatial);
-  Workspace::FloatLease gy_rows = ws.floats(out * group * spatial);
+  // dX's panel and its B operand (gy as rows); empty leases without dX.
+  const std::size_t dx_floats = input_grad ? group * spatial : 0;
+  Workspace::FloatLease dcols = ws.floats(patch * dx_floats);
+  Workspace::FloatLease gy_rows = ws.floats(out * dx_floats);
   Workspace::FloatLease gy_cols = ws.floats(group * spatial * out);
   const float* wp = qweight_.data().data();
   const ExecContext& ctx = exec();
@@ -160,16 +171,23 @@ Tensor Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
         for (std::size_t oc = 0; oc < out; ++oc) {
           const float* src =
               grad_out.data().data() + ((n0 + i) * out + oc) * spatial;
-          std::copy_n(src, spatial, gy_rows.data() + oc * width + i * spatial);
+          if (input_grad) {
+            std::copy_n(src, spatial,
+                        gy_rows.data() + oc * width + i * spatial);
+          }
           float* col = gy_cols.data() + i * spatial * out + oc;
           for (std::size_t s = 0; s < spatial; ++s) col[s * out] = src[s];
         }
       }
-      // dcols (patch × S per sample) = Wᵀ · gy, scattered into the images.
-      gemm_tn(patch, (i1 - i0) * spatial, out, wp, patch,
-              gy_rows.data() + col0, width, dcols.data() + col0, width, ctx);
-      col2im(dcols.data() + col0, width, g, i1 - i0,
-             grad_in.data().data() + (n0 + i0) * image, ctx);
+      if (input_grad) {
+        // dcols (patch × S per sample) = Wᵀ · gy, scattered into the
+        // images.
+        gemm_tn(patch, (i1 - i0) * spatial, out, wp, patch,
+                gy_rows.data() + col0, width, dcols.data() + col0, width,
+                ctx);
+        col2im(dcols.data() + col0, width, g, i1 - i0,
+               grad_in.data().data() + (n0 + i0) * image, ctx);
+      }
       // Sample i's dWᵀ partial = cols_i (patch × S) · gyᵀ_i (S × out).
       for (std::size_t i = i0; i < i1; ++i) {
         gemm(patch, out, spatial, cols.data() + i * spatial, width,

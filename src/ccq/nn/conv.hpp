@@ -20,7 +20,10 @@
 //            one pass
 //
 // so training is bit-identical to a one-sample-at-a-time scalar loop, for
-// any group size and thread count.
+// any group size and thread count.  backward_params runs the same body
+// without dX — no zeroed input gradient, no Wᵀ·gy GEMM, no col2im — for a
+// conv whose input gradient nobody reads, such as a network's first
+// layer; dW and dbias come out byte-identical.
 #pragma once
 
 #include <memory>
@@ -42,6 +45,9 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& x, Workspace& ws) override;
   Tensor backward(const Tensor& grad_out, Workspace& ws) override;
+  /// backward without dX: no zeroed input gradient, no Wᵀ·gy GEMM and
+  /// no col2im; dW and dbias are formed exactly as backward forms them.
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string type_name() const override { return "Conv2d"; }
 
@@ -68,6 +74,10 @@ class Conv2d : public Module {
 
  private:
   ConvGeometry geometry(std::size_t h, std::size_t w) const;
+  /// The one backward body: dW and dbias always, dX (returned) only
+  /// with `input_grad`, else an empty tensor.
+  Tensor backward_body(const Tensor& grad_out, Workspace& ws,
+                       bool input_grad);
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_;
   bool has_bias_;

@@ -107,8 +107,20 @@ class Module {
 
   /// Given dL/d(output), return dL/d(input) (storage drawn from `ws`)
   /// and accumulate parameter gradients.  Must be called after the
-  /// matching forward in training mode.
+  /// matching forward in training mode.  A module without parameters
+  /// has no other backward side effect: its backward only forms
+  /// dL/d(input), so a caller that drops that gradient may skip it.
   virtual Tensor backward(const Tensor& grad_out, Workspace& ws) = 0;
+
+  /// Accumulate exactly the parameter gradients `backward` would, when
+  /// the caller has no use for dL/d(input) — the first layers of a
+  /// network, whose input is the image.  The default runs backward and
+  /// recycles its result; a layer that can skip forming dL/d(input)
+  /// overrides it (Conv2d), and Sequential skips the backward of its
+  /// parameterless prefix altogether.
+  virtual void backward_params(const Tensor& grad_out, Workspace& ws) {
+    ws.recycle(backward(grad_out, ws));
+  }
 
   /// Append this module's own parameters (containers recurse).
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }

@@ -9,6 +9,17 @@ namespace ccq::nn {
 /// Training mode uses batch statistics and maintains running estimates;
 /// eval mode uses the running estimates.  Scale/shift (γ, β) are
 /// learnable and exempt from weight decay.
+///
+/// Numerics: each channel's Σx and Σx² (forward) and Σgy and Σgy·x̂
+/// (backward) are double chains from +0 in (n, s) order.  Four channels'
+/// chains run side by side, one per vector lane, which leaves each chain
+/// as it was; splitting one channel's chain would reassociate it.  The
+/// elementwise passes run four lanes at a time in the scalar
+/// expression order:
+///
+///   train    x̂ = (x − float(mean))·inv_std,  y = γ·x̂ + β
+///   backward gx = (γ·inv_std)·(gy − mean(gy) − x̂·mean(gy·x̂))
+///   eval     y = γ·(x − mean)·inv_std + β
 class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(std::size_t channels, float momentum = 0.1f,
@@ -32,8 +43,9 @@ class BatchNorm2d : public Module {
   Parameter gamma_, beta_;
   Tensor running_mean_, running_var_;
 
-  // Forward cache (training mode).
-  Tensor input_;
+  // Forward cache (training mode).  Backward needs only the input's
+  // shape; x̂ carries everything else.
+  Shape input_shape_;
   Tensor xhat_;
   std::vector<float> batch_mean_, batch_inv_std_;
 };

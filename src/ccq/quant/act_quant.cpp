@@ -1,9 +1,38 @@
 #include "ccq/quant/act_quant.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "ccq/tensor/vec4.hpp"
 
 namespace ccq::quant {
+
+namespace {
+
+using vec::v4;
+using vec::vi4;
+
+/// Straight-through estimator of the clip to [0, clip]:
+/// g[i] = (x[i] ≥ clip or x[i] ≤ 0) ? 0 : gy[i], as a select (a 0/1
+/// multiply would turn 0·Inf into NaN).  With `saturated` set, the
+/// gradient of the clip value, Σ gy[i] over x[i] ≥ clip, is added to it
+/// in double in index order; a block with no saturated element adds
+/// nothing, so skipping it keeps the sum exact.
+void clip_backward(const float* x, const float* gy, float* g, std::size_t n,
+                   float clip, double* saturated) {
+  const v4 zero{}, hi = vec::splat(clip);
+  vec::for_blocks(n, [&](std::size_t i, std::size_t k) {
+    const v4 xv = vec::load4(x + i, k);
+    const vi4 high = xv >= hi;
+    if (saturated != nullptr && vec::any(high)) {
+      for (std::size_t l = i; l < i + k; ++l) {
+        if (x[l] >= clip) *saturated += gy[l];
+      }
+    }
+    vec::store4(g + i, (high | (xv <= zero)) ? zero : vec::load4(gy + i, k), k);
+  });
+}
+
+}  // namespace
 
 ClipActQuant::ClipActQuant(float clip) : clip_(clip) {
   CCQ_CHECK(clip > 0.0f, "activation clip must be positive");
@@ -12,29 +41,15 @@ ClipActQuant::ClipActQuant(float clip) : clip_(clip) {
 Tensor ClipActQuant::forward(const Tensor& x, Workspace& ws) {
   if (training_) input_ = x;  // eval fast path: STE mask never needed
   Tensor y = ws.tensor_uninit(x.shape());  // fully overwritten
-  auto xp = x.data();
-  auto yp = y.data();
-  if (bits_ >= 32) {
-    for (std::size_t i = 0; i < xp.size(); ++i) {
-      yp[i] = std::clamp(xp[i], 0.0f, clip_);
-    }
-  } else {
-    for (std::size_t i = 0; i < xp.size(); ++i) {
-      yp[i] = quantize_unsigned(xp[i], bits_, clip_);
-    }
-  }
+  quantize_unsigned(x.data().data(), y.data().data(), x.numel(), bits_, clip_);
   return y;
 }
 
 Tensor ClipActQuant::backward(const Tensor& grad_out, Workspace& ws) {
   CCQ_CHECK(same_shape(grad_out, input_), "ClipActQuant grad mismatch");
   Tensor g = ws.tensor_uninit(grad_out.shape());
-  auto xp = input_.data();
-  auto gyp = grad_out.data();
-  auto gp = g.data();
-  for (std::size_t i = 0; i < xp.size(); ++i) {
-    gp[i] = (xp[i] <= 0.0f || xp[i] >= clip_) ? 0.0f : gyp[i];
-  }
+  clip_backward(input_.data().data(), grad_out.data().data(), g.data().data(),
+                g.numel(), clip_, nullptr);
   return g;
 }
 
@@ -49,17 +64,7 @@ Tensor PactActivation::forward(const Tensor& x, Workspace& ws) {
   if (training_) input_ = x;  // eval fast path
   const float a = std::max(alpha_.value.at(0), 1e-3f);
   Tensor y = ws.tensor_uninit(x.shape());  // fully overwritten
-  auto xp = x.data();
-  auto yp = y.data();
-  if (bits_ >= 32) {
-    for (std::size_t i = 0; i < xp.size(); ++i) {
-      yp[i] = std::clamp(xp[i], 0.0f, a);
-    }
-  } else {
-    for (std::size_t i = 0; i < xp.size(); ++i) {
-      yp[i] = quantize_unsigned(xp[i], bits_, a);
-    }
-  }
+  quantize_unsigned(x.data().data(), y.data().data(), x.numel(), bits_, a);
   return y;
 }
 
@@ -67,22 +72,11 @@ Tensor PactActivation::backward(const Tensor& grad_out, Workspace& ws) {
   CCQ_CHECK(same_shape(grad_out, input_), "PactActivation grad mismatch");
   const float a = std::max(alpha_.value.at(0), 1e-3f);
   Tensor g = ws.tensor_uninit(grad_out.shape());
-  auto xp = input_.data();
-  auto gyp = grad_out.data();
-  auto gp = g.data();
+  // Saturated high elements output exactly α, so dL/dα sums their gy;
+  // inside (0, α) the gradient passes straight through.
   double alpha_grad = 0.0;
-  for (std::size_t i = 0; i < xp.size(); ++i) {
-    if (xp[i] >= a) {
-      // Saturated high: output is exactly α, so dL/dα += gy.
-      alpha_grad += gyp[i];
-      gp[i] = 0.0f;
-    } else if (xp[i] <= 0.0f) {
-      gp[i] = 0.0f;
-    } else {
-      // STE pass-through inside (0, α).
-      gp[i] = gyp[i];
-    }
-  }
+  clip_backward(input_.data().data(), grad_out.data().data(), g.data().data(),
+                g.numel(), a, &alpha_grad);
   alpha_.grad.at(0) += static_cast<float>(alpha_grad);
   return g;
 }

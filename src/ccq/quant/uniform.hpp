@@ -8,6 +8,7 @@
 // float; the straight-through estimator lives in the weight hooks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,15 @@ float quantize_unit(float x, int bits);
 
 /// Quantize `x` to the unsigned grid over [0, clip]; values are clipped.
 float quantize_unsigned(float x, int bits, float clip);
+
+/// Array form: y[i] = quantize_unsigned(x[i], bits, clip) for i < n, bit
+/// for bit, in 4-lane vectors.  At 32 bits it is std::clamp(x, 0, clip)
+/// (NaN passes through, −0 stays −0); below, clip·(round(clamp(x/clip,
+/// 0, 1)·n)/n) with both divisions kept and round half away from zero
+/// done exactly, without libm.  Below 32 bits a non-empty call checks
+/// `clip > 0` once.  `y` may alias `x`.
+void quantize_unsigned(const float* x, float* y, std::size_t n, int bits,
+                       float clip);
 
 /// Quantize `x` to the symmetric grid over [−clip, +clip].
 float quantize_symmetric(float x, int bits, float clip);

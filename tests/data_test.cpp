@@ -1,6 +1,8 @@
 // Tests for datasets, loaders, augmentation and the synthetic generators.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
 #include <set>
 
 #include "ccq/data/synthetic.hpp"
@@ -126,6 +128,76 @@ TEST(DataLoaderTest, AugmentationPreservesShapeAndRange) {
   EXPECT_EQ(b.images.dim(3), 16u);
   EXPECT_GE(b.images.min(), 0.0f);
   EXPECT_LE(b.images.max(), 1.0f);
+}
+
+TEST(DataLoaderTest, AugmentedBatchesReplayTheDocumentedDraws) {
+  // Replays the loader's documented Rng draws — the epoch's shuffle, then
+  // dy, dx and flip per sample — and rebuilds each augmented image with a
+  // naive shift (zero outside the image) then flip, byte for byte, over
+  // two epochs.  The images are 3×5×7, so a pad_crop of 6 shifts whole
+  // rows and columns out of the frame.
+  const std::size_t c = 3, h = 5, w = 7, count = 10;
+  Dataset ds(c, h, w, 2);
+  for (std::size_t n = 0; n < count; ++n) {
+    Tensor image({c, h, w});
+    for (std::size_t i = 0; i < image.numel(); ++i) {
+      image.data()[i] = static_cast<float>(n * 1000 + i + 1);
+    }
+    ds.add(std::move(image), static_cast<int>(n % 2));
+  }
+  for (std::size_t pad : {0, 2, 6}) {
+    for (bool flip : {false, true}) {
+      SCOPED_TRACE("pad_crop " + std::to_string(pad) +
+                   (flip ? ", flip" : ", no flip"));
+      const std::uint64_t seed = 40 + pad;
+      DataLoader loader(ds, 4, Augment{.horizontal_flip = flip,
+                                       .pad_crop = pad},
+                        Rng(seed));
+      Rng replay(seed);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        if (epoch > 0) loader.start_epoch();
+        std::vector<std::size_t> order(count);
+        std::iota(order.begin(), order.end(), 0);
+        replay.shuffle(order);
+        Batch batch;
+        std::size_t cursor = 0;
+        while (loader.next(batch)) {
+          for (std::size_t i = 0; i < batch.size(); ++i, ++cursor) {
+            long dy = 0, dx = 0;
+            if (pad > 0) {
+              const long p = static_cast<long>(pad);
+              dy = static_cast<long>(replay.uniform_int(2 * pad + 1)) - p;
+              dx = static_cast<long>(replay.uniform_int(2 * pad + 1)) - p;
+            }
+            const bool mirrored = flip && replay.uniform() < 0.5;
+            const Tensor& src = ds.image(order[cursor]);
+            ASSERT_EQ(batch.labels[i], ds.label(order[cursor]));
+            for (std::size_t ch = 0; ch < c; ++ch) {
+              for (std::size_t y = 0; y < h; ++y) {
+                for (std::size_t x = 0; x < w; ++x) {
+                  const long sx =
+                      static_cast<long>(mirrored ? w - 1 - x : x) + dx;
+                  const long sy = static_cast<long>(y) + dy;
+                  const bool inside = sy >= 0 && sy < static_cast<long>(h) &&
+                                      sx >= 0 && sx < static_cast<long>(w);
+                  const float want =
+                      inside ? src(ch, static_cast<std::size_t>(sy),
+                                   static_cast<std::size_t>(sx))
+                             : 0.0f;
+                  const float got = batch.images(i, ch, y, x);
+                  ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                      << "epoch " << epoch << " sample " << cursor << " ("
+                      << ch << ", " << y << ", " << x << ") dy " << dy
+                      << " dx " << dx << (mirrored ? " flipped" : "");
+                }
+              }
+            }
+          }
+        }
+        EXPECT_EQ(cursor, count);
+      }
+    }
+  }
 }
 
 TEST(SyntheticTest, GeneratesRequestedCounts) {

@@ -1,7 +1,8 @@
 // Float order oracle: byte-compares the float kernels that training runs
-// (matmul, matmul_tn, and Conv2d forward / dX / dW / dbias) against naive
-// scalar loops that spell out the accumulation order those kernels
-// promise (tensor/gemm.hpp, nn/conv.hpp):
+// (matmul, matmul_tn, Conv2d forward / dX / dW / dbias, the PACT and
+// clip activations, BatchNorm2d) against naive scalar loops that spell
+// out the order those kernels promise (tensor/gemm.hpp, nn/conv.hpp,
+// quant/uniform.hpp, nn/norm.hpp):
 //
 //   matmul     C[i][j] = Σ_p A[i][p]·B[p][j], p ascending from +0
 //   forward    y[n][oc][s] = Σ_p W[oc][p]·cols[p][s], p ascending from
@@ -10,24 +11,41 @@
 //              +0, then each pixel adds its taps in (c, ky, kx) order
 //   dW         each sample's Σ_s gy[oc][s]·cols[p][s], s ascending from
 //              +0, added to dW in sample order
+//   act        std::clamp(x, 0, α) at 32 bits, α·(round(clamp(x/α, 0,
+//              1)·n)/n) below; STE select; dL/dα a double sum in index
+//              order
+//   batchnorm  per-channel double sums in (n, s) order, then the
+//              elementwise expressions in nn/norm.hpp's order
 //
-// Each reference statement is the scalar `acc += a * b`, so the build's
+// Each reference statement is the scalar expression, so the build's
 // contraction flags treat reference and library alike.  Operands carry
 // exact zeros of both signs, padding taps multiply by zero, and the
 // shapes put rows, columns and depth on and around the register tile
-// and past one cache block, at 1 and 4 threads.
+// and past one cache block, at 1 and 4 threads.  The activations also
+// see NaN, ±Inf, subnormals and every rounding tie of their grid; a NaN
+// output matches any NaN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ccq/common/exec.hpp"
 #include "ccq/common/rng.hpp"
 #include "ccq/common/workspace.hpp"
+#include "ccq/models/resnet.hpp"
+#include "ccq/models/simple.hpp"
 #include "ccq/nn/conv.hpp"
+#include "ccq/nn/norm.hpp"
+#include "ccq/quant/act_quant.hpp"
 #include "ccq/tensor/gemm.hpp"
 
 namespace ccq {
@@ -47,9 +65,11 @@ Tensor values(Shape shape, Rng& rng) {
   return t;
 }
 
-/// Index of the first byte-level mismatch, or -1.
+/// Index of the first byte-level mismatch, or -1.  Any NaN matches any
+/// NaN.
 long first_mismatch(const float* got, const float* want, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
     if (std::memcmp(got + i, want + i, sizeof(float)) != 0) {
       return static_cast<long>(i);
     }
@@ -343,6 +363,343 @@ TEST(FloatOrderTest, ConvBatchSweep) {
         c.batch = batch;
         c.threads = threads;
         check_conv(c, 600 + index++);
+      }
+    }
+  }
+}
+
+// ---- PACT and clip activations --------------------------------------------
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// The parent's per-element forward: std::clamp at 32 bits, else
+/// quantize_unsigned's clip·(round(clamp(x/clip, 0, 1)·n)/n).
+float reference_act(float x, int bits, float clip) {
+  if (bits >= 32) return std::clamp(x, 0.0f, clip);
+  const float n = static_cast<float>((1u << bits) - 1u);
+  const float clipped = std::clamp(x / clip, 0.0f, 1.0f);
+  return clip * (std::round(clipped * n) / n);
+}
+
+/// Inputs that stress the clamp, the STE mask and the rounding:
+/// {NaN, ±Inf, ±0, ±FLT_TRUE_MIN, FLT_MAX, α} and one ulp either side
+/// of each; below 32 bits, for each visited grid level k, the x whose
+/// scaled value (x/α)·n is exactly k + ½ when one exists (else the
+/// nearest), and one ulp either side.  Levels: all of them up to 16
+/// bits, an even spread plus both ends beyond.
+std::vector<float> act_inputs(int bits, float clip) {
+  std::vector<float> v;
+  auto around = [&v](float c) {
+    v.push_back(std::nextafter(c, -kInf));
+    v.push_back(c);
+    v.push_back(std::nextafter(c, kInf));
+  };
+  for (float c : {kNaN, kInf, -kInf, 0.0f, -0.0f, FLT_TRUE_MIN,
+                  -FLT_TRUE_MIN, FLT_MAX, clip}) {
+    around(c);
+  }
+  if (bits >= 32) return v;
+  const std::uint64_t levels = (std::uint64_t{1} << bits) - 1;
+  const float n = static_cast<float>(levels);
+  const std::uint64_t step = bits <= 16 ? 1 : levels / 4096;
+  auto visit = [&](std::uint64_t k) {
+    const float tie = static_cast<float>(k) + 0.5f;
+    float x = static_cast<float>((static_cast<double>(k) + 0.5) /
+                                 static_cast<double>(levels) * clip);
+    float best = x;
+    for (int i = 0; i < 16; ++i) {
+      if ((best / clip) * n == tie) break;
+      best = std::nextafter(best, (best / clip) * n < tie ? kInf : -kInf);
+    }
+    around((best / clip) * n == tie ? best : x);
+  };
+  for (std::uint64_t k = 0; k < levels; k += step) visit(k);
+  for (std::uint64_t k = levels > 16 ? levels - 16 : 0; k < levels; ++k) {
+    visit(k);
+  }
+  return v;
+}
+
+/// Upstream gradients: ±Inf, NaN and ±0 among normal draws.
+Tensor act_grads(std::size_t n, Rng& rng) {
+  Tensor g({n});
+  const float special[] = {kInf, -kInf, kNaN, 0.0f, -0.0f};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t r = rng.uniform_int(10);
+    g.data()[i] =
+        r < 5 ? special[r] : static_cast<float>(rng.normal());
+  }
+  return g;
+}
+
+/// One forward and backward of `act` (at `bits`, clip `clip`) on `x`,
+/// byte-compared with the parent's loops; PACT's dL/dα too.
+void check_act(quant::QuantAct& act, quant::PactActivation* pact, int bits,
+               float clip, const Tensor& x, const Tensor& gy,
+               const std::string& what) {
+  Workspace ws;
+  act.set_training(true);
+  act.set_bits(bits);
+  const std::size_t n = x.numel();
+  std::vector<float> want_y(n), want_g(n);
+  double alpha_grad = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float xi = x.data()[i], gi = gy.data()[i];
+    want_y[i] = reference_act(xi, bits, clip);
+    if (xi >= clip) {
+      alpha_grad += gi;
+      want_g[i] = 0.0f;
+    } else if (xi <= 0.0f) {
+      want_g[i] = 0.0f;
+    } else {
+      want_g[i] = gi;
+    }
+  }
+  expect_bytes(act.forward(x, ws), want_y, what + " forward");
+  if (pact != nullptr) pact->alpha_param().zero_grad();
+  expect_bytes(act.backward(gy, ws), want_g, what + " backward");
+  if (pact != nullptr) {
+    float want_alpha = 0.0f;
+    want_alpha += static_cast<float>(alpha_grad);
+    expect_bytes(pact->alpha_param().grad, {want_alpha}, what + " dL/dalpha");
+  }
+}
+
+TEST(FloatOrderTest, ActivationsMatchTheScalarLoops) {
+  // α 1e-4 sits below PACT's 1e-3 floor, so PACT clips at 1e-3.
+  Rng rng(700);
+  for (int bits : {32, 1, 2, 3, 4, 8, 16, 24, 31}) {
+    for (float alpha : {6.0f, 1.0f, 0.37f, 1e-4f}) {
+      quant::PactActivation pact(alpha);
+      quant::ClipActQuant clip_act(alpha);
+      const float pact_clip = std::max(alpha, 1e-3f);
+      for (auto [act, pa, clip] :
+           {std::tuple<quant::QuantAct*, quant::PactActivation*, float>{
+                &pact, &pact, pact_clip},
+            {&clip_act, nullptr, alpha}}) {
+        const std::vector<float> pool = act_inputs(bits, clip);
+        std::ostringstream tag;
+        tag << act->type_name() << " at " << bits << " bits, clip " << clip;
+        // Short inputs put every special value in body and tail lanes;
+        // the whole pool and 4099 elements run long loops with a tail.
+        for (std::size_t size : {1, 3, 4, 5, 7, 8, 9, 17, 4099}) {
+          const std::size_t span = size == 4099 ? size : 32 * size;
+          for (std::size_t off = 0; off + size <= std::max(span, size);
+               off += size) {
+            Tensor x({size});
+            for (std::size_t i = 0; i < size; ++i) {
+              x.data()[i] = pool[(off + i) % pool.size()];
+            }
+            check_act(*act, pa, bits, clip, x, act_grads(size, rng),
+                      tag.str() + ", size " + std::to_string(size));
+          }
+        }
+        Tensor x({pool.size()}, std::vector<float>(pool));
+        check_act(*act, pa, bits, clip, x, act_grads(pool.size(), rng),
+                  tag.str() + ", whole pool");
+      }
+    }
+  }
+}
+
+TEST(FloatOrderTest, NanAlphaThrowsBelowThirtyTwoBits) {
+  quant::PactActivation pact(1.0f);
+  pact.alpha_param().value.at(0) = kNaN;
+  Workspace ws;
+  const Tensor x({5}, 0.5f);
+  pact.set_bits(8);
+  EXPECT_THROW(pact.forward(x, ws), Error);
+  // At 32 bits there is no grid, so nothing to check: x ≥ 0 passes.
+  pact.set_bits(32);
+  expect_bytes(pact.forward(x, ws), std::vector<float>(5, 0.5f),
+               "NaN alpha at 32 bits");
+}
+
+// ---- BatchNorm2d --------------------------------------------------------
+
+struct NormResult {
+  std::vector<float> y, running_mean, running_var, gx, dgamma, dbeta, eval;
+};
+
+/// The parent's BatchNorm2d, one channel at a time: training forward,
+/// backward, then an eval forward on the updated running statistics.
+NormResult reference_norm(const Tensor& x, const Tensor& gy,
+                          const std::vector<float>& gamma,
+                          const std::vector<float>& beta,
+                          std::vector<float> rmean, std::vector<float> rvar,
+                          float momentum, float eps) {
+  const std::size_t n = x.dim(0), channels = x.dim(1);
+  const std::size_t plane = x.dim(2) * x.dim(3), count = n * plane;
+  const float* xp = x.data().data();
+  const float* gp = gy.data().data();
+  NormResult r;
+  r.y.resize(x.numel());
+  r.gx.resize(x.numel());
+  r.eval.resize(x.numel());
+  r.dgamma.assign(channels, 0.0f);
+  r.dbeta.assign(channels, 0.0f);
+  std::vector<float> xhat(x.numel());
+  for (std::size_t c = 0; c < channels; ++c) {
+    double sum = 0.0, sqsum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* src = xp + (i * channels + c) * plane;
+      for (std::size_t s = 0; s < plane; ++s) {
+        sum += src[s];
+        sqsum += static_cast<double>(src[s]) * src[s];
+      }
+    }
+    const double mean = sum / static_cast<double>(count);
+    const double var =
+        std::max(0.0, sqsum / static_cast<double>(count) - mean * mean);
+    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
+    rmean[c] = (1.0f - momentum) * rmean[c] +
+               momentum * static_cast<float>(mean);
+    rvar[c] = (1.0f - momentum) * rvar[c] +
+              momentum * static_cast<float>(var);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t base = (i * channels + c) * plane;
+      for (std::size_t s = 0; s < plane; ++s) {
+        const float xhv =
+            (xp[base + s] - static_cast<float>(mean)) * inv_std;
+        xhat[base + s] = xhv;
+        r.y[base + s] = gamma[c] * xhv + beta[c];
+      }
+    }
+    double sum_gy = 0.0, sum_gy_xhat = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t base = (i * channels + c) * plane;
+      for (std::size_t s = 0; s < plane; ++s) {
+        sum_gy += gp[base + s];
+        sum_gy_xhat += static_cast<double>(gp[base + s]) * xhat[base + s];
+      }
+    }
+    r.dgamma[c] += static_cast<float>(sum_gy_xhat);
+    r.dbeta[c] += static_cast<float>(sum_gy);
+    const float g_over_std = gamma[c] * inv_std;
+    const float fcount = static_cast<float>(count);
+    const float mean_gy = static_cast<float>(sum_gy) / fcount;
+    const float mean_gy_xhat = static_cast<float>(sum_gy_xhat) / fcount;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t base = (i * channels + c) * plane;
+      for (std::size_t s = 0; s < plane; ++s) {
+        r.gx[base + s] = g_over_std * (gp[base + s] - mean_gy -
+                                       xhat[base + s] * mean_gy_xhat);
+      }
+    }
+    const float eval_inv_std = 1.0f / std::sqrt(rvar[c] + eps);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t base = (i * channels + c) * plane;
+      for (std::size_t s = 0; s < plane; ++s) {
+        r.eval[base + s] =
+            gamma[c] * (xp[base + s] - rmean[c]) * eval_inv_std + beta[c];
+      }
+    }
+  }
+  r.running_mean = std::move(rmean);
+  r.running_var = std::move(rvar);
+  return r;
+}
+
+std::vector<float> as_vector(const Tensor& t) {
+  return {t.data().begin(), t.data().end()};
+}
+
+TEST(FloatOrderTest, BatchNormMatchesTheScalarLoops) {
+  // C {1, 3, 4, 5} around the four side-by-side channel sums, planes 1, 4
+  // and 7×5 (vector tails), batches 1 and 3.
+  Rng rng(800);
+  for (std::size_t channels : {1, 3, 4, 5}) {
+    for (auto [h, w] : {std::pair<std::size_t, std::size_t>{1, 1},
+                        {2, 2},
+                        {7, 5}}) {
+      for (std::size_t batch : {1, 3}) {
+        std::ostringstream what;
+        what << "BatchNorm2d C " << channels << " on " << h << "x" << w
+             << ", batch " << batch;
+        SCOPED_TRACE(what.str());
+        const float momentum = 0.1f, eps = 1e-5f;
+        nn::BatchNorm2d bn(channels, momentum, eps);
+        fill_values(bn.gamma().value.data().data(), channels, rng);
+        fill_values(bn.beta().value.data().data(), channels, rng);
+        const auto buffers = bn.buffers();  // running mean, running var
+        Tensor& rmean = *buffers[0].second;
+        Tensor& rvar = *buffers[1].second;
+        for (std::size_t c = 0; c < channels; ++c) {
+          rmean.at(c) = static_cast<float>(rng.normal());
+          rvar.at(c) = static_cast<float>(rng.uniform(0.5, 2.0));
+        }
+        const Tensor x = values({batch, channels, h, w}, rng);
+        const Tensor gy = values({batch, channels, h, w}, rng);
+        const NormResult want =
+            reference_norm(x, gy, as_vector(bn.gamma().value),
+                           as_vector(bn.beta().value), as_vector(rmean),
+                           as_vector(rvar), momentum, eps);
+
+        Workspace ws;
+        bn.set_training(true);
+        expect_bytes(bn.forward(x, ws), want.y, "train forward");
+        expect_bytes(bn.running_mean(), want.running_mean, "running mean");
+        expect_bytes(bn.running_var(), want.running_var, "running var");
+        bn.gamma().zero_grad();
+        bn.beta().zero_grad();
+        expect_bytes(bn.backward(gy, ws), want.gx, "dX");
+        expect_bytes(bn.gamma().grad, want.dgamma, "dgamma");
+        expect_bytes(bn.beta().grad, want.dbeta, "dbeta");
+        bn.set_training(false);
+        expect_bytes(bn.forward(x, ws), want.eval, "eval forward");
+      }
+    }
+  }
+}
+
+// ---- parameter-only backward ---------------------------------------------
+
+/// model.backward (Module::backward_params: the first conv forms no dX,
+/// a parameterless prefix runs no backward) must leave every parameter
+/// gradient byte-identical to the full net().backward.
+TEST(FloatOrderTest, ParameterOnlyBackwardLeavesTheSameGradients) {
+  models::ModelConfig mc;
+  mc.num_classes = 10;
+  mc.image_size = 16;
+  mc.width_multiplier = 0.25f;
+  mc.seed = 7;
+  const quant::QuantFactory factory{.policy = quant::Policy::kPact};
+  const quant::BitLadder ladder({8, 4, 2});
+  using Builder = models::QuantModel (*)(const models::ModelConfig&,
+                                         const quant::QuantFactory&,
+                                         const quant::BitLadder&);
+  const std::pair<const char*, Builder> builders[] = {
+      {"SimpleCNN", &models::make_simple_cnn},
+      {"ResNet-20", &models::make_resnet20},
+      {"MLP",
+       [](const models::ModelConfig& c, const quant::QuantFactory& f,
+          const quant::BitLadder& l) { return models::make_mlp(c, f, l, 16); }},
+  };
+  Rng rng(900);
+  for (const auto& [name, build] : builders) {
+    for (std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " at " + std::to_string(threads) +
+                   " threads");
+      ExecContext ctx(threads);
+      const Tensor x = values({3, 3, 16, 16}, rng);
+      const Tensor g = values({3, 10}, rng);
+      auto full = build(mc, factory, ladder);
+      auto params_only = build(mc, factory, ladder);
+      Workspace ws;
+      for (models::QuantModel* model : {&full, &params_only}) {
+        model->net().set_exec_context(&ctx);
+        model->set_training(true);
+        ws.recycle(model->forward(x, ws));
+        for (auto* p : model->parameters()) p->zero_grad();
+      }
+      ws.recycle(full.net().backward(g, ws));
+      params_only.backward(g, ws);
+      const auto want = full.parameters();
+      const auto got = params_only.parameters();
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_bytes(got[i]->grad, as_vector(want[i]->grad), want[i]->name);
       }
     }
   }

@@ -50,7 +50,7 @@ TEST(SimpleCnnTest, BackwardProducesInputGradient) {
   nn::SoftmaxCrossEntropy loss;
   const Tensor logits = model.forward(x, ws);
   loss.forward(logits, {0, 1});
-  const Tensor gx = model.backward(loss.backward(), ws);
+  const Tensor gx = model.net().backward(loss.backward(), ws);
   EXPECT_EQ(gx.shape(), x.shape());
   EXPECT_FALSE(gx.has_nonfinite());
 }

@@ -24,7 +24,7 @@
 //      `serve.<name>.stage.queue` sum, plus the harness
 //      offered/admitted accounting regression.
 //
-// Labelled `sla` and run under the TSan quick tier, CI's `tsan-serve`
+// Labelled `sla` and run under the TSan quick tier, CI's `tsan`
 // job and both CI legs.
 #include <gtest/gtest.h>
 

@@ -267,14 +267,14 @@ TEST(WorkspaceBitIdentityTest, ResNetTrainStepMatchesLegacy) {
   auto a = tiny_resnet();
   a.forward(x, Workspace::scratch());
   for (auto* p : a.parameters()) p->zero_grad();
-  const Tensor gx_legacy = a.backward(g, Workspace::scratch());
+  const Tensor gx_legacy = a.net().backward(g, Workspace::scratch());
 
   auto b = tiny_resnet();  // same seed -> identical parameters
   Workspace ws;
   Tensor y = b.forward(x, ws);
   ws.recycle(std::move(y));
   for (auto* p : b.parameters()) p->zero_grad();
-  const Tensor gx_ws = b.backward(g, ws);
+  const Tensor gx_ws = b.net().backward(g, ws);
 
   EXPECT_TRUE(bit_identical(gx_legacy, gx_ws));
   const auto pa = a.parameters();
@@ -336,6 +336,25 @@ TEST(WorkspaceAllocTest, WarmEvaluateBatchIsAllocationFree) {
   EXPECT_FLOAT_EQ(cold.accuracy, warm.accuracy);
 }
 
+TEST(WorkspaceAllocTest, WarmLoaderBatchIsAllocationFree) {
+  // The loader writes each augmented image straight into its batch row,
+  // so a second batch into the same Batch touches no float storage.
+  if (!alloc_stats::enabled()) GTEST_SKIP() << "CCQ_COUNT_ALLOCS is off";
+  data::SyntheticConfig dc;
+  dc.num_classes = 10;
+  dc.samples_per_class = 8;
+  dc.height = dc.width = 16;
+  dc.seed = 91;
+  const data::Dataset dataset = data::make_synthetic_vision(dc);
+  data::DataLoader loader(dataset, 32, data::Augment{}, Rng(92));
+  data::Batch batch;
+  ASSERT_TRUE(loader.next(batch));
+  alloc_stats::reset();
+  ASSERT_TRUE(loader.next(batch));
+  EXPECT_EQ(alloc_stats::count(), 0u)
+      << "a warm augmented batch must not touch the heap";
+}
+
 TEST(WorkspaceAllocTest, WarmTrainingStepIsAllocationFree) {
   // A recovery-epoch SGD step (forward, loss, backward, update) leases
   // every float buffer — the conv's folded sample-group panels included —
@@ -369,7 +388,7 @@ TEST(WorkspaceAllocTest, WarmTrainingStepIsAllocationFree) {
       loss.forward(logits, batch.labels);
       ws.recycle(std::move(logits));
       loss.backward_into(grad);
-      ws.recycle(model.backward(grad, ws));
+      model.backward(grad, ws);
       optimizer.step();
     };
     step();

@@ -5,12 +5,15 @@ Five suites cover float training, the integer-inference datapath and the
 serving stack:
 
   train     BM_Gemm, BM_ConvForward, BM_ConvBackward,
-            BM_ConvForwardThreads, BM_ConvBackwardThreads, BM_TrainStep/0
-            and BM_ProbeStep/0 -> BENCH_train.json
+            BM_ConvForwardThreads, BM_ConvBackwardThreads, BM_PactStep,
+            BM_BatchNormStep, BM_LoaderNext, BM_TrainStep/0 and
+            BM_ProbeStep/0 -> BENCH_train.json
             the float path that pretraining, every competition probe and
             every recovery epoch run: the SGEMM tile, batch-folded conv
-            forward / backward at 1, 2 and 4 threads, and one SGD step and
-            one probe on a thin ResNet-20 (allocs_per_iter must stay 0).
+            forward / backward at 1, 2 and 4 threads, PACT (fp and 8-bit)
+            and BatchNorm forward + backward on a 32x4x16x16 activation,
+            one augmented loader batch of 32, and one SGD step and one
+            probe on a thin ResNet-20 (allocs_per_iter must stay 0).
             Rows are medians over 3 processes of 5 interleaved
             repetitions and gate on real_time_ns.  The suite stays out of
             CI's bench smoke: absolute times do not carry from one runner
@@ -50,6 +53,21 @@ Typical use:
     tools/bench_snapshot.py --build build --check         # run + compare, no write
     tools/bench_snapshot.py --json out.json --suite igemm --check
 
+Every snapshot records its provenance in "context": the git sha of the
+checkout (suffixed "-dirty" when tracked files had uncommitted changes),
+the git tree ids of src/ and bench/ as they were on disk (src_tree,
+bench_tree: a snapshot taken before its sources are committed names the
+parent commit in git_sha, and these equal `git rev-parse <commit>:src`
+and `<commit>:bench` for the commit that holds the timed code), the
+build type and C++ flags CMake wrote to <build>/bench/
+build_context.json, the ISA leg those flags select (portable, or the
+-march target such as native), and libbenchmark's num_cpus and
+mhz_per_cpu.  libbenchmark's own "library_build_type" (how the
+benchmark library was compiled, not this repo) is kept as
+benchmark_library_build_type.  A check refuses to compare a run with a
+snapshot from another build type, flag set or ISA leg; a snapshot older
+than these fields is compared with a warning.
+
 Comparison is per row against the committed snapshot; a row regressing
 by more than --tolerance (default 25%, benchmarks on shared runners are
 noisy) fails the check.  The train suite gates on real_time_ns.  The igemm and engine suites gate on
@@ -68,14 +86,17 @@ import argparse
 import json
 import pathlib
 import statistics
+import os
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SUITES = {
     "train": {
         "filter": ("^BM_Gemm/|^BM_ConvForward/|^BM_ConvBackward/"
                    "|^BM_ConvForwardThreads/|^BM_ConvBackwardThreads/"
+                   "|^BM_PactStep/|^BM_BatchNormStep$|^BM_LoaderNext$"
                    "|^BM_TrainStep/0$|^BM_ProbeStep/0$"),
         "binary": "bench_kernels",
         "snapshot": REPO / "BENCH_train.json",
@@ -111,12 +132,89 @@ SUITES = {
     },
 }
 
+# Build-context fields that must match before two runs are compared.
+PROVENANCE = ("build_type", "cxx_flags", "isa")
+
 # google-benchmark reports real_time in the benchmark's chosen unit.
 UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def real_time_ns(b: dict) -> float:
     return b["real_time"] * UNIT_TO_NS.get(b.get("time_unit", "ns"), 1.0)
+
+
+def git_sha() -> str:
+    """HEAD of the checkout, with "-dirty" when tracked files differ."""
+    try:
+        sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "HEAD"],
+                             check=True, capture_output=True,
+                             text=True).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "-C", str(REPO), "status", "--porcelain",
+             "--untracked-files=no"],
+            check=True, capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return sha + ("-dirty" if dirty else "")
+
+
+def source_trees() -> dict:
+    """Git tree ids of src/ and bench/ as they are on disk, tracked and
+    untracked alike (ignored files excluded), through a scratch index so
+    the checkout's own index is untouched."""
+    def git(*argv: str, env: dict | None = None) -> str:
+        return subprocess.run(["git", "-C", str(REPO), *argv], check=True,
+                              capture_output=True, text=True,
+                              env=env).stdout.strip()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            env = {**os.environ, "GIT_INDEX_FILE": str(pathlib.Path(tmp) / "index")}
+            git("read-tree", "HEAD", env=env)
+            git("add", "-A", "--", "src", "bench", env=env)
+            tree = git("write-tree", env=env)
+        return {f"{d}_tree": git("rev-parse", f"{tree}:{d}")
+                for d in ("src", "bench")}
+    except (OSError, subprocess.CalledProcessError):
+        return {"src_tree": "unknown", "bench_tree": "unknown"}
+
+
+def build_context(build_dir: pathlib.Path) -> dict:
+    """Build type, C++ flags and ISA leg of the bench binaries under
+    build_dir, as CMake recorded them, plus the checkout's git sha and
+    source trees."""
+    path = build_dir / "bench" / "build_context.json"
+    if not path.exists():
+        sys.exit(f"no {path}: reconfigure the build tree with cmake")
+    ctx = json.loads(path.read_text())
+    march = [f.split("=", 1)[1] for f in ctx["cxx_flags"].split()
+             if f.startswith("-march=")]
+    return {
+        "git_sha": git_sha(),
+        **source_trees(),
+        "build_type": ctx["build_type"],
+        "cxx_flags": ctx["cxx_flags"],
+        "isa": march[-1] if march else "portable",
+    }
+
+
+def comparable(current: dict | None, snapshot: dict) -> bool:
+    """False when the snapshot came from another build type, flag set or
+    ISA leg than this run; an older snapshot without those fields, or a
+    run without a build tree, is compared with a warning."""
+    base = snapshot.get("context", {})
+    missing = [k for k in PROVENANCE if k not in base]
+    if missing:
+        print(f"WARNING  the snapshot records no {', '.join(missing)}; "
+              "comparing without checking the build context")
+        return True
+    if current is None:
+        print("WARNING  no build tree given; comparing without checking "
+              "the build context")
+        return True
+    differ = [k for k in PROVENANCE if base[k] != current[k]]
+    for k in differ:
+        print(f"REFUSED  {k}: snapshot {base[k]!r}, this build {current[k]!r}")
+    return not differ
 
 
 def run_bench(build_dir: pathlib.Path, suite: dict) -> dict:
@@ -311,6 +409,7 @@ def compare(rows: dict, snapshot: dict, tolerance: float,
 def run_suite(name: str, args: argparse.Namespace, raw: dict | None) -> bool:
     suite = SUITES[name]
     snapshot_path = suite["snapshot"]
+    current = build_context(args.build) if args.build else None
     if raw is None:
         raw = run_bench(args.build, suite)
     rows = parse_rows(raw, suite)
@@ -318,19 +417,26 @@ def run_suite(name: str, args: argparse.Namespace, raw: dict | None) -> bool:
     print(f"== suite {name} ({suite['filter']}) ==")
     ok = True
     if snapshot_path.exists():
-        ok = compare(rows, json.loads(snapshot_path.read_text()), args.tolerance,
-                     by_speedup="modes" in suite)
+        snapshot = json.loads(snapshot_path.read_text())
+        if comparable(current, snapshot):
+            ok = compare(rows, snapshot, args.tolerance,
+                         by_speedup="modes" in suite)
+        elif args.check:
+            ok = False
+        else:
+            print("the build context changed; not comparing")
     else:
         print(f"no snapshot at {snapshot_path}; this run becomes the baseline")
 
     if not args.check:
-        context = raw.get("context", {})
+        bench = raw.get("context", {})
         snapshot_path.write_text(json.dumps({
             "benchmark": suite["filter"],
             "context": {
-                "num_cpus": context.get("num_cpus"),
-                "mhz_per_cpu": context.get("mhz_per_cpu"),
-                "library_build_type": context.get("library_build_type"),
+                **(current or {}),
+                "num_cpus": bench.get("num_cpus"),
+                "mhz_per_cpu": bench.get("mhz_per_cpu"),
+                "benchmark_library_build_type": bench.get("library_build_type"),
             },
             "rows": rows,
         }, indent=2) + "\n")
@@ -342,7 +448,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--build", type=pathlib.Path, help="CMake build dir to run from")
-    ap.add_argument("--json", type=pathlib.Path, help="pre-recorded benchmark JSON")
+    ap.add_argument("--json", type=pathlib.Path,
+                    help="pre-recorded benchmark JSON (its build context is "
+                         "read from --build when given)")
     ap.add_argument("--suite", choices=[*SUITES, "all"], default="all",
                     help="which benchmark grid to run (default: all)")
     ap.add_argument("--check", action="store_true", help="compare only, never write")

@@ -15,7 +15,8 @@
 //     0 (work-conserving, the `ModelConfig{}` default) and a batch-fill
 //     hold, so each row says whether the hold buys anything.
 //   * BM_ServeLatency — single request on an idle server: the floor the
-//     batching delay adds to.
+//     batching delay adds to, through `submit(...).get()` and through the
+//     blocking `infer` that runs the batch on the caller's thread.
 //   * BM_ServeForwardBatch — per-sample `IntegerNetwork::forward` time
 //     on the bench net at batch 1…16: the engine-side price of batching
 //     (a hold can only pay off if this falls with batch size).
@@ -250,10 +251,14 @@ BENCHMARK(BM_ServeOpenLoop)
     ->Unit(benchmark::kMillisecond);
 
 /// Single-request round-trip latency (enqueue → reply) on an otherwise
-/// idle server: the floor the dynamic-batching delay adds to.
+/// idle server: the floor the dynamic-batching delay adds to.  Axis
+/// `infer`: 0 = `submit(...).get()`, where a worker wakes to run the
+/// batch and the reply wakes the caller; 1 = the blocking `infer`, which
+/// finds a slot free and runs the batch on the calling thread.
 void BM_ServeLatency(benchmark::State& state) {
   serve::ServeConfig config;
   config.workers = static_cast<std::size_t>(state.range(0));
+  const bool blocking = state.range(1) != 0;
   serve::InferenceServer server(config);
   serve::ModelConfig mc;
   mc.max_batch = 1;  // flush immediately: pure per-request latency
@@ -262,6 +267,7 @@ void BM_ServeLatency(benchmark::State& state) {
 
   Tensor sample = bench_samples(1).reshaped({3, 16, 16});
   Tensor out;
+  Workspace ws;
   {
     // Warm every worker's workspace: with max_batch = 1 a backlog of
     // concurrent requests spreads across all workers.
@@ -273,20 +279,26 @@ void BM_ServeLatency(benchmark::State& state) {
     }
     for (auto& reply : warm) reply.get();
   }
-  server.submit(handle, sample, out).get();  // …and the reply tensor
+  // …and the reply tensor (and, for infer, the caller's workspace).
+  const auto round_trip = [&] {
+    if (blocking) {
+      server.infer(handle, sample, out, ws);
+    } else {
+      server.submit(handle, sample, out).get();
+    }
+  };
+  round_trip();
   const AllocSnapshot before;
   for (auto _ : state) {
-    server.submit(handle, sample, out).get();
+    round_trip();
     benchmark::DoNotOptimize(out.data().data());
   }
   report_allocs(state, before);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ServeLatency)
-    ->ArgNames({"workers"})
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->ArgNames({"workers", "infer"})
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

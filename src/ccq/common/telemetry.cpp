@@ -40,6 +40,7 @@ const char* counter_name(Counter id) {
     case Counter::kServeBatches: return "serve.batches";
     case Counter::kServeShed: return "serve.shed";
     case Counter::kServeDeadlineMiss: return "serve.deadline_miss";
+    case Counter::kServeBatchesInline: return "serve.batches_inline";
     case Counter::kCount: break;
   }
   return "?";

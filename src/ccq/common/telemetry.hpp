@@ -58,6 +58,7 @@ enum class Counter : int {
   kServeShed,         ///< requests shed by admission control (rejected at the
                       ///< door on a full queue, or evicted for priority)
   kServeDeadlineMiss, ///< requests dropped expired at dequeue time
+  kServeBatchesInline,  ///< of kServeBatches, those run by an `infer` caller
   kCount
 };
 

@@ -29,10 +29,11 @@ Tensor Linear::forward(const Tensor& x, Workspace& ws) {
   matmul_nt_into(x, qweight_, y, exec());
   if (has_bias_) {
     const std::size_t n = y.dim(0);
+    const float* bias = bias_.value.data().data();
+    float* yp = y.data().data();
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < out_features_; ++j) {
-        y(i, j) += bias_.value.at(j);
-      }
+      float* row = yp + i * out_features_;
+      for (std::size_t j = 0; j < out_features_; ++j) row[j] += bias[j];
     }
   }
   return y;
@@ -53,10 +54,12 @@ Tensor Linear::backward(const Tensor& grad_out, Workspace& ws) {
   ws.recycle(std::move(grad_w));
   if (has_bias_) {
     const std::size_t n = grad_out.dim(0);
+    const float* gy = grad_out.data().data();
+    float* gb = bias_.grad.data().data();
     for (std::size_t j = 0; j < out_features_; ++j) {
       float acc = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) acc += grad_out(i, j);
-      bias_.grad.at(j) += acc;
+      for (std::size_t i = 0; i < n; ++i) acc += gy[i * out_features_ + j];
+      gb[j] += acc;
     }
   }
   // dx (N × in) = gy (N × out) · W (out × in)

@@ -135,13 +135,12 @@ Tensor GlobalAvgPool::forward(const Tensor& x, Workspace& ws) {
   const float inv = 1.0f / static_cast<float>(plane);
   Tensor y = ws.tensor_uninit({n, c});  // fully overwritten
   const float* xp = x.data().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* src = xp + (i * c + ch) * plane;
-      float acc = 0.0f;
-      for (std::size_t s = 0; s < plane; ++s) acc += src[s];
-      y(i, ch) = acc * inv;
-    }
+  float* yp = y.data().data();
+  for (std::size_t i = 0; i < n * c; ++i) {
+    const float* src = xp + i * plane;
+    float acc = 0.0f;
+    for (std::size_t s = 0; s < plane; ++s) acc += src[s];
+    yp[i] = acc * inv;
   }
   return y;
 }
@@ -154,13 +153,10 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out, Workspace& ws) {
             "GlobalAvgPool grad mismatch");
   const float inv = 1.0f / static_cast<float>(plane);
   Tensor grad_in = ws.tensor_uninit(in_shape_);  // fully overwritten
+  const float* gy = grad_out.data().data();
   float* gx = grad_in.data().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float g = grad_out(i, ch) * inv;
-      float* dst = gx + (i * c + ch) * plane;
-      for (std::size_t s = 0; s < plane; ++s) dst[s] = g;
-    }
+  for (std::size_t i = 0; i < n * c; ++i) {
+    std::fill(gx + i * plane, gx + (i + 1) * plane, gy[i] * inv);
   }
   return grad_in;
 }

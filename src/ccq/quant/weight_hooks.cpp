@@ -43,8 +43,13 @@ void DoReFaWeightHook::quantize_into(const Tensor& w, Tensor& dst) {
   auto qp = dst.data();
   const float out_scale = scale_preserving_ ? max_tanh : 1.0f;
   for (std::size_t i = 0; i < wp.size(); ++i) {
-    const float unit = t[i] / (2.0f * max_tanh) + 0.5f;
-    qp[i] = out_scale * (2.0f * quantize_unit(unit, bits_) - 1.0f);
+    t[i] = t[i] / (2.0f * max_tanh) + 0.5f;
+  }
+  // The array kernel at clip 1 is quantize_unit bit for bit: x/1 and 1·r
+  // are exact.
+  quantize_unsigned(t.data(), t.data(), t.size(), bits_, 1.0f);
+  for (std::size_t i = 0; i < wp.size(); ++i) {
+    qp[i] = out_scale * (2.0f * t[i] - 1.0f);
   }
 }
 

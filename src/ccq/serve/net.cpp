@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -89,15 +88,13 @@ struct TcpServer::Impl {
     std::string frame;
     std::string out_bytes;
     Tensor output;
+    // A request that finds a batch slot free runs its batch on this
+    // thread, with this workspace (InferenceServer::infer).
+    Workspace ws;
     try {
       while (!stopping.load(std::memory_order_relaxed) &&
              recv_frame(fd, buffer, frame)) {
         wire::InferReply reply;
-        // Keeps the reply's shared state until the handler below has read
-        // a failed request's error.  The last reference then drops
-        // through std::shared_ptr, which ThreadSanitizer can see, instead
-        // of only through libstdc++'s uninstrumented exception refcount.
-        std::shared_future<void> done;
         try {
           wire::InferRequest request = wire::decode_request(frame);
           const ModelHandle model =
@@ -116,8 +113,7 @@ struct TcpServer::Impl {
             options.priority = static_cast<Priority>(request.priority);
           }
           if (request.has_deadline) options.deadline_us = request.deadline_us;
-          done = server.submit(model, sample, output, options).share();
-          done.get();
+          server.infer(model, sample, output, ws, options);
           reply.ok = true;
           reply.version = model.version();
           reply.logits.assign(output.data().begin(), output.data().end());

@@ -3,15 +3,19 @@
 // `TcpServer` puts an `InferenceServer` on a port: an accept loop hands
 // each connection to its own thread, which reads length-prefixed
 // `InferRequest` frames, routes them through the registry
-// (`resolve(model, version)` + `submit`), and writes back an
+// (`resolve(model, version)` + the blocking `infer`), and writes back an
 // `InferReply` frame — logits plus the version that served the request,
 // or the server-side error message (admission errors like a full queue
 // or an unloaded model keep their diagnostics across the wire instead
 // of dropping the connection).  Only malformed bytes (ProtocolError) or
-// a peer hang-up close a connection.  Because requests route through
-// the same `submit` path as in-process callers, socket replies are
+// a peer hang-up close a connection.  `infer` shares `submit`'s
+// admission and the worker pool's batch step, so socket replies are
 // bit-identical to in-process results — serve_net_test locks that in
-// across concurrent clients.
+// across concurrent clients.  A request that finds a batch slot free
+// runs its batch on the connection thread, with a `Workspace` the
+// connection owns, so an idle server answers it with no thread
+// hand-off; after its first such batch a connection holds one batch's
+// buffers.
 //
 // `TcpClient` is the matching blocking client (one in-flight request
 // per connection), used by the harness's TCP mode, the `ccq serve-bench
@@ -19,11 +23,12 @@
 // serve/protocol.hpp and docs/SERVING.md for non-C++ clients.
 //
 // Threading: thread-per-connection is deliberate at this scale — the
-// worker pool behind `submit` is the throughput bottleneck, connections
-// are few (load generators, not the open internet), and the blocking
-// read loop keeps per-connection state trivial.  `stop()` (or the
-// destructor) closes the listener and every open connection, then joins
-// all threads.
+// server's `workers` batch slots are the throughput bottleneck,
+// connections are few (load generators, not the open internet), and the
+// blocking read loop keeps per-connection state trivial.  Each
+// connection keeps at most one request in flight, so replies go out in
+// request order.  `stop()` (or the destructor) closes the listener and
+// every open connection, then joins all threads.
 #pragma once
 
 #include <cstdint>

@@ -23,6 +23,8 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
       telemetry::named_metric(NamedKind::kCounter, prefix + "rejected");
   metrics.batches =
       telemetry::named_metric(NamedKind::kCounter, prefix + "batches");
+  metrics.batches_inline =
+      telemetry::named_metric(NamedKind::kCounter, prefix + "batches_inline");
   metrics.queue_depth =
       telemetry::named_metric(NamedKind::kGauge, prefix + "queue_depth");
   metrics.latency =

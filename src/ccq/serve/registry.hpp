@@ -133,6 +133,7 @@ struct LoadedModel {
     int requests = -1;
     int rejected = -1;
     int batches = -1;
+    int batches_inline = -1;  ///< counter: batches run by an `infer` caller
     int queue_depth = -1;
     int latency = -1;
     int batch_size = -1;

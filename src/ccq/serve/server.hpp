@@ -34,15 +34,23 @@
 //     engine are independent of batch composition, so served results
 //     are bit-identical to a direct `IntegerNetwork::forward` regardless
 //     of coalescing;
-//   * N shared worker threads, each owning a warm `Workspace` and a
-//     private `ExecContext` (server-wide `ServeConfig` knobs), picking
-//     the next model to flush by weighted fair scheduling: every model
-//     accrues virtual time at `samples / ModelConfig::weight` as it is
-//     served and the flushable model with the least virtual time goes
-//     next, so a hot model gets its weight's share and no more while a
-//     quiet model's batch is never starved behind it;
+//   * `workers` batch slots, each owning an `ExecContext` of
+//     `intra_op_threads` (server-wide `ServeConfig` knobs).  Every batch
+//     runs under a held slot, so at most `workers` batches run at once
+//     and kernel threads stay at workers × intra_op_threads.  Two kinds
+//     of thread hold slots: the `workers` pool threads, each with a warm
+//     `Workspace`, and blocking `infer` callers, which take a free slot
+//     and run the pool's one-batch step on their own thread with their
+//     own `Workspace` — so a request on an idle server is answered with
+//     no thread hand-off.  The step picks the next model to flush by
+//     weighted fair scheduling: every model accrues virtual time at
+//     `samples / ModelConfig::weight` as it is served and the flushable
+//     model with the least virtual time goes next, so a hot model gets
+//     its weight's share and no more while a quiet model's batch is
+//     never starved behind it;
 //   * graceful drain — `shutdown()` stops admissions, serves everything
-//     already queued (for every model), then joins the workers.
+//     already queued (for every model), joins the workers and waits out
+//     any batch an `infer` caller is still running.
 //
 // Instrumented via ccq::telemetry (enable with CCQ_METRICS=1): the
 // process-wide `serve.*` counters/gauges/histograms aggregate across
@@ -69,8 +77,8 @@ namespace ccq::serve {
 /// Server-wide knobs.  The batching/admission knobs that used to live
 /// here are per-model now — see `ModelConfig` (serve/registry.hpp).
 struct ServeConfig {
-  std::size_t workers = 1;           ///< batch-executing threads (shared pool)
-  std::size_t intra_op_threads = 1;  ///< kernel threads per worker
+  std::size_t workers = 1;           ///< batch slots, and pool threads
+  std::size_t intra_op_threads = 1;  ///< kernel threads per slot
   /// Injectable clock (nanoseconds, monotone non-decreasing; must be
   /// callable from any thread).  Null = the real steady clock.  Every
   /// time-dependent serving decision — batching deadlines, request
@@ -184,22 +192,55 @@ class InferenceServer {
   std::future<void> submit(const std::string& name, const Tensor& sample,
                            Tensor& out);
 
+  /// Blocking `submit`: returns once `out` holds the reply.  Admission is
+  /// `submit`'s.  When a batch slot is free, the calling thread takes it
+  /// and runs the worker pool's one-batch step (fair pick, deadline
+  /// sweep, batch composition, forward) until its own request is
+  /// answered or nothing is flushable — a batch-fill hold, or a deadline
+  /// not yet due; otherwise, and in those cases, it waits for a worker as
+  /// a `submit` caller would.  A batch the caller runs may also answer
+  /// other callers' requests, and its forward uses `ws` (which then
+  /// keeps that batch's buffers) and the slot's `ExecContext`.
+  ///
+  /// Throws what `submit` throws at admission, and what the future's
+  /// `get()` would throw afterwards: RequestShedError,
+  /// DeadlineExceededError or the inference failure.  Those errors are
+  /// safe to read on the calling thread: a thread that fails a request
+  /// with an exception does so, and drops its references to it, under
+  /// the server mutex, and `infer` re-takes that mutex before it
+  /// rethrows, so even ThreadSanitizer, which cannot see libstdc++'s
+  /// exception refcount, sees the error's last free ordered after the
+  /// caller's read.  The server must outlive every `infer` call.
+  void infer(const ModelHandle& model, const Tensor& sample, Tensor& out,
+             Workspace& ws, const SubmitOptions& options = {});
+
   /// Block until every model's queue is empty and no batch is in flight.
   void drain();
 
-  /// Stop admissions, serve every queued request, join the workers.
-  /// Idempotent.
+  /// Stop admissions, serve every queued request, join the workers, and
+  /// wait until no `infer` caller is still running a batch.  Idempotent.
   void shutdown();
 
   /// Total queued requests across all models / for one model (all
   /// versions of the name).
   std::size_t queue_depth() const;
   std::size_t queue_depth(const std::string& name) const;
+  /// Batch slots currently held by a worker or an `infer` caller; never
+  /// more than `ServeConfig::workers`.
+  std::size_t busy_slots() const;
 
   const ServeConfig& config() const { return config_; }
 
  private:
   using ModelPtr = std::shared_ptr<detail::LoadedModel>;
+
+  /// One batch slot: the kernel context and batch buffer of whichever
+  /// thread holds it, a worker or an `infer` caller.
+  struct Slot {
+    explicit Slot(std::size_t intra_op_threads) : ctx(intra_op_threads) {}
+    ExecContext ctx;
+    std::vector<detail::Request> batch;  ///< the batch being run
+  };
 
   /// The server clock: `config_.now_fn` when injected, else the
   /// monotonic telemetry clock.  Called both under and outside mutex_.
@@ -208,7 +249,24 @@ class InferenceServer {
   /// held): the live clock, or under an injected clock `event_ns_`.
   std::uint64_t decision_ns() const;
 
+  /// Validate `sample` against `model` and build its queue entry.
+  detail::Request make_request(const detail::LoadedModel& model,
+                               const Tensor& sample, Tensor& out,
+                               const SubmitOptions& options) const;
+  /// Admission (mutex_ held): the stop/retire/shape/capacity checks, the
+  /// priority shed, and the enqueue.  Throws on rejection.
+  void admit(detail::LoadedModel& model, detail::Request&& request);
+
   void worker_loop();
+  /// Run one batch on `slot` (mutex_ held through `lock`, released
+  /// around the forward): the weighted fair pick, the dequeue-time
+  /// deadline sweep, batch composition, `run_batch` and the in-flight
+  /// accounting.  Returns false, touching no queue, when nothing is
+  /// flushable at the decision instant.
+  bool run_one_batch(std::unique_lock<std::mutex>& lock, Slot& slot,
+                     Workspace& ws, bool inline_caller);
+  /// Forward one composed batch and answer each request.  A failure
+  /// propagates; failing the batch's requests is the caller's job.
   void run_batch(detail::LoadedModel& model,
                  std::vector<detail::Request>& batch, Workspace& ws,
                  const ExecContext& ctx, std::size_t rung) const;
@@ -220,7 +278,7 @@ class InferenceServer {
   ServeConfig config_;
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< queues gained work / stop requested
+  std::condition_variable work_cv_;  ///< work and a free slot / stop requested
   std::condition_variable idle_cv_;  ///< all queues drained and workers idle
   /// Model versions the workers scan: every loaded version, including
   /// retired ones still draining.  Entries leave when retired with an
@@ -246,6 +304,8 @@ class InferenceServer {
   std::size_t total_queued_ = 0;
   std::size_t total_in_flight_ = 0;
   bool stopping_ = false;
+  std::vector<Slot> slots_;          ///< `workers` of them, never resized
+  std::vector<Slot*> free_slots_;    ///< slots no thread holds
   std::vector<std::thread> workers_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -158,6 +159,42 @@ TEST(DoReFaTest, AllZeroWeightsStayZero) {
   const Tensor q = hook.quantize(w);
   EXPECT_EQ(q.max(), 0.0f);
   EXPECT_EQ(q.min(), 0.0f);
+}
+
+TEST(DoReFaTest, MatchesTheScalarUnitQuantizerBitForBit) {
+  // quantize_into runs the 4-lane quantize_unsigned at clip 1; it must
+  // leave exactly the bytes of the per-weight quantize_unit formula, in
+  // both output scalings, at every width and across vector tails.
+  for (const bool scale_preserving : {true, false}) {
+    for (const int bits : {2, 3, 4, 8, 16, 24, 31}) {
+      for (const std::size_t n : {1u, 3u, 4u, 5u, 4099u}) {
+        DoReFaWeightHook hook(scale_preserving);
+        hook.set_bits(bits);
+        Rng rng(static_cast<std::uint64_t>(bits) * 131 + n);
+        Tensor w = Tensor::randn({n}, rng, 0.5f);
+        w.data()[0] = 4.0f;  // tanh saturates: a unit at the grid edge
+        if (n > 2) w.data()[2] = -0.0f;
+        const Tensor q = hook.quantize(w);
+
+        float max_tanh = 0.0f;
+        for (float v : w.data()) {
+          max_tanh = std::max(max_tanh, std::fabs(std::tanh(v)));
+        }
+        const float out_scale = scale_preserving ? max_tanh : 1.0f;
+        Tensor expected(w.shape());
+        for (std::size_t i = 0; i < n; ++i) {
+          const float unit = std::tanh(w.data()[i]) / (2.0f * max_tanh) + 0.5f;
+          expected.data()[i] =
+              out_scale * (2.0f * quantize_unit(unit, bits) - 1.0f);
+        }
+        EXPECT_EQ(std::memcmp(q.data().data(), expected.data().data(),
+                              n * sizeof(float)),
+                  0)
+            << "bits " << bits << ", n " << n << ", scale_preserving "
+            << scale_preserving;
+      }
+    }
+  }
 }
 
 // ---- WRPN ------------------------------------------------------------------

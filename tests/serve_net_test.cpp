@@ -15,10 +15,17 @@
 // an untagged request still encodes exactly as it did before the tags
 // existed — old clients and new servers interoperate.
 //
+// Connection threads serve through the blocking `InferenceServer::infer`,
+// so the TCP tests also cover a request that runs its own batch on the
+// connection thread, one that waits for a worker, and the typed errors
+// that reach a waiting connection from another thread (a shed, a
+// deadline expiry) and cross the wire.
+//
 // Labelled `serve` and run under the TSan quick tier
 // (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve|igemm|engine|adaptive|sla"`).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -438,6 +445,14 @@ wire::InferRequest request_for(const Tensor& x, std::size_t i,
   return request;
 }
 
+/// Sample `i` of an NCHW batch as its own CHW tensor.
+Tensor sample_of(const Tensor& x, std::size_t i) {
+  const std::size_t numel = x.dim(1) * x.dim(2) * x.dim(3);
+  const auto src = x.data().subspan(i * numel, numel);
+  return Tensor({x.dim(1), x.dim(2), x.dim(3)},
+                std::vector<float>(src.begin(), src.end()));
+}
+
 TEST(TcpServeTest, ConcurrentClientsBitIdenticalToInProcess) {
   hw::IntegerNetwork net = make_network();
   const Tensor x = make_inputs(24);
@@ -600,6 +615,124 @@ TEST(TcpServeTest, HighPriorityEvictsQueuedLowOverTcp) {
   tcp_client.join();
   ASSERT_TRUE(high_reply.ok) << high_reply.error;
   EXPECT_EQ(high_reply.logits.size(), 5u);
+}
+
+TEST(TcpServeTest, TcpAndInProcessTrafficMixBitIdenticalAtAnyWorkerCount) {
+  // TCP connections (each request runs inline when a slot is free) and
+  // in-process submitters share the slots at 1, 2 and 4 workers; every
+  // reply is byte-equal to the naive int64 reference.
+  hw::IntegerNetwork net = make_network();
+  const Tensor x = make_inputs(24);
+  const Tensor reference = net.forward_reference(x);
+  const std::size_t classes = reference.dim(1);
+
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ServeConfig config;
+    config.workers = workers;
+    InferenceServer server(config);
+    ModelConfig mc;
+    mc.max_batch = 3;
+    const ModelHandle handle = server.load("mix", net, mc);
+    TcpServer front(server, 0);
+
+    constexpr std::size_t kTcp = 3, kLocal = 2, kThreads = kTcp + kLocal;
+    std::vector<std::vector<float>> replies(x.dim(0));
+    std::vector<std::string> errors(x.dim(0));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        if (t < kTcp) {
+          TcpClient client("127.0.0.1", front.port());
+          for (std::size_t i = t; i < x.dim(0); i += kThreads) {
+            const wire::InferReply reply =
+                client.infer(request_for(x, i, "mix"));
+            errors[i] = reply.error;
+            replies[i] = reply.logits;
+          }
+          return;
+        }
+        for (std::size_t i = t; i < x.dim(0); i += kThreads) {
+          const Tensor sample = sample_of(x, i);
+          Tensor out;
+          server.submit(handle, sample, out).get();
+          replies[i].assign(out.data().begin(), out.data().end());
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    for (std::size_t i = 0; i < x.dim(0); ++i) {
+      ASSERT_TRUE(errors[i].empty()) << "sample " << i << ": " << errors[i];
+      const std::vector<float> expected(
+          reference.data().begin() + static_cast<std::ptrdiff_t>(i * classes),
+          reference.data().begin() +
+              static_cast<std::ptrdiff_t>((i + 1) * classes));
+      EXPECT_TRUE(bits_equal(replies[i], expected))
+          << "sample " << i << " with " << workers << " workers";
+    }
+    // A reply can reach its caller before the worker that ran it hands
+    // its slot back; drain() returns only once that has happened.
+    server.drain();
+    EXPECT_EQ(server.busy_slots(), 0u);
+  }
+}
+
+TEST(TcpServeTest, ErrorsRaisedOnOtherThreadsReachAWaitingTcpCaller) {
+  // A low-priority TCP request finds its batch held, so its connection
+  // thread waits on it.  A second connection's equal-priority request is
+  // refused at the door (queue full), then an in-process high-priority
+  // submit sheds the waiting request: the shed, raised on the submitting
+  // thread, comes back over the first connection as its typed message.
+  ServeConfig config;
+  config.workers = 1;
+  InferenceServer server(config);
+  ModelConfig mc;
+  mc.queue_capacity = 1;
+  mc.max_batch = 4;  // > capacity: nothing flushes until shutdown forces it
+  mc.max_delay_us = std::numeric_limits<std::uint64_t>::max();
+  const ModelHandle handle = server.load("contested", make_network(), mc);
+  TcpServer front(server, 0);
+  const Tensor x = make_inputs(2);
+
+  wire::InferReply parked_reply;
+  std::thread parked([&] {
+    TcpClient client("127.0.0.1", front.port());
+    wire::InferRequest request = request_for(x, 0, "contested");
+    request.has_priority = true;
+    request.priority = 0;  // low
+    parked_reply = client.infer(request);
+  });
+  while (server.queue_depth("contested") == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+
+  TcpClient second("127.0.0.1", front.port());
+  wire::InferRequest refused = request_for(x, 1, "contested");
+  refused.has_priority = true;
+  refused.priority = 0;
+  const wire::InferReply full = second.infer(refused);
+  EXPECT_FALSE(full.ok);
+  EXPECT_NE(full.error.find("capacity 1"), std::string::npos) << full.error;
+
+  const Tensor high_sample = sample_of(x, 1);
+  Tensor high_out;
+  SubmitOptions high;
+  high.priority = Priority::kHigh;
+  std::future<void> high_reply =
+      server.submit(handle, high_sample, high_out, high);
+  parked.join();
+  EXPECT_FALSE(parked_reply.ok);
+  EXPECT_NE(parked_reply.error.find("shed to admit higher-priority traffic"),
+            std::string::npos)
+      << parked_reply.error;
+
+  // After shutdown the queued high is served and the wire refuses more.
+  server.shutdown();
+  high_reply.get();
+  EXPECT_EQ(high_out.rank(), 1u);
+  const wire::InferReply stopped = second.infer(request_for(x, 0, "contested"));
+  EXPECT_FALSE(stopped.ok);
+  EXPECT_NE(stopped.error.find("stopped"), std::string::npos) << stopped.error;
 }
 
 }  // namespace

@@ -2,20 +2,25 @@
 // and the registry-routed inference server — admission control, flush
 // triggers, drain/shutdown semantics and the headline property that
 // served outputs are bit-identical to a direct integer forward for any
-// worker count and batch composition.  Hot-swap and wire-protocol
-// coverage live in serve_swap_test.cpp / serve_net_test.cpp.
+// worker count and batch composition, whether a worker or a blocking
+// `infer` caller runs the batch.  Hot-swap and wire-protocol coverage
+// live in serve_swap_test.cpp / serve_net_test.cpp.
 //
 // Labelled `serve` and run under the TSan quick tier
 // (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve"`).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -829,6 +834,317 @@ TEST(ServeTest, TwoModelsServeConcurrentlyOnOnePool) {
     EXPECT_EQ(max_row_diff(report_uniform.outputs[i], ref_uniform, i), 0.0f)
         << "uniform sample " << i;
   }
+}
+
+// ---- blocking infer --------------------------------------------------------
+
+/// The CHW samples of an NCHW batch.
+std::vector<Tensor> split_samples(const Tensor& x) {
+  const Shape chw{x.dim(1), x.dim(2), x.dim(3)};
+  const std::size_t numel = shape_numel(chw);
+  std::vector<Tensor> samples;
+  for (std::size_t i = 0; i < x.dim(0); ++i) {
+    Tensor sample(chw);
+    const auto src = x.data().subspan(i * numel, numel);
+    std::copy(src.begin(), src.end(), sample.data().begin());
+    samples.push_back(std::move(sample));
+  }
+  return samples;
+}
+
+/// `row` holds exactly the bytes of row `i` of `batch`.
+bool row_bytes_equal(const Tensor& row, const Tensor& batch, std::size_t i) {
+  const std::size_t classes = batch.dim(1);
+  return row.rank() == 1 && row.dim(0) == classes &&
+         std::memcmp(row.data().data(), batch.data().data() + i * classes,
+                     classes * sizeof(float)) == 0;
+}
+
+/// The 8-bit variant of `make_mixed_model`'s network: same shapes,
+/// different logits.
+hw::IntegerNetwork make_uniform_network() {
+  models::ModelConfig mc;
+  mc.num_classes = 5;
+  mc.image_size = 8;
+  mc.width_multiplier = 0.25f;
+  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
+  auto model =
+      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4, 2}));
+  quant::LayerRegistry& registry = model.registry();
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    registry.set_ladder_pos(i, 0);
+  }
+  Workspace ws;
+  model.set_training(true);
+  model.forward(make_inputs(16), ws);
+  model.set_training(false);
+  return hw::IntegerNetwork::compile(model);
+}
+
+/// Poll until `done()` holds (a request parked in a queue, say).
+void wait_until(const std::function<bool()>& done) {
+  while (!done()) std::this_thread::sleep_for(std::chrono::microseconds(50));
+}
+
+TEST(ServeInferTest, InferAndSubmitMixBitIdenticalAtAnyWorkerCount) {
+  // Threads alternate between the blocking `infer` and `submit` while a
+  // sampler watches the slot count: every reply is byte-equal to the
+  // naive int64 reference whichever thread ran its batch, and no more
+  // than `workers` batches ever run at once.
+  auto model = make_mixed_model();
+  const hw::IntegerNetwork direct = hw::IntegerNetwork::compile(model);
+  const Tensor x = make_inputs(30);
+  const Tensor reference = direct.forward_reference(x);
+  const std::vector<Tensor> samples = split_samples(x);
+
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ServeConfig config;
+    config.workers = workers;
+    InferenceServer server(config);
+    ModelConfig mc;
+    mc.max_batch = 5;
+    const ModelHandle handle =
+        server.load("mixed", hw::IntegerNetwork::compile(model), mc);
+
+    std::atomic<bool> done{false};
+    std::size_t max_busy = 0;
+    std::thread sampler([&] {
+      while (!done.load()) {
+        max_busy = std::max(max_busy, server.busy_slots());
+        std::this_thread::yield();
+      }
+    });
+    constexpr std::size_t kThreads = 6;
+    constexpr std::size_t kRounds = 4;
+    std::vector<std::vector<Tensor>> outputs(
+        kThreads, std::vector<Tensor>(samples.size()));
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      callers.emplace_back([&, t] {
+        Workspace ws;
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          for (std::size_t i = t; i < samples.size(); i += kThreads) {
+            if ((t + round) % 2 == 0) {
+              server.infer(handle, samples[i], outputs[t][i], ws);
+            } else {
+              server.submit(handle, samples[i], outputs[t][i]).get();
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    done.store(true);
+    sampler.join();
+
+    EXPECT_LE(max_busy, workers);
+    // A reply can reach its caller before the worker that ran it hands
+    // its slot back; drain() returns only once that has happened.
+    server.drain();
+    EXPECT_EQ(server.busy_slots(), 0u);
+    EXPECT_EQ(server.queue_depth(), 0u);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t i = t; i < samples.size(); i += kThreads) {
+        EXPECT_TRUE(row_bytes_equal(outputs[t][i], reference, i))
+            << "sample " << i << " from thread " << t << " with " << workers
+            << " workers";
+      }
+    }
+  }
+}
+
+TEST(ServeInferTest, TypedErrorsReachTheInferCaller) {
+  auto model = make_mixed_model();
+  ServeConfig config;
+  config.workers = 1;
+  InferenceServer server(config);
+  ModelConfig mc;
+  mc.max_batch = 4;
+  mc.queue_capacity = 1;
+  mc.max_delay_us = std::numeric_limits<std::uint64_t>::max();  // holds
+  const ModelHandle handle =
+      server.load("typed", hw::IntegerNetwork::compile(model), mc);
+  const Shape chw{3, 8, 8};
+  Tensor parked = make_inputs(1).reshaped(chw);
+  Tensor incomer = make_inputs(1).reshaped(chw);
+  Tensor parked_out, incomer_out;
+  Workspace ws;
+
+  // Shape errors at admission: a batch, then a wrong first geometry.
+  Tensor batch_in = make_inputs(1);
+  EXPECT_THROW(server.infer(handle, batch_in, incomer_out, ws), Error);
+  Tensor bogus({7, 8, 8});
+  const std::string geometry =
+      error_message([&] { server.infer(handle, bogus, incomer_out, ws); });
+  EXPECT_NE(geometry.find("channels"), std::string::npos) << geometry;
+
+  // A low-priority caller finds its batch held, so it hands its slot
+  // back and waits; the equal-priority incomer finds the queue full, and
+  // a high-priority submit sheds the waiting caller's request.
+  std::thread low([&] {
+    Workspace low_ws;
+    SubmitOptions options;
+    options.priority = Priority::kLow;
+    EXPECT_THROW(server.infer(handle, parked, parked_out, low_ws, options),
+                 RequestShedError);
+  });
+  wait_until([&] { return server.queue_depth("typed") == 1; });
+  SubmitOptions low_options;
+  low_options.priority = Priority::kLow;
+  const std::string full = error_message(
+      [&] { server.infer(handle, incomer, incomer_out, ws, low_options); });
+  EXPECT_NE(full.find("capacity 1"), std::string::npos) << full;
+  SubmitOptions high;
+  high.priority = Priority::kHigh;
+  std::future<void> high_reply =
+      server.submit(handle, incomer, incomer_out, high);
+  low.join();
+
+  // A queueing budget that runs out while the batch is held.
+  const ModelHandle slow =
+      server.load("slow", hw::IntegerNetwork::compile(model), mc);
+  SubmitOptions tight;
+  tight.deadline_us = 1;
+  Tensor slow_out;
+  EXPECT_THROW(server.infer(slow, parked, slow_out, ws, tight),
+               DeadlineExceededError);
+
+  // Unloading serves what is queued, then closes the version.
+  server.unload("typed");
+  high_reply.get();
+  EXPECT_THROW(server.infer(handle, parked, parked_out, ws),
+               ModelRetiredError);
+
+  server.shutdown();
+  EXPECT_THROW(server.infer(slow, parked, slow_out, ws), ServerStoppedError);
+  EXPECT_EQ(server.busy_slots(), 0u);
+}
+
+TEST(ServeInferTest, ShutdownAndDrainWithInferCallersHoldingSlots) {
+  // `infer` callers and `submit` callers share the slots when drain()
+  // and then shutdown() arrive.  Every request admitted before the stop
+  // is answered bit-exactly, every later one is refused with
+  // ServerStoppedError, and shutdown returns.  At 2 workers a worker can
+  // sleep through the stop's wake-up (work queued, every slot held by a
+  // worker or a caller) and then see the queue drained by others: the
+  // slot released last must wake it, or shutdown waits forever.
+  auto model = make_mixed_model();
+  const hw::IntegerNetwork net = hw::IntegerNetwork::compile(model);
+  const Tensor x = make_inputs(6);
+  const Tensor reference = net.forward_reference(x);
+  const std::vector<Tensor> samples = split_samples(x);
+  constexpr std::size_t kCallers = 6;   // even: infer, odd: submit
+  constexpr std::size_t kRequests = 8;  // bounded, so drain() can return
+
+  for (int repeat = 0; repeat < 400; ++repeat) {
+    ServeConfig config;
+    config.workers = repeat % 4 == 3 ? 1 : 2;
+    InferenceServer server(config);
+    ModelConfig mc;
+    mc.max_batch = 2;
+    const ModelHandle handle = server.load("stop", net, mc);
+
+    std::atomic<std::size_t> answered{0};
+    std::vector<std::thread> callers;
+    std::vector<std::string> failures(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        Workspace ws;
+        Tensor out;
+        for (std::size_t k = 0; k < kRequests; ++k) {
+          const std::size_t i = (c + k * kCallers) % samples.size();
+          try {
+            if (c % 2 == 0) {
+              server.infer(handle, samples[i], out, ws);
+            } else {
+              server.submit(handle, samples[i], out).get();
+            }
+          } catch (const ServerStoppedError&) {
+            return;
+          } catch (const std::exception& e) {
+            failures[c] = e.what();
+            return;
+          }
+          if (!row_bytes_equal(out, reference, i)) {
+            failures[c] = "sample " + std::to_string(i) + " diverged";
+            return;
+          }
+          answered.fetch_add(1);
+        }
+      });
+    }
+    wait_until([&] { return answered.load() >= kCallers; });
+    if (repeat % 2 == 0) server.drain();
+    server.shutdown();
+    for (std::thread& caller : callers) caller.join();
+    for (const std::string& failure : failures) {
+      EXPECT_TRUE(failure.empty()) << "repeat " << repeat << ": " << failure;
+    }
+    EXPECT_EQ(server.busy_slots(), 0u) << "repeat " << repeat;
+    EXPECT_EQ(server.queue_depth(), 0u) << "repeat " << repeat;
+  }
+}
+
+TEST(ServeInferTest, HotSwapUnderInferTrafficStaysBitIdenticalPerVersion) {
+  // Callers resolve the current version for every request while v2 is
+  // published mid-traffic: each reply is bit-identical to the forward of
+  // the version its handle pinned, and both versions serve traffic.
+  auto model = make_mixed_model();
+  hw::IntegerNetwork v1 = hw::IntegerNetwork::compile(model);
+  hw::IntegerNetwork v2 = make_uniform_network();
+  const Tensor x = make_inputs(24);
+  const Tensor ref_v1 = v1.forward_reference(x);
+  const Tensor ref_v2 = v2.forward_reference(x);
+  ASSERT_NE(max_abs_diff(ref_v1, ref_v2), 0.0f);
+  const std::vector<Tensor> samples = split_samples(x);
+
+  ServeConfig config;
+  config.workers = 2;
+  InferenceServer server(config);
+  ModelConfig mc;
+  mc.max_batch = 3;
+  server.load("canary", std::move(v1), mc);
+
+  // Each caller runs until it has been served by v2 a few times.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kOnV2 = 8;
+  struct Reply {
+    std::size_t sample = 0;
+    std::uint64_t version = 0;
+    Tensor out;
+  };
+  std::vector<std::vector<Reply>> replies(kCallers);
+  std::atomic<std::size_t> served{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      Workspace ws;
+      for (std::size_t k = 0, on_v2 = 0; on_v2 < kOnV2; ++k) {
+        Reply reply;
+        reply.sample = (c + k * kCallers) % samples.size();
+        const ModelHandle handle = server.resolve("canary");
+        reply.version = handle.version();
+        server.infer(handle, samples[reply.sample], reply.out, ws);
+        if (reply.version == 2) ++on_v2;
+        replies[c].push_back(std::move(reply));
+        served.fetch_add(1);
+      }
+    });
+  }
+  wait_until([&] { return served.load() >= 4 * kCallers; });
+  server.load("canary", std::move(v2), mc);
+  for (std::thread& caller : callers) caller.join();
+
+  std::set<std::uint64_t> seen;
+  for (const auto& per_caller : replies) {
+    for (const Reply& reply : per_caller) {
+      seen.insert(reply.version);
+      const Tensor& ref = reply.version == 1 ? ref_v1 : ref_v2;
+      EXPECT_TRUE(row_bytes_equal(reply.out, ref, reply.sample))
+          << "sample " << reply.sample << " pinned v" << reply.version;
+    }
+  }
+  EXPECT_EQ(seen, (std::set<std::uint64_t>{1, 2}));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Telemetry subsystem + step-wise controller tests: metric registry
-// semantics, JSONL trace schema, observer delivery, and mid-run
-// stop/resume bit-identity (snapshot + controller state).
+// semantics, JSONL trace schema, observer delivery, mid-run stop/resume
+// bit-identity (snapshot + controller state), and the serving counters
+// that tell batches run by a blocking `infer` caller from the pool's.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "ccq/core/snapshot.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/simple.hpp"
+#include "ccq/serve/server.hpp"
 
 namespace ccq::core {
 namespace {
@@ -321,6 +323,64 @@ TEST(CcqControllerTest, StepBeforeInitThrows) {
   CcqController controller(f.model, f.train_set, f.val_set, fast_config());
   EXPECT_THROW(controller.step(), Error);
   EXPECT_THROW(controller.save_state(temp_path("ccq_uninit.state")), Error);
+}
+
+// ---- serving counters ------------------------------------------------------
+
+TEST(ServeTelemetryTest, BatchesInlineCountsOnlyBatchesAnInferCallerRan) {
+  // On an idle server a blocking `infer` finds a slot free and runs its
+  // own batch, and a `submit` is always run by a worker: serve.batches
+  // counts both kinds, serve.batches_inline and its per-model twin only
+  // the first.
+  models::ModelConfig mc;
+  mc.num_classes = 4;
+  mc.image_size = 8;
+  mc.width_multiplier = 0.25f;
+  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
+  auto model =
+      models::make_simple_cnn(mc, factory, quant::BitLadder({8, 4}));
+  quant::LayerRegistry& registry = model.registry();
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    registry.set_ladder_pos(i, 0);
+  }
+  Tensor calib({4, 3, 8, 8});
+  calib.fill(0.5f);
+  Workspace calib_ws;
+  model.set_training(true);
+  model.forward(calib, calib_ws);
+  model.set_training(false);
+
+  telemetry::set_metrics_enabled(true);
+  telemetry::reset_metrics();
+  {
+    serve::ServeConfig config;
+    config.workers = 2;
+    serve::InferenceServer server(config);
+    const serve::ModelHandle handle =
+        server.load("inline_probe", hw::IntegerNetwork::compile(model));
+    Tensor sample({3, 8, 8});
+    sample.fill(0.25f);
+    Tensor out;
+    Workspace ws;
+    for (int i = 0; i < 5; ++i) server.infer(handle, sample, out, ws);
+    for (int i = 0; i < 3; ++i) server.submit(handle, sample, out).get();
+    server.shutdown();
+  }
+  EXPECT_EQ(telemetry::counter_value(telemetry::Counter::kServeBatches), 8u);
+  EXPECT_EQ(telemetry::counter_value(telemetry::Counter::kServeBatchesInline),
+            5u);
+  const int named = telemetry::find_named_metric(
+      telemetry::NamedKind::kCounter, "serve.inline_probe.batches_inline");
+  ASSERT_GE(named, 0);
+  EXPECT_EQ(telemetry::named_counter_value(named), 5u);
+  const Json report = Json::parse(telemetry::metrics_to_json().dump());
+  EXPECT_EQ(report.at("counters").at("serve.batches_inline").as_double(), 5.0);
+  EXPECT_EQ(report.at("counters")
+                .at("serve.inline_probe.batches_inline")
+                .as_double(),
+            5.0);
+  telemetry::reset_metrics();
+  telemetry::set_metrics_enabled(false);
 }
 
 TEST(NamedMetricsTest, CapacityExhaustionDisablesInsteadOfThrowing) {

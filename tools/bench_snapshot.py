@@ -32,7 +32,9 @@ serving stack:
             (producers x workers) and an open-loop offered-load sweep
             with p50/p99 latency and shed rate, each at batch-fill hold
             0 and at a positive hold (row suffix /d<max_delay_us>), idle
-            round-trip latency, the per-sample engine forward at batch
+            round-trip latency through submit + get (latency/w<W>) and
+            through the blocking infer (latency/w<W>/infer), the
+            per-sample engine forward at batch
             1..16 (forward/b<N>, us_per_sample), and a two-model
             weighted mixed-priority sweep with per-class p50/p99 and the
             shed split (shed rates are fractions of offered submission
@@ -301,8 +303,9 @@ def parse_named_rows(raw: dict) -> dict:
 
 def parse_serve_rows(raw: dict) -> dict:
     """bench_serve JSON -> rows keyed closed/pPwW/dD, open/Rrps/dD,
-    latency/wW, forward/bB, mixed/Rrps, rung/R and ramp (D = the row's
-    max_delay_us batch-fill hold)."""
+    latency/wW (submit + get), latency/wW/infer (the blocking infer),
+    forward/bB, mixed/Rrps, rung/R and ramp (D = the row's max_delay_us
+    batch-fill hold)."""
     rows = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -324,6 +327,8 @@ def parse_serve_rows(raw: dict) -> dict:
             key = f"mixed/{args['offered_rps']}rps"
         elif parts[0] == "BM_ServeLatency":
             key = f"latency/w{args['workers']}"
+            if args.get("infer"):
+                key += "/infer"
         elif parts[0] == "BM_AdaptiveRung":
             key = f"rung/{args['rung']}"
         elif parts[0] == "BM_AdaptiveLoadRamp":

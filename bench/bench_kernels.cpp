@@ -409,8 +409,8 @@ struct KernelEnvPin {
 
 /// The igemm kernel grid: each registry variant against the naive int64
 /// triple loop (`forward_reference`) on the same compiled net.  Args are
-/// {bits, mode} with mode 0=reference, 1=scalar, 2=vec16, 3=vec-packed
-/// (the mode names index igemm_kernel_names()).  All modes run the
+/// {bits, mode} with mode 0=reference, 1=vec16, 2=vec-packed (the mode
+/// names index igemm_kernel_names()).  All modes run the
 /// identical workspace-leased datapath, so the time ratios isolate the
 /// microkernels.  Outputs are bit-identical by construction
 /// (igemm_property_test), so only speed and the allocs_per_iter=0 warm
@@ -422,8 +422,7 @@ struct KernelEnvPin {
 void BM_IgemmForward(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   const auto mode = static_cast<std::size_t>(state.range(1));
-  static const char* const kModes[] = {nullptr, "scalar", "vec16",
-                                       "vec-packed"};
+  static const char* const kModes[] = {nullptr, "vec16", "vec-packed"};
   const bool reference = mode == 0;
   const KernelEnvPin pin(kModes[mode]);
   hw::IntegerNetwork net = igemm_net(bits);  // reads the pinned override
@@ -448,8 +447,8 @@ void BM_IgemmForward(benchmark::State& state) {
 }
 void igemm_forward_args(benchmark::internal::Benchmark* b) {
   for (int bits : {2, 4, 8}) {
-    for (int mode = 0; mode <= 3; ++mode) {
-      if (mode == 3 && (bits == 8 || !igemm_packed_simd())) continue;
+    for (int mode = 0; mode <= 2; ++mode) {
+      if (mode == 2 && (bits == 8 || !igemm_packed_simd())) continue;
       b->Args({bits, mode});
     }
   }
@@ -567,4 +566,15 @@ BENCHMARK(BM_KlCalibration)->Arg(2)->Arg(4);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus one context field: whether this build carries
+// vec-packed's 8-bit-lane SIMD, which decides the igemm grid's rows
+// (tools/bench_snapshot.py records it with each snapshot).
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("igemm_packed_simd",
+                              ccq::igemm_packed_simd() ? "true" : "false");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -62,7 +62,6 @@ const char* timer_name(Timer id) {
   switch (id) {
     case Timer::kGemm: return "gemm";
     case Timer::kIgemm: return "hw.igemm";
-    case Timer::kIgemmScalar: return "hw.igemm.scalar";
     case Timer::kIgemmVec16: return "hw.igemm.vec16";
     case Timer::kIgemmVecPacked: return "hw.igemm.vec_packed";
     case Timer::kHwRequant: return "hw.requant";

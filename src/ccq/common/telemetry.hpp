@@ -74,7 +74,6 @@ enum class Gauge : int {
 enum class Timer : int {
   kGemm,              ///< blocked GEMM core (gemm / gemm_tn)
   kIgemm,             ///< blocked integer GEMM (igemm_run, all kernels)
-  kIgemmScalar,       ///< igemm per-kernel axis: scalar rank-1 kernel
   kIgemmVec16,        ///< igemm per-kernel axis: vec16 SIMD kernel
   kIgemmVecPacked,    ///< igemm per-kernel axis: vec-packed 8-bit kernel
   kHwRequant,         ///< engine code-domain requant ops (input snap, pool means)

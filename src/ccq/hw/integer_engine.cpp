@@ -5,8 +5,8 @@
 #include <limits>
 #include <set>
 #include <type_traits>
+#include <optional>
 #include <utility>
-#include <variant>
 
 #include "ccq/common/telemetry.hpp"
 #include "ccq/hw/fixed_point.hpp"
@@ -110,6 +110,18 @@ void read_act(nn::Module* module, IntLayerPlan& plan) {
   }
 }
 
+/// The engine's weight-grid ceiling: the paper starts every layer at 8
+/// bits and only lowers it, and doubled 8-bit codes (±256) against u8
+/// activations keep int32 sums exact to depth 32 896.
+void check_weight_bits(const std::string& layer, int bits) {
+  if (bits > 8) {
+    throw Error("integer engine: layer '" + layer + "' has a " +
+                std::to_string(bits) +
+                "-bit weight grid; the engine serves weight grids of at "
+                "most 8 bits");
+  }
+}
+
 float act_scale(const IntLayerPlan& plan) {
   CCQ_CHECK(plan.has_act, "layer has no activation grid");
   CCQ_CHECK(plan.act_bits < 16, "activation not quantized");
@@ -156,8 +168,7 @@ IntegerNetwork IntegerNetwork::compile(models::QuantModel& model) {
                              const Tensor* conv_bias,
                              IntLayerPlan& plan) {
     CCQ_CHECK(hook != nullptr, "layer has no weight quantizer");
-    CCQ_CHECK(hook->bits() < 16,
-              "integer engine requires quantized weights (<16 bits)");
+    check_weight_bits(plan.name, hook->bits());
     const Tensor q = hook->quantize(weight.value);
     // Prefer the hook's own grid metadata — the exact float the quantizer
     // snapped to, with no O(n log n) distinct-value walk.  Hooks that
@@ -360,7 +371,8 @@ std::vector<std::int32_t> channels_last_codes(const IntLayerPlan& plan) {
 /// back onto) the current grid, so they preserve the bound.  A layer
 /// without a quantized activation grid (the classifier head) leaves the
 /// grid for good: the engine has no float-activation datapath, so only
-/// a flatten may follow it.
+/// a flatten may follow it.  Every conv/linear layer must meet the 8-bit
+/// ceiling and the int32 proof; the error names the layer.
 void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
   std::int64_t in_bound = 255;
   const IntLayerPlan* producer = nullptr;  // the unquantized producer
@@ -374,6 +386,15 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
     }
     if (plan.kind == IntLayerPlan::Kind::kConv ||
         plan.kind == IntLayerPlan::Kind::kLinear) {
+      check_weight_bits(plan.name, plan.weight_bits);
+      // A grid of 16 bits or more is the unquantized head's clamp.
+      const bool quantized_act = plan.has_act && plan.act_bits < 16;
+      if (quantized_act && (plan.act_bits < 1 || plan.act_bits > 8)) {
+        throw Error("integer engine: layer '" + plan.name + "' has a " +
+                    std::to_string(plan.act_bits) +
+                    "-bit activation grid; the engine serves quantized "
+                    "activation grids of 1 to 8 bits");
+      }
       const bool conv = plan.kind == IntLayerPlan::Kind::kConv;
       const std::size_t rows =
           conv ? plan.out_channels : plan.out_features;
@@ -382,11 +403,16 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
                : plan.in_features;
       plan.max_abs_code = igemm_max_abs(plan.weight_codes);
       plan.in_code_bound = in_bound;
-      plan.accum = igemm_fits_int32(plan.max_abs_code, in_bound, depth)
-                       ? IgemmAccum::kInt32
-                       : IgemmAccum::kInt64;
-      plan.igemm_kernel = igemm_select_kernel(requested, plan.max_abs_code,
-                                              plan.in_code_bound, plan.accum);
+      if (!igemm_fits_int32(plan.max_abs_code, in_bound, depth)) {
+        throw Error("integer engine: layer '" + plan.name +
+                    "' does not fit int32 accumulation: max |weight code| " +
+                    std::to_string(plan.max_abs_code) +
+                    " x activation code bound " + std::to_string(in_bound) +
+                    " x depth " + std::to_string(depth) +
+                    " exceeds 2147483647");
+      }
+      plan.igemm_kernel =
+          igemm_select_kernel(requested, plan.max_abs_code, in_bound);
       // Both run as activation dot rows × the panel, so the panel rows
       // follow the lowering's patch order: (ky, kx, c) for a conv, whose
       // codes are serialized (c, ky, kx); a linear layer is the 1×1 case.
@@ -396,8 +422,8 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
       // Fused fixed-point requantization: fold channel_scale/bias and
       // the activation grid into int32-multiplier requant parameters so
       // the igemm epilogue writes the next layer's codes directly.
-      // Fusion needs a quantized output grid and a static accumulator
-      // bound inside make_requant's 2^61 budget — anything else keeps
+      // Fusion needs a quantized output grid and parameters make_requant
+      // accepts for the layer's accumulator bound — anything else keeps
       // the float epilogue.
       //
       // Artifact-loaded plans arrive with the per-channel `requant`
@@ -406,27 +432,17 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
       // — exact integer functions of act_bits / weight codes / geometry,
       // not serialized — are rederived here.  Freshly compiled and
       // synthetic plans compute everything.
-      const bool fusable = plan.has_act && plan.act_bits < 16;
-      std::int64_t bound = -1;  // -1 = overflows the budget, unfusable
-      if (fusable) {
-        constexpr std::int64_t kBudget = std::int64_t{1} << 61;
-        const auto w = static_cast<std::int64_t>(plan.max_abs_code);
-        if (w == 0 || depth == 0) {
-          bound = 0;
-        } else if (in_bound <= kBudget / w &&
-                   w * in_bound <= kBudget / static_cast<std::int64_t>(depth)) {
-          bound = w * in_bound * static_cast<std::int64_t>(depth);
-        }
-      }
+      const std::int64_t bound = std::int64_t{plan.max_abs_code} * in_bound *
+                                 static_cast<std::int64_t>(depth);
       if (!plan.requant.empty()) {
-        CCQ_CHECK(fusable && bound >= 0,
+        CCQ_CHECK(quantized_act,
                   "integer engine: layer '" + plan.name +
                       "' carries requant parameters but is not fusable "
                       "(inconsistent artifact)");
         plan.requant_fused = true;
         plan.out_qmax = static_cast<std::int32_t>((1 << plan.act_bits) - 1);
         plan.acc_bound = bound;
-      } else if (bound >= 0) {
+      } else if (quantized_act) {
         const float out_scale = act_scale(plan);
         std::vector<Requant> rq(rows);
         bool ok = true;
@@ -446,7 +462,7 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
         }
       }
       if (plan.requant.empty()) plan.requant_fused = false;
-      if (fusable) {
+      if (quantized_act) {
         in_bound = (std::int64_t{1} << plan.act_bits) - 1;
       } else {
         producer = &plan;
@@ -460,11 +476,10 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
 void IntegerNetwork::finalize_plans() {
   // $CCQ_IGEMM_KERNEL is read once for the whole network (kAuto when
   // unset); each layer then resolves it against its own static bounds,
-  // so a 2-bit conv can run vec-packed while the int64-accumulating
-  // classifier head falls back to scalar in the same net.  Multi-point
-  // networks finalize every rung independently — each serving point
-  // gets its own kernel selection, accumulator proof and requant
-  // rederivation against its own bit widths.
+  // so a 2-bit conv can run vec-packed while an 8-bit layer runs vec16
+  // in the same net.  Multi-point networks finalize every rung
+  // independently — each serving point gets its own kernel selection,
+  // int32 proof and requant rederivation against its own bit widths.
   const IgemmKernel requested = igemm_requested_kernel();
   for (auto& plans : rungs_) finalize_rung(plans, requested);
 }
@@ -507,11 +522,10 @@ void apply_act(Tensor& x, const IntLayerPlan& plan) {
 // ---- code-domain helpers ---------------------------------------------------
 //
 // Activations flow layer to layer as integer *codes* on the current
-// activation grid (u8 for grids up to 8 bits, i16 above; exact int32 on
-// the reference backend) instead of a float tensor, stored channels-last
-// — (N, H, W, C) — while the map is spatial, so each conv lowers its
-// patches from contiguous channel runs and its epilogue writes the next
-// map without a transpose.  The walk keeps the logical NCHW shape; only
+// activation grid (u8; exact int32 on the reference backend) instead of
+// a float tensor, stored channels-last — (N, H, W, C) — while the map is
+// spatial, so each conv lowers its patches from contiguous channel runs
+// and its epilogue writes the next map without a transpose.  The walk keeps the logical NCHW shape; only
 // the storage order differs, and it is undone wherever the layout
 // becomes visible: a flatten of a spatial map and the final decode.
 // These helpers are templated on the code type, so both MAC backends
@@ -673,142 +687,92 @@ void gap_codes(const T* src, T* dst, std::size_t n, std::size_t c,
 }
 
 /// The activation codes flowing between layers: at most one engaged
-/// lease out of `Leases` (leases have deleted move-assignment, so the
-/// store re-emplaces instead of assigning).  Empty once an unquantized
-/// producer has left the grid.
-template <typename... Leases>
+/// lease of the backend's code type (leases have deleted
+/// move-assignment, so the store re-emplaces instead of assigning).
+/// Empty once an unquantized producer has left the grid.
+template <typename Lease>
 class CodeStore {
  public:
-  bool engaged() const { return lease_.index() != 0; }
-  template <typename Lease>
-  void adopt(Lease lease) {
-    lease_.template emplace<Lease>(std::move(lease));
-  }
-  void reset() { lease_.template emplace<std::monostate>(); }
-  /// Call `f` with the engaged typed code pointer.
+  bool engaged() const { return lease_.has_value(); }
+  void adopt(Lease lease) { lease_.emplace(std::move(lease)); }
+  void reset() { lease_.reset(); }
+  /// Call `f` with the engaged code pointer.
   template <typename F>
   void visit(F&& f) const {
-    std::visit(
-        [&](const auto& lease) {
-          if constexpr (!std::is_same_v<std::decay_t<decltype(lease)>,
-                                        std::monostate>) {
-            f(lease.data());
-          }
-        },
-        lease_);
+    if (lease_) f(lease_->data());
   }
   /// Replace the codes by `f(src, dst)` written into a fresh lease of
-  /// `n` codes of the same type (pooling keeps the grid).
+  /// `n` codes (pooling keeps the grid).
   template <typename F>
   void map(std::size_t n, Workspace& ws, F&& f) {
-    std::visit(
-        [&](auto& lease) {
-          using Lease = std::decay_t<decltype(lease)>;
-          if constexpr (!std::is_same_v<Lease, std::monostate>) {
-            Lease out(ws, n);
-            f(std::as_const(lease).data(), out.data());
-            lease_.template emplace<Lease>(std::move(out));  // `lease` dies
-          }
-        },
-        lease_);
+    if (!lease_) return;
+    Lease out(ws, n);
+    f(std::as_const(*lease_).data(), out.data());
+    lease_.emplace(std::move(out));  // the old codes go back to the pool
   }
 
  private:
-  std::variant<std::monostate, Leases...> lease_;
+  std::optional<Lease> lease_;
 };
 
 // ---- MAC backends ------------------------------------------------------------
 //
 // The layer walk below is written once and instantiated over two MAC
-// backends (policy structs).  Each names the leases its codes travel in,
-// hands out a fresh lease for a grid topping out at `qmax`, and runs one
-// conv/linear layer of geometry `g` (a linear layer is the 1×1 kernel
-// over a 1×1 map of in_features channels) over `n` images from
-// channels-last codes `src` into channels-last `out`: the next layer's
-// codes through the fused requant epilogue when `out` is integer, the
-// float epilogue when it is float.
+// backends (policy structs).  Each names the lease its codes travel in
+// and runs one conv/linear layer of geometry `g` (a linear layer is the
+// 1×1 kernel over a 1×1 map of in_features channels) over `n` images
+// from channels-last codes `src` into channels-last `out`: the next
+// layer's codes through the fused requant epilogue when `out` is
+// integer, the float epilogue when it is float.
 
-/// The serving datapath: each layer lowers its u8/i16 codes once, with
+/// The serving datapath: u8 codes.  Each layer lowers them once, with
 /// `im2row`, into the dot rows of its selected kernel (that kernel's
 /// lane type, `panel.stride` lanes per row, the whole batch folded into
 /// the rows) and runs one `IgemmOp` over its packed weight panel.
 struct IgemmMac {
-  using Codes = CodeStore<Workspace::ByteLease, Workspace::ShortLease>;
+  using Lease = Workspace::ByteLease;
 
-  template <typename F>
-  static void with_lease(std::int64_t qmax, std::size_t n, Workspace& ws,
-                         F&& f) {
-    if (qmax <= 255) {
-      f(ws.bytes(n));
-    } else {
-      f(ws.shorts(n));
-    }
-  }
-
-  template <typename TIn, typename TOut>
+  template <typename TOut>
   static void run(const IntLayerPlan& plan, const ConvGeometry& g,
-                  std::size_t n, const TIn* src, TOut* out, Workspace& ws,
-                  const ExecContext& ctx) {
+                  std::size_t n, const std::uint8_t* src, TOut* out,
+                  Workspace& ws, const ExecContext& ctx) {
     IgemmOp op;
     op.m = n * g.out_spatial();
     op.n = plan.panel.rows;
     op.k = g.patch_size();
     op.panel = &plan.panel;
-    op.accum = plan.accum;
     op.x_bound = plan.in_code_bound;
     if constexpr (std::is_same_v<TOut, float>) {
       op.c = out;
       op.epilogue = {plan.channel_scale.data(), plan.bias.data()};
     } else {
-      set_out(op, out);
+      op.out8 = out;
       op.requant = plan.requant.data();
       op.requant_qmax = plan.out_qmax;
     }
-    switch (plan.igemm_kernel) {
-      case IgemmKernel::kVecPacked:
-        lower_and_run<std::uint8_t>(op, g, n, src, ws, ctx);
-        break;
-      case IgemmKernel::kVec16:
-        lower_and_run<std::int16_t>(op, g, n, src, ws, ctx);
-        break;
-      default:  // scalar reads the codes in their own type
-        lower_and_run<TIn>(op, g, n, src, ws, ctx);
-        break;
+    if (plan.igemm_kernel == IgemmKernel::kVecPacked) {
+      lower_and_run<Workspace::ByteLease>(op, g, n, src, ws, ctx);
+    } else {
+      lower_and_run<Workspace::ShortLease>(op, g, n, src, ws, ctx);
     }
   }
 
  private:
-  template <typename T>
-  using Lease = std::conditional_t<std::is_same_v<T, std::uint8_t>,
-                                   Workspace::ByteLease, Workspace::ShortLease>;
-
-  /// Lower `src` into `Lane` dot rows and run `op` over them.
-  template <typename Lane, typename TIn>
+  /// Lower `src` into dot rows leased as `Rows` (u8 lanes for
+  /// vec-packed, int16 lanes for vec16) and run `op` over them.
+  template <typename Rows>
   static void lower_and_run(IgemmOp& op, const ConvGeometry& g,
-                            std::size_t n, const TIn* src, Workspace& ws,
-                            const ExecContext& ctx) {
+                            std::size_t n, const std::uint8_t* src,
+                            Workspace& ws, const ExecContext& ctx) {
     const std::size_t stride = op.panel->stride;
-    Lease<Lane> rows(ws, op.m * stride);
+    Rows rows(ws, op.m * stride);
     im2row(src, g, n, rows.data(), stride, ctx);
-    set_x(op, static_cast<const Lane*>(rows.data()));
+    if constexpr (std::is_same_v<Rows, Workspace::ByteLease>) {
+      op.x8 = rows.data();
+    } else {
+      op.x16 = rows.data();
+    }
     igemm_run(op, ctx);
-  }
-
-  template <typename T>
-  static void set_x(IgemmOp& op, const T* x) {
-    if constexpr (std::is_same_v<T, std::uint8_t>) {
-      op.x8 = x;
-    } else {
-      op.x16 = x;
-    }
-  }
-  template <typename T>
-  static void set_out(IgemmOp& op, T* out) {
-    if constexpr (std::is_same_v<T, std::uint8_t>) {
-      op.out8 = out;
-    } else {
-      op.out16 = out;
-    }
   }
 };
 
@@ -816,16 +780,10 @@ struct IgemmMac {
 /// channels-last codes, reading `weight_codes` in their serialized
 /// (oc, c, ky, kx) order, with unconditional int64 accumulation, padding
 /// taps skipped, and `requant_apply` per output — no lowering, panel
-/// permutation, packing, blocking, narrowing or kernel selection, so it
-/// checks all of those in the serving backend independently.
+/// permutation, packing, narrowing or kernel selection, so it checks all
+/// of those in the serving backend independently.
 struct ReferenceMac {
-  using Codes = CodeStore<Workspace::IntLease>;
-
-  template <typename F>
-  static void with_lease(std::int64_t /*qmax*/, std::size_t n, Workspace& ws,
-                         F&& f) {
-    f(ws.ints(n));
-  }
+  using Lease = Workspace::IntLease;
 
   template <typename TOut>
   static void run(const IntLayerPlan& plan, const ConvGeometry& g,
@@ -911,17 +869,17 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
             const ExecContext& ctx) {
   CCQ_CHECK(rung < rungs.size(), "rung index out of range");
   CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
-  typename Mac::Codes codes;
+  using Lease = typename Mac::Lease;
+  CodeStore<Lease> codes;
   Tensor act;
   Shape shape = x.shape();  // logical NCHW; spatial codes are NHWC
   float scale = kInputScale;
   {
     // Standard 8-bit input quantization.
     telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    Mac::with_lease(255, x.numel(), ws, [&](auto lease) {
-      snap_input(x, scale, lease.data());
-      codes.adopt(std::move(lease));
-    });
+    Lease lease(ws, x.numel());
+    snap_input(x, scale, lease.data());
+    codes.adopt(std::move(lease));
   }
 
   for (const auto& plan : rungs[rung]) {
@@ -937,13 +895,11 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
         if (plan.requant_fused) {
           // The epilogue writes the next layer's codes directly; no
           // float tensor is materialised at the boundary.
-          Mac::with_lease(plan.out_qmax, shape_numel(out_shape), ws,
-                          [&](auto out) {
-            codes.visit([&](const auto* src) {
-              Mac::run(plan, g, n, src, out.data(), ws, ctx);
-            });
-            codes.adopt(std::move(out));
+          Lease out(ws, shape_numel(out_shape));
+          codes.visit([&](const auto* src) {
+            Mac::run(plan, g, n, src, out.data(), ws, ctx);
           });
+          codes.adopt(std::move(out));
           scale = act_scale(plan);
         } else {
           Tensor out = ws.tensor_uninit(out_shape);  // channels-last
@@ -958,10 +914,9 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
             const auto qmax = static_cast<std::int32_t>(
                 (std::int32_t{1} << plan.act_bits) - 1);
             telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-            Mac::with_lease(qmax, out.numel(), ws, [&](auto lease) {
-              snap_codes(out, scale, qmax, lease.data());
-              codes.adopt(std::move(lease));
-            });
+            Lease lease(ws, out.numel());
+            snap_codes(out, scale, qmax, lease.data());
+            codes.adopt(std::move(lease));
             ws.recycle(std::move(out));
           } else if (out_shape.size() == 4) {
             // The result leaves the grid spatially: back to NCHW now,

@@ -9,21 +9,25 @@
 //     scale γ/σ and bias β − γμ/σ, using the running statistics);
 //   * quantized weights are stored as k-bit integer codes plus a
 //     per-layer scale (per-channel after folding);
-//   * activations flow layer-to-layer as integer *codes* (u8 for grids
-//     up to 8 bits, i16 above) with no intermediate float tensor, stored
-//     channels-last — (N, H, W, C) — while the map is spatial;
+//   * 8 bits is the ceiling: weight grids of at most 8 bits, quantized
+//     activation grids of 1–8 bits, and int32 sums.  The paper starts
+//     every layer at 8 bits and only lowers it, so finalize rejects
+//     anything wider — and any layer too deep for int32 — with a
+//     ccq::Error naming the layer, instead of carrying a wider datapath;
+//   * activations flow layer-to-layer as u8 integer *codes* with no
+//     intermediate float tensor, stored channels-last — (N, H, W, C) —
+//     while the map is spatial;
 //   * every convolution / fully-connected inner product runs through the
 //     igemm kernel-dispatch API (`ccq::IgemmOp` + `igemm_run`) as one
 //     product of activation dot rows against a packed weight panel.  At
 //     plan-finalize time each layer picks a named kernel variant from
-//     the registry (scalar / vec16 / vec-packed, overridable via
-//     `$CCQ_IGEMM_KERNEL`) based on its bit width and static code
-//     bounds, packs its weight codes into that kernel's panel layout —
-//     a conv's in its (ky, kx, c) patch order — and accumulates in int32
-//     with a statically bounded int64 fallback.  At run time each conv
-//     lowers its codes once (`im2row`) straight into the kernel's dot
-//     rows, one row per output pixel of the whole batch; a linear layer
-//     is the 1×1-kernel-over-a-1×1-map case of the same lowering;
+//     the registry (vec16 / vec-packed, overridable via
+//     `$CCQ_IGEMM_KERNEL`) based on its static code bounds and packs its
+//     weight codes into that kernel's panel layout — a conv's in its
+//     (ky, kx, c) patch order.  At run time each conv lowers its codes
+//     once (`im2row`) straight into the kernel's dot rows, one row per
+//     output pixel of the whole batch; a linear layer is the
+//     1×1-kernel-over-a-1×1-map case of the same lowering;
 //   * each layer's BN fold and the next grid's quantization are folded
 //     into per-channel fixed-point requant parameters (hw::make_requant)
 //     and fused into the igemm epilogue, which writes the next layer's
@@ -91,18 +95,16 @@ struct IntLayerPlan {
   // igemm payload (derived — built by finalize, never serialized) --------
   /// Kernel variant selected for this layer (igemm_select_kernel over
   /// the layer's static bounds, seeded by `$CCQ_IGEMM_KERNEL`).
-  IgemmKernel igemm_kernel = IgemmKernel::kScalar;
+  IgemmKernel igemm_kernel = IgemmKernel::kVec16;
   /// `weight_codes` packed in `igemm_kernel`'s panel layout (see
   /// igemm_pack), one panel row per output channel; a conv's rows are
   /// permuted to the (ky, kx, c) order of its channels-last patches.
   IgemmPanel panel;
   std::int32_t max_abs_code = 0;   ///< max |weight code|
   /// Static bound on |incoming activation codes| (255 for the 8-bit
-  /// input, (2^b − 1) after a b-bit activation grid).
+  /// input, (2^b − 1) after a b-bit activation grid); finalize proves
+  /// max_abs_code · in_code_bound · depth fits int32 (igemm_fits_int32).
   std::int64_t in_code_bound = 0;
-  /// Accumulator picked from max_abs_code · in_code_bound · patch_size
-  /// (igemm_fits_int32).
-  IgemmAccum accum = IgemmAccum::kInt64;
 
   // Activation re-quantization ------------------------------------------
   bool has_act = false;
@@ -121,7 +123,7 @@ struct IntLayerPlan {
   /// back into codes.
   std::vector<Requant> requant;
   /// True when `requant` is populated and the layer's output flows as
-  /// codes (u8 when out_qmax <= 255, i16 otherwise).
+  /// u8 codes.
   bool requant_fused = false;
   /// Output code ceiling for the fused path: 2^act_bits − 1.
   std::int32_t out_qmax = 0;
@@ -156,17 +158,18 @@ std::vector<std::int32_t> encode_doubled(const Tensor& q, float step,
 class IntegerNetwork {
  public:
   /// Compile a *sequential* quantized model (throws ccq::Error when the
-  /// topology contains residual blocks or unsupported modules, or when a
+  /// topology contains residual blocks or unsupported modules, when a
   /// layer other than a flatten follows one without a quantized
-  /// activation grid).  The model must be in eval state conceptually: BN
-  /// running statistics are baked in.
+  /// activation grid, or when `finalize_plans` rejects a layer).  The
+  /// model must be in eval state conceptually: BN running statistics are
+  /// baked in.
   static IntegerNetwork compile(models::QuantModel& model);
 
   /// Rebuild a network from deserialised layer plans (ccq::serve packed
   /// artifacts).  Plans are taken as-is; shape consistency is the
-  /// loader's responsibility.  Throws on an empty plan list, and names
-  /// the first layer other than a flatten that follows an unquantized
-  /// producer.
+  /// loader's responsibility.  Throws on an empty plan list, names the
+  /// first layer other than a flatten that follows an unquantized
+  /// producer, and names any layer `finalize_plans` rejects.
   static IntegerNetwork from_plans(std::vector<IntLayerPlan> plans);
 
   /// Build a multi-point network: one plan set per serving rung, all
@@ -174,7 +177,8 @@ class IntegerNetwork {
   /// only precision-dependent fields may differ).  Each rung re-runs
   /// kernel selection, the accumulator proof and requant rederivation
   /// through `finalize_plans`, so every operating point serves through
-  /// the kernels a fresh compile would pick.  `info` records each rung's
+  /// the kernels a fresh compile would pick and meets the same 8-bit
+  /// ceiling.  `info` records each rung's
   /// provenance and must match `rungs` in length.  Throws on zero rungs,
   /// inconsistent layer sequences, or a length mismatch.
   static IntegerNetwork from_rungs(std::vector<std::vector<IntLayerPlan>> rungs,
@@ -184,8 +188,8 @@ class IntegerNetwork {
   /// logits.  All conv/linear arithmetic is integer, executed by
   /// `igemm_run` with each layer's selected kernel over its packed
   /// weight panel (bit-identical to `forward_reference` for every
-  /// shape, bit width, kernel, blocking and thread count — the
-  /// differential property the igemm test harness enforces).  The workspace overload recycles every
+  /// shape, bit width, kernel and thread count — the differential
+  /// property the igemm test harness enforces).  The workspace overload recycles every
   /// intermediate activation through the pool; recycle the returned
   /// logits too and warm repeated inference performs no float- or
   /// int-storage allocations.  The context overload names the thread
@@ -207,9 +211,9 @@ class IntegerNetwork {
   /// `weight_codes` in their serialized (oc, c, ky, kx) order and skips
   /// padding taps, and the *same* `requant_apply` on fused layers (the
   /// same float epilogue on unfused ones) — with no lowering, panel
-  /// permutation, packing, blocking, narrowing or kernel selection.
-  /// Integer arithmetic is associative, so `forward` is bit-identical to
-  /// this oracle for every kernel, blocking and thread count.  The
+  /// permutation, packing, narrowing or kernel selection.  Integer
+  /// arithmetic is associative, so `forward` is bit-identical to this
+  /// oracle for every kernel and thread count.  The
   /// walk's own glue (input snap, pooling, the NCHW reorders, decode) is
   /// shared, so tests check it against the float-simulated forward and
   /// recorded golden codes instead.  Not a serving path.
@@ -244,13 +248,17 @@ class IntegerNetwork {
                    std::size_t width) const;
 
  private:
-  /// Build each plan's derived igemm payload (kernel selection, packed
-  /// panel, max |code|, static accumulator choice) — runs once in
-  /// compile()/from_plans()/from_rungs(), per rung, so artifact loads
-  /// ship ready-packed panels in the layout of the kernel that will
-  /// execute them.  Reads `$CCQ_IGEMM_KERNEL` once for the whole
-  /// network; throws its unknown-name error (listing available kernels)
-  /// before any layer is packed.
+  /// Validate every plan against the engine's 8-bit ceiling and build
+  /// its derived igemm payload (kernel selection, packed panel, max
+  /// |code|, requant parameters) — runs once in compile()/from_plans()/
+  /// from_rungs(), per rung, so artifact loads ship ready-packed panels
+  /// in the layout of the kernel that will execute them.  Throws a
+  /// ccq::Error naming the layer and its numbers for a weight grid above
+  /// 8 bits, a quantized activation grid outside 1–8 bits, or a conv /
+  /// linear layer whose int32 proof fails (max |code| · incoming code
+  /// bound · depth > INT32_MAX).  Reads `$CCQ_IGEMM_KERNEL` once for the
+  /// whole network; throws its unknown-name error (listing available
+  /// kernels) before any layer is packed.
   void finalize_plans();
 
   /// Plan sets, one per serving rung; invariant: non-empty, all rungs

@@ -426,9 +426,19 @@ void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
   const std::string at = "layer index " + std::to_string(index) + ", kind " +
                          kind_str(plan.kind);
   if (plan.kind == Kind::kConv || plan.kind == Kind::kLinear) {
-    if (plan.weight_bits < 2 || plan.weight_bits > 15) {
+    // The integer engine's 8-bit ceiling (hw/integer_engine.hpp).
+    if (plan.weight_bits < 2 || plan.weight_bits > 8) {
       r.fail("weight bits " + std::to_string(plan.weight_bits) +
-             " outside the quantized range [2, 15] (" + at + ")");
+             " outside the engine's range [2, 8] (" + at + ")");
+    }
+    // Doubled codes of a b-bit grid lie in ±2^b (hw::encode_doubled).
+    const std::int32_t envelope = std::int32_t{1} << plan.weight_bits;
+    for (const std::int32_t code : plan.weight_codes) {
+      if (code < -envelope || code > envelope) {
+        r.fail("weight code " + std::to_string(code) + " outside the " +
+               std::to_string(plan.weight_bits) + "-bit envelope of +/-" +
+               std::to_string(envelope) + " (" + at + ")");
+      }
     }
     // The code count was checked against the geometry when read.
     const std::size_t rows =
@@ -439,9 +449,12 @@ void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
              " biases, expected " + std::to_string(rows) +
              " output channels (" + at + ")");
     }
-    if (plan.has_act && (plan.act_bits < 1 || plan.act_bits > 32)) {
+    // A quantized grid of 1-8 bits, or 16+ for the unquantized head.
+    if (plan.has_act && (plan.act_bits < 1 || plan.act_bits > 32 ||
+                         (plan.act_bits > 8 && plan.act_bits < 16))) {
       r.fail("activation bits " + std::to_string(plan.act_bits) +
-             " out of range (" + at + ")");
+             " outside the engine's quantized range [1, 8] and the "
+             "unquantized head's [16, 32] (" + at + ")");
     }
     if (plan.requant_fused) {
       if (plan.requant.size() != rows) {

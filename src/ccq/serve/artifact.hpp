@@ -45,18 +45,21 @@
 //
 // The reader treats every count as untrusted: code counts must match the
 // layer's geometry and array lengths must fit the remaining payload
-// before either sizes an allocation.
+// before either sizes an allocation.  Every rung's layers must also meet
+// the integer engine's 8-bit ceiling: weight grids of 2–8 bits with codes
+// inside their ±2^bits envelope, and activation grids of 1–8 bits (or an
+// unquantized head of 16 or more).
 //
 // Writes are crash-safe (temp file + atomic rename, common/fileio) and
 // loads verify the checksum before parsing, so an interrupted export can
 // never leave a half-parseable artifact behind.
 //
 // Only the portable plan fields are serialized.  The igemm payload (the
-// packed int16 weight panels and static accumulator choice) is derived:
-// `load_artifact` routes through `IntegerNetwork::from_plans`, which
-// re-packs panels at load time — loaded networks serve through the same
-// blocked kernels as freshly compiled ones, and the on-disk format stays
-// independent of kernel panel layout.
+// kernel choice and its packed weight panels) is derived: `load_artifact`
+// routes through `IntegerNetwork::from_rungs`, which re-packs panels at
+// load time — loaded networks serve through the same kernels as freshly
+// compiled ones, and the on-disk format stays independent of kernel
+// panel layout.
 #pragma once
 
 #include <cstdint>

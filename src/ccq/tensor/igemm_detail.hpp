@@ -1,9 +1,12 @@
-// Internal seam between the igemm dispatch layer (igemm.cpp) and the
+// Internal seam between the igemm dispatch layer (igemm.cpp) and its two
 // vectorized microkernels (igemm_kernels.cpp, compiled with its own
-// optimisation flags).  Not installed API — include igemm.hpp instead.
+// optimisation flags).  Every op reaching a kernel has u8 activation
+// codes and int32 sums proven overflow-free by igemm_run.  Not installed
+// API — include igemm.hpp instead.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ccq/tensor/igemm.hpp"
 
@@ -23,9 +26,9 @@ inline constexpr std::size_t round_up(std::size_t n, std::size_t to) {
 // ---- epilogue policies ------------------------------------------------------
 // Every kernel finishes each output element by calling `store(idx, ch,
 // acc)` on one of these: idx is the flat position in the m×n output, ch
-// the epilogue channel (its column).  Keeping the policy a template
-// parameter lets the same microkernel bodies serve the float datapath
-// and the fused requantizing one.
+// the epilogue channel (its column), acc the exact int32 sum.  Keeping
+// the policy a template parameter lets the same microkernel bodies
+// serve the float datapath and the fused requantizing one.
 
 /// C[idx] = float(acc)·scale[ch] + bias[ch] — the training-parity
 /// epilogue (identical expression to the naive engine loop).
@@ -33,24 +36,20 @@ struct FloatEpilogue {
   const float* scale;
   const float* bias;
   float* c;
-  template <typename Acc>
-  void store(std::size_t idx, std::size_t ch, Acc acc) const {
+  void store(std::size_t idx, std::size_t ch, std::int32_t acc) const {
     c[idx] = static_cast<float>(acc) * scale[ch] + bias[ch];
   }
 };
 
 /// out[idx] = requant_apply(acc, rq[ch], qmax) — the fused epilogue
-/// writing the next layer's activation codes directly (see
-/// tensor/requant.hpp for why this is exact for any blocking/threading).
-template <typename Out>
+/// writing the next layer's u8 activation codes directly (see
+/// tensor/requant.hpp for why this is exact for any threading).
 struct RequantEpilogue {
   const Requant* rq;
-  Out* out;
+  std::uint8_t* out;
   std::int32_t qmax;
-  template <typename Acc>
-  void store(std::size_t idx, std::size_t ch, Acc acc) const {
-    out[idx] = static_cast<Out>(
-        requant_apply(static_cast<std::int64_t>(acc), rq[ch], qmax));
+  void store(std::size_t idx, std::size_t ch, std::int32_t acc) const {
+    out[idx] = static_cast<std::uint8_t>(requant_apply(acc, rq[ch], qmax));
   }
 };
 
@@ -59,27 +58,9 @@ struct RequantEpilogue {
 template <typename F>
 void dispatch_epilogue(const IgemmOp& op, F&& f) {
   if (op.requant != nullptr) {
-    if (op.out8 != nullptr) {
-      f(RequantEpilogue<std::uint8_t>{op.requant, op.out8, op.requant_qmax});
-    } else {
-      f(RequantEpilogue<std::int16_t>{op.requant, op.out16, op.requant_qmax});
-    }
+    f(RequantEpilogue{op.requant, op.out8, op.requant_qmax});
   } else {
     f(FloatEpilogue{op.epilogue.scale, op.epilogue.bias, op.c});
-  }
-}
-
-/// Invoke `f` with the op's typed activation-code pointer (u8 / i16 /
-/// int32 — exactly one is set when k > 0; the int32 branch also covers
-/// the degenerate k == 0 op with no codes at all).
-template <typename F>
-void with_x(const IgemmOp& op, F&& f) {
-  if (op.x8 != nullptr) {
-    f(op.x8);
-  } else if (op.x16 != nullptr) {
-    f(op.x16);
-  } else {
-    f(op.x);
   }
 }
 

@@ -1,4 +1,5 @@
-// Vectorized igemm microkernels (vec16, vec-packed).
+// Vectorized igemm microkernels (vec16, vec-packed) — the engine's only
+// MAC kernels.
 //
 // Both kernels compute C = X·Wᵀ over dot-layout rows: every operand row
 // is depth-contiguous and `stride` lanes long (the weight rows zero-
@@ -6,13 +7,13 @@
 // multiply-accumulate with no scalar tail.  The weight side arrives
 // pre-packed (IgemmPanel, igemm_pack); the activation rows arrive in the
 // kernel's lane type straight from the caller's lowering (hw's
-// channels-last `im2row`), so nothing is repacked here.
+// channels-last `im2row` of u8 codes), so nothing is repacked here.
 //
 // Exactness (what makes every lane sum provably overflow-free):
 //   * vec16 — pmaddwd-shaped int16×int16→int32 pairs.  Each int32 lane
 //     accumulates at most ⌈k/2⌉ pair sums of magnitude <= 2·|w|·|x|, so
-//     |lane| <= k·max|w|·max|x|, which the int32-accumulator choice
-//     (igemm_fits_int32) already bounds by INT32_MAX.
+//     |lane| <= k·max|w|·max|x|, which igemm_run's precondition
+//     (igemm_fits_int32) bounds by INT32_MAX.
 //   * vec-packed — maddubs-shaped uint8×int8→int16 pairs, then widened
 //     by pmaddwd against ones.  Eligibility requires
 //     2·max|w|·x_bound <= 32767, so the saturating int16 intermediate
@@ -28,7 +29,6 @@
 // without 8-bit-lane SIMD make it ineligible instead.
 #include "ccq/tensor/igemm_detail.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "ccq/common/error.hpp"
@@ -313,17 +313,19 @@ constexpr bool kPackedSimd = false;
 
 // ---- shared driver ----------------------------------------------------------
 
+/// Output rows per parallel_for chunk.
+constexpr std::size_t kRowGrain = 8;
+
 /// Dot-layout GEMM driver: C[i,j] = epilogue(dot(x_row_i, w_row_j)),
 /// both operand rows `kp` lanes apart.  Parallel over output rows in
-/// `grain` chunks; 4-wide register tiling over the weight rows j with a
+/// kRowGrain chunks; 4-wide register tiling over the weight rows j with a
 /// dot1 tail, so each activation row is loaded once per four output
 /// channels.  The epilogue channel is the column j.  `Epi` is one of the
 /// igemm_detail epilogue policies (float affine or fixed-point requant).
 template <typename TX, typename TW, typename Epi>
 void dot_driver(std::size_t m, std::size_t n, std::size_t kp, const TX* x,
-                const TW* w, const Epi& epi, std::size_t grain,
-                const ExecContext& ctx) {
-  parallel_for(ctx, m, grain, [&](std::size_t i0, std::size_t i1) {
+                const TW* w, const Epi& epi, const ExecContext& ctx) {
+  parallel_for(ctx, m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       const TX* xrow = x + i * kp;
       std::size_t j = 0;
@@ -348,20 +350,16 @@ bool packed_simd() { return kPackedSimd; }
 
 void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
-  const std::size_t grain = std::max<std::size_t>(op.blocking.row_grain, 1);
   dispatch_epilogue(op, [&](const auto& epi) {
-    dot_driver(op.m, op.n, panel.stride, op.x16, panel.i16.data(), epi,
-               grain, ctx);
+    dot_driver(op.m, op.n, panel.stride, op.x16, panel.i16.data(), epi, ctx);
   });
 }
 
 #if defined(__SSSE3__)
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
-  const std::size_t grain = std::max<std::size_t>(op.blocking.row_grain, 1);
   dispatch_epilogue(op, [&](const auto& epi) {
-    dot_driver(op.m, op.n, panel.stride, op.x8, panel.i8.data(), epi,
-               grain, ctx);
+    dot_driver(op.m, op.n, panel.stride, op.x8, panel.i8.data(), epi, ctx);
   });
 }
 #else

@@ -55,19 +55,18 @@ void im2col(const float* images, const ConvGeometry& g, std::size_t batch,
             const ExecContext& ctx = ExecContext::global());
 
 /// Channels-last lowering for the integer datapath.  `image` holds
-/// `batch` (H, W, C) code maps back to back; for each of the
+/// `batch` (H, W, C) u8 code maps back to back; for each of the
 /// batch·out_h·out_w output pixels (row-major over image, oy, ox) one
 /// dot row of `stride` lanes is written to `rows`: the pixel's patch in
 /// (ky, kx, c) order, zeros at padding taps and in the lanes
 /// [patch_size, stride).  Each ky of a patch is one contiguous kernel·C
-/// run of the input, so the lowering is a handful of copies per row;
-/// `Dst` may widen `Src` (u8 codes into vec16's int16 lanes) but must
-/// hold every code.  Parallel over output image rows (img, oy), each
-/// lowered by exactly one chunk.  Instantiated for u8 / i16 codes into
-/// u8 / i16 lanes.
-template <typename Src, typename Dst>
-void im2row(const Src* image, const ConvGeometry& g, std::size_t batch,
-            Dst* rows, std::size_t stride,
+/// run of the input, so the lowering is a handful of copies per row.
+/// Parallel over output image rows (img, oy), each lowered by exactly
+/// one chunk.  Instantiated for u8 lanes (vec-packed) and int16 lanes
+/// (vec16, widening each code).
+template <typename Dst>
+void im2row(const std::uint8_t* image, const ConvGeometry& g,
+            std::size_t batch, Dst* rows, std::size_t stride,
             const ExecContext& ctx = ExecContext::global());
 
 /// Scatter-add a column panel (im2col's layout, leading dimension `ld`)

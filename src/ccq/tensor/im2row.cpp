@@ -14,8 +14,8 @@ namespace {
 
 // `__restrict`: u8 codes may alias anything, and without it the
 // widening copy vectorizes only behind a runtime overlap check.
-template <typename Src, typename Dst>
-inline void copy_lanes(const Src* __restrict src, std::size_t n,
+template <typename Dst>
+inline void copy_lanes(const std::uint8_t* __restrict src, std::size_t n,
                        Dst* __restrict dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<Dst>(src[i]);
 }
@@ -27,8 +27,8 @@ inline void zero_lanes(std::size_t n, Dst* dst) {
 
 /// Lower output image rows [t0, t1) (t = img·out_h + oy).  Everything
 /// arrives by value, so the u8 stores cannot alias the loop bounds.
-template <typename Src, typename Dst>
-void lower_rows(const Src* image, const ConvGeometry g, Dst* rows,
+template <typename Dst>
+void lower_rows(const std::uint8_t* image, const ConvGeometry g, Dst* rows,
                 std::size_t stride, std::size_t t0, std::size_t t1) {
   const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t c = g.in_channels, k = g.kernel;
@@ -38,7 +38,7 @@ void lower_rows(const Src* image, const ConvGeometry g, Dst* rows,
   const auto h = static_cast<long>(g.in_h), w = static_cast<long>(g.in_w);
   for (std::size_t t = t0; t < t1; ++t) {
     const std::size_t img = t / oh, oy = t % oh;
-    const Src* plane = image + img * g.in_h * g.in_w * c;
+    const std::uint8_t* plane = image + img * g.in_h * g.in_w * c;
     Dst* out = rows + t * ow * stride;
     for (std::size_t ox = 0; ox < ow; ++ox, out += stride) {
       // Signed arithmetic: padded coordinates can be negative.  Taps
@@ -54,7 +54,7 @@ void lower_rows(const Src* image, const ConvGeometry g, Dst* rows,
           zero_lanes(run, dst);
           continue;
         }
-        const Src* src =
+        const std::uint8_t* src =
             plane + (static_cast<std::size_t>(iy) * g.in_w +
                      static_cast<std::size_t>(ix0 + static_cast<long>(kx0))) *
                         c;
@@ -69,9 +69,10 @@ void lower_rows(const Src* image, const ConvGeometry g, Dst* rows,
 
 }  // namespace
 
-template <typename Src, typename Dst>
-void im2row(const Src* image, const ConvGeometry& g, std::size_t batch,
-            Dst* rows, std::size_t stride, const ExecContext& ctx) {
+template <typename Dst>
+void im2row(const std::uint8_t* image, const ConvGeometry& g,
+            std::size_t batch, Dst* rows, std::size_t stride,
+            const ExecContext& ctx) {
   CCQ_CHECK(stride >= g.patch_size(),
             "im2row: row stride shorter than the patch");
   // One task item per output image row (img, oy): its out_w dot rows are
@@ -84,10 +85,6 @@ void im2row(const Src* image, const ConvGeometry& g, std::size_t batch,
 template void im2row(const std::uint8_t*, const ConvGeometry&, std::size_t,
                      std::uint8_t*, std::size_t, const ExecContext&);
 template void im2row(const std::uint8_t*, const ConvGeometry&, std::size_t,
-                     std::int16_t*, std::size_t, const ExecContext&);
-template void im2row(const std::int16_t*, const ConvGeometry&, std::size_t,
-                     std::uint8_t*, std::size_t, const ExecContext&);
-template void im2row(const std::int16_t*, const ConvGeometry&, std::size_t,
                      std::int16_t*, std::size_t, const ExecContext&);
 
 }  // namespace ccq

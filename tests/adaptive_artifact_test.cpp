@@ -227,7 +227,7 @@ TEST(AdaptiveArtifactTest, EveryRungMatchesItsSinglePointExport) {
   }
 
   const Tensor x = make_inputs(4);
-  for (const char* kernel : {"scalar", "vec16", "vec-packed"}) {
+  for (const char* kernel : {"vec16", "vec-packed"}) {
     // Without 8-bit-lane SIMD a vec-packed pin would just fall to vec16.
     if (!igemm_packed_simd() && std::string(kernel) == "vec-packed") continue;
     setenv("CCQ_IGEMM_KERNEL", kernel, 1);

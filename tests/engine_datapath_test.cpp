@@ -174,7 +174,7 @@ TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
     Rng rng(1000 + bits);
     const auto plans = mixed_net(rng, bits);
     const Tensor x = random_input(rng, 3, 3, 8);
-    for (const char* kernel : {"scalar", "vec16", "vec-packed"}) {
+    for (const char* kernel : {"vec16", "vec-packed"}) {
       // Without 8-bit-lane SIMD a vec-packed pin would just fall to vec16.
       if (!igemm_packed_simd() && std::string(kernel) == "vec-packed") {
         continue;
@@ -192,26 +192,6 @@ TEST(EngineDatapathTest, FusedMatchesReferenceAcrossKernelsBitsThreads) {
                                  " threads=" + std::to_string(threads));
       }
     }
-  }
-}
-
-TEST(EngineDatapathTest, WideActivationGridsFlowAsInt16Codes) {
-  // 12-bit activations: out_qmax = 4095 > 255, so codes travel as i16.
-  KernelEnvGuard guard;
-  unsetenv("CCQ_IGEMM_KERNEL");
-  Rng rng(77);
-  std::vector<IntLayerPlan> plans;
-  plans.push_back(conv_plan(rng, "conv0", 3, 5, 4, 12));
-  plans.push_back(conv_plan(rng, "conv1", 5, 6, 4, 12));
-  plans.push_back(pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@2"));
-  plans.push_back(linear_plan(rng, "fc", 6, 3, 4, 32));
-  const IntegerNetwork net = IntegerNetwork::from_plans(plans);
-  ASSERT_TRUE(net.plan(0).requant_fused);
-  ASSERT_EQ(net.plan(0).out_qmax, 4095);
-  const Tensor x = random_input(rng, 2, 3, 6);
-  for (std::size_t threads : {1, 4}) {
-    expect_bit_identical(net, x, ctx_for(threads),
-                         "i16 codes threads=" + std::to_string(threads));
   }
 }
 
@@ -450,8 +430,9 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
   // conv under test runs every kernel/stride/pad combination on odd,
   // non-square maps, with channel counts putting the patch depth K·K·C
   // on either side of vec16's 16-lane and vec-packed's 32-lane row
-  // padding, behind a 1×1 conv that feeds it u8 (8-bit) or i16 (12-bit)
-  // codes.  Five output channels leave a tail after the 4-wide tiles.
+  // padding, behind a 1×1 conv that feeds it codes on a 4-bit or an
+  // 8-bit grid.  Five output channels leave a tail after the 4-wide
+  // tiles.
   KernelEnvGuard guard;
   struct Map {
     std::size_t h, w;
@@ -473,7 +454,7 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
           const std::size_t oh = (map.h + 2 * pad - k) / stride + 1;
           const std::size_t ow = (map.w + 2 * pad - k) / stride + 1;
           for (std::size_t c : channels) {
-            for (int grid : {8, 12}) {
+            for (int grid : {4, 8}) {
               for (Head head : {Head::kGapLinear, Head::kFlattenLinear,
                                 Head::kBareCodes, Head::kBareFloat}) {
                 Rng rng(7000 + configs++);
@@ -498,7 +479,7 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
                 }
                 Tensor x1({1, 3, map.h, map.w});  // the first sample
                 std::copy_n(x.data().begin(), x1.numel(), x1.data().begin());
-                for (const char* kernel : {"scalar", "vec16", "vec-packed"}) {
+                for (const char* kernel : {"vec16", "vec-packed"}) {
                   setenv("CCQ_IGEMM_KERNEL", kernel, 1);
                   const IntegerNetwork net = IntegerNetwork::from_plans(plans);
                   // An ineligible pin falls down the ladder: that kernel

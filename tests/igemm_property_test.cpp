@@ -1,18 +1,19 @@
 // Differential tests for the igemm kernel-dispatch family.
 //
-// The contract under test: for every bit width, shape, blocking factor,
-// thread count AND kernel variant (scalar / vec16 / vec-packed), packing
-// an `IgemmPanel` and executing the `IgemmOp` through `igemm_run` is
-// bit-identical to a naive int64 triple loop — the 10-line reference
-// below IS the specification; every kernel merely reorders exact integer
-// arithmetic.  The sweep includes degenerate shapes (k = 0, single-row,
+// The contract under test: for every bit width, shape, thread count AND
+// kernel variant (vec16 / vec-packed), packing an `IgemmPanel` and
+// executing the `IgemmOp` through `igemm_run` is bit-identical to a
+// naive int64 triple loop — the 10-line reference below IS the
+// specification; every kernel merely reorders exact integer arithmetic.
+// The sweep includes degenerate shapes (k = 0, single-row,
 // single-column), alignment edges (depths straddling the SIMD lane
-// padding), depths that straddle the int32/int64 accumulator bound, and
-// a seeded randomized round of layer-like configs (fixed RNG, so
-// failures reproduce exactly).  Registry selection, the env override and
-// the deprecated positional shims are covered at the end.
+// padding), depths at the int32 bound that `igemm_run` enforces (and
+// one past it, which it refuses), and a seeded randomized round of
+// layer-like configs (fixed RNG, so failures reproduce exactly).
+// Registry selection and the env override are covered at the end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -82,11 +83,10 @@ Problem make_problem(Rng& rng, std::size_t m, std::size_t n, std::size_t k,
 
 /// Every concrete kernel whose eligibility rule admits these bounds.
 std::vector<IgemmKernel> eligible_kernels(std::int32_t w_max,
-                                          std::int64_t x_bound,
-                                          IgemmAccum accum) {
-  std::vector<IgemmKernel> kernels{IgemmKernel::kScalar};
-  for (IgemmKernel k : {IgemmKernel::kVec16, IgemmKernel::kVecPacked}) {
-    if (igemm_kernel_eligible(k, w_max, x_bound, accum)) kernels.push_back(k);
+                                          std::int64_t x_bound) {
+  std::vector<IgemmKernel> kernels{IgemmKernel::kVec16};
+  if (igemm_kernel_eligible(IgemmKernel::kVecPacked, w_max, x_bound)) {
+    kernels.push_back(IgemmKernel::kVecPacked);
   }
   return kernels;
 }
@@ -106,80 +106,62 @@ std::vector<Lane> dot_rows(const std::vector<std::int32_t>& x, std::size_t m,
   return rows;
 }
 
-/// Activation rows lowered for one panel: the kernel's lane type (int16
-/// for vec16, uint8 for vec-packed) and for scalar the code type the
-/// caller names — int32, or the engine's narrow u8 / i16 codes.
+/// Activation rows lowered for one panel in its kernel's lane type:
+/// int16 for vec16, uint8 for vec-packed.
 struct DotRows {
-  std::vector<std::int32_t> x32;
   std::vector<std::int16_t> x16;
   std::vector<std::uint8_t> x8;
 
-  enum class Codes { kInt32, kI16, kU8 };
-
   /// Lower `x` for `op.panel` and point `op` at the rows.
-  void lower(IgemmOp& op, const std::vector<std::int32_t>& x,
-             Codes scalar_codes) {
+  void lower(IgemmOp& op, const std::vector<std::int32_t>& x) {
     const IgemmPanel& panel = *op.panel;
-    const bool wide = panel.kernel == IgemmKernel::kVec16 ||
-                      (panel.kernel == IgemmKernel::kScalar &&
-                       scalar_codes == Codes::kI16);
-    const bool narrow = panel.kernel == IgemmKernel::kVecPacked ||
-                        (panel.kernel == IgemmKernel::kScalar &&
-                         scalar_codes == Codes::kU8);
-    if (wide) {
+    if (panel.kernel == IgemmKernel::kVec16) {
       x16 = dot_rows<std::int16_t>(x, op.m, op.k, panel.stride);
       op.x16 = x16.data();
-    } else if (narrow) {
+    } else {
       x8 = dot_rows<std::uint8_t>(x, op.m, op.k, panel.stride);
       op.x8 = x8.data();
-    } else {
-      x32 = dot_rows<std::int32_t>(x, op.m, op.k, panel.stride);
-      op.x = x32.data();
     }
   }
 };
 
-/// Run the op through every eligible kernel × accumulator and demand
-/// bit-identity with the int64 reference.
-void expect_bit_identical(const Problem& p, const ExecContext& ctx,
-                          const IgemmBlocking& blk) {
+/// A float-epilogue op over `p` with `panel`, its rows lowered into
+/// `rows` and its output in `c`.
+IgemmOp float_op(const Problem& p, const IgemmPanel& panel, DotRows& rows,
+                 std::vector<float>& c) {
+  IgemmOp op;
+  op.m = p.m;
+  op.n = p.n;
+  op.k = p.k;
+  op.panel = &panel;
+  rows.lower(op, p.x);
+  op.c = c.data();
+  op.epilogue = {p.scale.data(), p.bias.data()};
+  op.x_bound = std::max<std::int64_t>(igemm_max_abs(p.x), 1);
+  return op;
+}
+
+/// Run the op through every eligible kernel and demand bit-identity
+/// with the int64 reference.
+void expect_bit_identical(const Problem& p, const ExecContext& ctx) {
   const std::int32_t max_w = igemm_max_abs(p.w);
   const std::int64_t x_bound =
       std::max<std::int64_t>(igemm_max_abs(p.x), 1);
-
-  std::vector<IgemmAccum> accums{IgemmAccum::kInt64};
-  if (igemm_fits_int32(max_w, x_bound, p.k)) {
-    accums.push_back(IgemmAccum::kInt32);
-  }
 
   // X·Wᵀ: activation rows against the weight panel, per-column
   // scale/bias — exactly how the engine drives conv (rows = lowered
   // output pixels) and linear (rows = samples) layers.
   std::vector<float> want(p.m * p.n), got(p.m * p.n);
   ref_xw(p.m, p.n, p.k, p.x, p.w, p.scale, p.bias, want);
-  for (IgemmAccum accum : accums) {
-    for (IgemmKernel kernel : eligible_kernels(max_w, x_bound, accum)) {
-      const IgemmPanel panel = igemm_pack(p.w, p.n, p.k, kernel);
-      IgemmOp op;
-      op.m = p.m;
-      op.n = p.n;
-      op.k = p.k;
-      op.panel = &panel;
-      DotRows rows;
-      rows.lower(op, p.x, DotRows::Codes::kInt32);
-      op.c = got.data();
-      op.epilogue = {p.scale.data(), p.bias.data()};
-      op.accum = accum;
-      op.blocking = blk;
-      op.x_bound = x_bound;
-      std::fill(got.begin(), got.end(), -7.0f);
-      igemm_run(op, ctx);
-      ASSERT_EQ(want, got)
-          << "kernel=" << igemm_kernel_str(kernel) << " m=" << p.m
-          << " n=" << p.n << " k=" << p.k << " threads=" << ctx.threads()
-          << " nc=" << blk.nc << " kc=" << blk.kc
-          << " accum=" << static_cast<int>(accum);
-    }
+  for (IgemmKernel kernel : eligible_kernels(max_w, x_bound)) {
+    const IgemmPanel panel = igemm_pack(p.w, p.n, p.k, kernel);
+    DotRows rows;
+    const IgemmOp op = float_op(p, panel, rows, got);
+    std::fill(got.begin(), got.end(), -7.0f);
+    igemm_run(op, ctx);
+    ASSERT_EQ(want, got) << "kernel=" << igemm_kernel_str(kernel)
+                         << " m=" << p.m << " n=" << p.n << " k=" << p.k
+                         << " threads=" << ctx.threads();
   }
 }
 
@@ -202,7 +184,7 @@ struct Shape {
 
 class IgemmSweep : public ::testing::TestWithParam<std::tuple<int, Shape>> {};
 
-TEST_P(IgemmSweep, BitIdenticalAcrossKernelsBlockingsAndThreads) {
+TEST_P(IgemmSweep, BitIdenticalAcrossKernelsAndThreads) {
   const int bits = std::get<0>(GetParam());
   const Shape s = std::get<1>(GetParam());
   // Doubled k-bit weight codes lie in ±2^bits; activations come from the
@@ -212,19 +194,9 @@ TEST_P(IgemmSweep, BitIdenticalAcrossKernelsBlockingsAndThreads) {
   Rng rng(0x51C0DE + static_cast<std::uint64_t>(bits) * 1000003 +
           s.m * 7919 + s.n * 104729 + s.k);
   const Problem p = make_problem(rng, s.m, s.n, s.k, max_w, max_x);
-
-  const IgemmBlocking blockings[] = {
-      {},                                     // production defaults
-      {.nc = 1, .kc = 1, .row_grain = 1},     // fully degenerate tiles
-      {.nc = 3, .kc = 5, .row_grain = 2},     // awkward odd tiles
-      {.nc = 512, .kc = 1 << 20, .row_grain = 64},  // one giant tile
-      {.nc = kIgemmMaxNc + 100, .kc = 7, .row_grain = 3},  // nc clamped
-  };
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const IgemmBlocking& blk : blockings) {
-      expect_bit_identical(p, ctx_for(threads), blk);
-      if (HasFatalFailure()) return;
-    }
+    expect_bit_identical(p, ctx_for(threads));
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -235,9 +207,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Shape{1, 7, 3},    // single row
                                          Shape{5, 1, 9},    // single column
                                          Shape{8, 33, 7},   // sub-tile
-                                         Shape{16, 17, 131},  // kc straddle
-                                         Shape{3, 259, 5},    // nc straddle
-                                         Shape{4, 600, 3},    // n > max nc
+                                         Shape{16, 17, 131},  // deep rows
+                                         Shape{3, 259, 5},    // wide n
+                                         Shape{4, 600, 3},    // wider n
                                          Shape{6, 29, 64})));
 
 // Alignment edges: depths around the vec16 (16-lane) and vec-packed
@@ -250,11 +222,11 @@ TEST(IgemmAlignmentEdge, LanePaddingAndColumnTails) {
                         std::size_t{16}, std::size_t{17}, std::size_t{31},
                         std::size_t{32}, std::size_t{33}, std::size_t{63}}) {
     for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-      // 3-bit codes with 255-bound activations: both vector kernels
-      // eligible, so all three variants run per config.
+      // 3-bit codes with 255-bound activations: vec-packed is eligible
+      // wherever the build has 8-bit-lane SIMD, so both kernels run.
       const Problem p = make_problem(rng, 5, n, k, /*max_w=*/8,
                                      /*max_x=*/255);
-      expect_bit_identical(p, ctx_for(2), {});
+      expect_bit_identical(p, ctx_for(2));
       if (HasFatalFailure()) {
         ADD_FAILURE() << "failing alignment edge: k=" << k << " n=" << n;
         return;
@@ -263,19 +235,45 @@ TEST(IgemmAlignmentEdge, LanePaddingAndColumnTails) {
   }
 }
 
-// Depths that straddle the int32 accumulator bound at full 8-bit code
-// magnitudes: the kernels must agree with the reference on BOTH sides —
-// int32 (and the vector kernels) just below the bound, forced int64
-// (scalar only) just above it.
-TEST(IgemmBoundStraddle, ExactAcrossTheAccumulatorBound) {
-  const std::int32_t max_w = 256, max_x = 255;  // 8-bit envelope
-  // 256·255·k ≤ INT32_MAX ⇔ k ≤ 32896 (65280·32896 = 2,147,450,880).
-  ASSERT_TRUE(igemm_fits_int32(max_w, max_x, 32896));
-  ASSERT_FALSE(igemm_fits_int32(max_w, max_x, 32897));
+/// A random problem whose first row pair is the worst case: every
+/// weight code of output 0 at +max_w and every code of activation row 0
+/// at max_x, so C[0,0] reaches max_w·max_x·k.
+Problem worst_case_problem(Rng& rng, std::size_t k, std::int32_t max_w,
+                           std::int32_t max_x) {
+  Problem p = make_problem(rng, 2, 3, k, max_w, max_x);
+  std::fill_n(p.w.begin(), k, max_w);
+  std::fill_n(p.x.begin(), k, max_x);
+  return p;
+}
+
+// Depths at the int32 bound igemm_run enforces, with full code
+// magnitudes: the deepest provable op must run exact on every eligible
+// kernel, and one step deeper igemm_run must refuse it.
+TEST(IgemmBoundStraddle, ExactAtTheInt32BoundAndRefusedPastIt) {
+  struct Edge {
+    std::int32_t max_w;
+    std::size_t deepest;  // largest k with max_w·255·k ≤ INT32_MAX
+  };
+  // 256·255·32896 = 2,147,450,880: doubled 8-bit weight codes (vec16).
+  // 64·255·131586 = 2,147,483,520: codes vec-packed also runs.
+  const Edge edges[] = {{256, 32896}, {64, 131586}};
   Rng rng(0xB0B0);
-  for (std::size_t k : {std::size_t{32896}, std::size_t{32897}}) {
-    const Problem p = make_problem(rng, 2, 3, k, max_w, max_x);
-    expect_bit_identical(p, ctx_for(4), {});
+  for (const Edge& e : edges) {
+    ASSERT_TRUE(igemm_fits_int32(e.max_w, 255, e.deepest));
+    ASSERT_FALSE(igemm_fits_int32(e.max_w, 255, e.deepest + 1));
+    expect_bit_identical(worst_case_problem(rng, e.deepest, e.max_w, 255),
+                         ctx_for(4));
+    if (HasFatalFailure()) return;
+
+    const Problem past = worst_case_problem(rng, e.deepest + 1, e.max_w, 255);
+    for (IgemmKernel kernel : eligible_kernels(e.max_w, 255)) {
+      const IgemmPanel panel = igemm_pack(past.w, past.n, past.k, kernel);
+      DotRows rows;
+      std::vector<float> c(past.m * past.n);
+      EXPECT_THROW(igemm_run(float_op(past, panel, rows, c), ctx_for(4)),
+                   Error)
+          << igemm_kernel_str(kernel) << " k=" << past.k;
+    }
   }
 }
 
@@ -294,11 +292,8 @@ TEST(IgemmRandomized, TwoHundredLayerConfigs) {
     const std::int32_t max_x =
         static_cast<std::int32_t>(1 + rng.uniform_int(255));
     const Problem p = make_problem(rng, m, n, k, max_w, max_x);
-    const IgemmBlocking blk{.nc = 1 + rng.uniform_int(600),
-                            .kc = 1 + rng.uniform_int(300),
-                            .row_grain = 1 + rng.uniform_int(16)};
     const std::size_t threads = std::size_t{1} << rng.uniform_int(3);  // 1/2/4
-    expect_bit_identical(p, ctx_for(threads), blk);
+    expect_bit_identical(p, ctx_for(threads));
     if (HasFatalFailure()) {
       ADD_FAILURE() << "failing config: iter=" << iter << " m=" << m
                     << " n=" << n << " k=" << k << " bits=" << bits;
@@ -311,9 +306,7 @@ TEST(IgemmRandomized, TwoHundredLayerConfigs) {
 
 TEST(IgemmRegistry, NamesRoundTripAndOrder) {
   const std::vector<std::string> names = igemm_kernel_names();
-  ASSERT_EQ(names,
-            (std::vector<std::string>{"scalar", "vec16", "vec-packed",
-                                      "auto"}));
+  ASSERT_EQ(names, (std::vector<std::string>{"vec16", "vec-packed", "auto"}));
   for (const std::string& name : names) {
     EXPECT_EQ(igemm_kernel_str(igemm_kernel_from_str(name)), name);
   }
@@ -335,58 +328,40 @@ TEST(IgemmRegistry, UnknownNameListsAvailableKernels) {
 
 TEST(IgemmRegistry, EligibilityRules) {
   using K = IgemmKernel;
-  // Scalar runs anything.
-  EXPECT_TRUE(igemm_kernel_eligible(K::kScalar, 1 << 20, 0,
-                                    IgemmAccum::kInt64));
-  // Vector kernels need an int32 accumulator and a known activation bound.
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVec16, 8, 255, IgemmAccum::kInt64));
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVec16, 8, 0, IgemmAccum::kInt32));
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVec16, 8, 255, IgemmAccum::kInt32));
-  EXPECT_TRUE(igemm_kernel_eligible(K::kVec16, 32767, 32767,
-                                    IgemmAccum::kInt32));
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVec16, 40000, 255,
-                                     IgemmAccum::kInt32));
-  // vec-packed: 8-bit-lane SIMD builds only, then int8 weights, uint8
-  // activations, no int16 pair saturation.
-  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 16, 255, IgemmAccum::kInt32),
+  // vec16 runs every op igemm_run admits.
+  EXPECT_TRUE(igemm_kernel_eligible(K::kVec16, 8, 255));
+  EXPECT_TRUE(igemm_kernel_eligible(K::kVec16, 256, 255));
+  EXPECT_TRUE(igemm_kernel_eligible(K::kVec16, 32767, 1));
+  // vec-packed: 8-bit-lane SIMD builds only, then int8 weights and no
+  // int16 pair saturation.
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 16, 255),
             igemm_packed_simd());
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 128, 255,
-                                     IgemmAccum::kInt32));  // w > int8
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 16, 256,
-                                     IgemmAccum::kInt32));  // x > uint8
+  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 128, 1));  // w > int8
   // 2·127·255 = 64770 > 32767: saturation risk, must be rejected even
   // though both lane types fit individually.
-  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 127, 255,
-                                     IgemmAccum::kInt32));
-  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 64, 255, IgemmAccum::kInt32),
+  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 127, 255));
+  EXPECT_EQ(igemm_kernel_eligible(K::kVecPacked, 64, 255),
             igemm_packed_simd());
+  EXPECT_FALSE(igemm_kernel_eligible(K::kVecPacked, 65, 255));
   // kAuto is a policy, never directly executable.
-  EXPECT_FALSE(igemm_kernel_eligible(K::kAuto, 8, 255, IgemmAccum::kInt32));
+  EXPECT_FALSE(igemm_kernel_eligible(K::kAuto, 8, 255));
 }
 
 TEST(IgemmRegistry, SelectionWalksTheDensityLadder) {
   using K = IgemmKernel;
   // Low-bit layer: auto picks vec-packed when the build carries 8-bit
   // SIMD, vec16 otherwise.
-  const K low = igemm_select_kernel(K::kAuto, 8, 255, IgemmAccum::kInt32);
-  EXPECT_EQ(low, igemm_packed_simd() ? K::kVecPacked : K::kVec16);
-  // Saturation-risky bounds skip vec-packed regardless of build.
-  EXPECT_EQ(igemm_select_kernel(K::kAuto, 127, 255, IgemmAccum::kInt32),
-            K::kVec16);
-  // int64 accumulation confines execution to scalar.
-  EXPECT_EQ(igemm_select_kernel(K::kAuto, 8, 255, IgemmAccum::kInt64),
-            K::kScalar);
-  // An eligible explicit request is honoured as-is...
-  EXPECT_EQ(igemm_select_kernel(K::kVec16, 8, 255, IgemmAccum::kInt32),
-            K::kVec16);
-  EXPECT_EQ(igemm_select_kernel(K::kScalar, 8, 255, IgemmAccum::kInt32),
-            K::kScalar);
-  // ...an ineligible one falls down the same ladder as kAuto — as a
-  // vec-packed pin does on builds without 8-bit-lane SIMD.
-  EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt32),
+  EXPECT_EQ(igemm_select_kernel(K::kAuto, 8, 255),
             igemm_packed_simd() ? K::kVecPacked : K::kVec16);
-  EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255, IgemmAccum::kInt64),
-            K::kScalar);
+  // Saturation-risky bounds skip vec-packed regardless of build.
+  EXPECT_EQ(igemm_select_kernel(K::kAuto, 127, 255), K::kVec16);
+  // An eligible explicit request is honoured as-is...
+  EXPECT_EQ(igemm_select_kernel(K::kVec16, 8, 255), K::kVec16);
+  // ...an ineligible one falls to the kernel kAuto picks — as a
+  // vec-packed pin does on builds without 8-bit-lane SIMD.
+  EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 8, 255),
+            igemm_packed_simd() ? K::kVecPacked : K::kVec16);
+  EXPECT_EQ(igemm_select_kernel(K::kVecPacked, 256, 255), K::kVec16);
 }
 
 TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
@@ -394,12 +369,14 @@ TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
   const std::string restore = saved != nullptr ? saved : "";
   unsetenv("CCQ_IGEMM_KERNEL");
   EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kAuto);
-  setenv("CCQ_IGEMM_KERNEL", "scalar", 1);
-  EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kScalar);
   setenv("CCQ_IGEMM_KERNEL", "vec16", 1);
   EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kVec16);
-  setenv("CCQ_IGEMM_KERNEL", "hyperdrive", 1);
-  EXPECT_THROW(igemm_requested_kernel(), Error);
+  setenv("CCQ_IGEMM_KERNEL", "vec-packed", 1);
+  EXPECT_EQ(igemm_requested_kernel(), IgemmKernel::kVecPacked);
+  for (const char* bad : {"hyperdrive", "scalar"}) {
+    setenv("CCQ_IGEMM_KERNEL", bad, 1);
+    EXPECT_THROW(igemm_requested_kernel(), Error) << bad;
+  }
   if (saved != nullptr) {
     setenv("CCQ_IGEMM_KERNEL", restore.c_str(), 1);
   } else {
@@ -409,21 +386,34 @@ TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
 
 // ---- op validation ----------------------------------------------------------
 
-TEST(IgemmRunValidation, RejectsMismatchedPanels) {
+/// A valid vec16 float-epilogue op over a 2×3 panel and one dot row of
+/// ones; tests break one field at a time.
+struct SmallOp {
   const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};  // 2×3
-  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kScalar);
-  const std::vector<std::int32_t> x(3, 1);
-  const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
-  std::vector<float> c(2);
-  IgemmOp op;
-  op.m = 1;
-  op.n = 2;
-  op.k = 3;
-  op.panel = &panel;
-  op.x = x.data();
-  op.c = c.data();
-  op.epilogue = {scale.data(), bias.data()};
-  op.accum = IgemmAccum::kInt64;
+  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
+  const std::vector<std::int16_t> x16 =
+      std::vector<std::int16_t>(panel.stride, 1);
+  const std::vector<float> scale = std::vector<float>(2, 1.0f);
+  const std::vector<float> bias = std::vector<float>(2, 0.0f);
+  std::vector<float> c = std::vector<float>(2);
+
+  IgemmOp op() {
+    IgemmOp o;
+    o.m = 1;
+    o.n = 2;
+    o.k = 3;
+    o.panel = &panel;
+    o.x16 = x16.data();
+    o.c = c.data();
+    o.epilogue = {scale.data(), bias.data()};
+    o.x_bound = 255;
+    return o;
+  }
+};
+
+TEST(IgemmRunValidation, RejectsMismatchedPanels) {
+  SmallOp small;
+  const IgemmOp op = small.op();
   EXPECT_NO_THROW(igemm_run(op));
 
   IgemmOp bad_rows = op;  // the panel holds 2 output channels, not 3
@@ -439,10 +429,35 @@ TEST(IgemmRunValidation, RejectsMismatchedPanels) {
   EXPECT_THROW(igemm_run(no_panel), Error);
 }
 
+TEST(IgemmRunValidation, RejectsOpsOutsideTheU8Int32Precondition) {
+  SmallOp small;
+  IgemmOp op = small.op();
+  // Activation codes must be u8 with a known bound.
+  for (std::int64_t x_bound : {std::int64_t{0}, std::int64_t{256}}) {
+    op.x_bound = x_bound;
+    EXPECT_THROW(igemm_run(op), Error) << "x_bound " << x_bound;
+  }
+  op.x_bound = 255;
+  EXPECT_NO_THROW(igemm_run(op));
+  // Requantized codes are u8: a wider code ceiling is refused.
+  const std::vector<Requant> rq(2);
+  std::vector<std::uint8_t> out(2);
+  op.c = nullptr;
+  op.requant = rq.data();
+  op.out8 = out.data();
+  op.requant_qmax = 255;
+  EXPECT_NO_THROW(igemm_run(op));
+  op.requant_qmax = 256;
+  EXPECT_THROW(igemm_run(op), Error);
+}
+
 TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
-  const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};
-  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
-  const std::vector<std::int16_t> x(panel.stride, 1);  // one dot row
+  if (!igemm_packed_simd()) GTEST_SKIP() << "vec-packed is never packed here";
+  // 2·127·255 > 32767: maddubs could saturate, so a vec-packed panel of
+  // these codes may not run against 255-bound codes, only smaller ones.
+  const std::vector<std::int32_t> codes{127, -2, 3, 4, -5, 6};
+  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
+  const std::vector<std::uint8_t> x8(panel.stride, 1);
   const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
   std::vector<float> c(2);
   IgemmOp op;
@@ -450,48 +465,32 @@ TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
   op.n = 2;
   op.k = 3;
   op.panel = &panel;
-  op.x16 = x.data();
+  op.x8 = x8.data();
   op.c = c.data();
   op.epilogue = {scale.data(), bias.data()};
-  op.accum = IgemmAccum::kInt32;
-  op.x_bound = 255;
+  op.x_bound = 129;
   EXPECT_NO_THROW(igemm_run(op));
-  op.x_bound = 0;  // unknown activation bound: vec16 may not run
-  EXPECT_THROW(igemm_run(op), Error);
   op.x_bound = 255;
-  op.accum = IgemmAccum::kInt64;  // vec16 is an int32-accumulator kernel
   EXPECT_THROW(igemm_run(op), Error);
 }
 
 TEST(IgemmRunValidation, VectorKernelsReadOnlyTheirLaneType) {
   // The dot kernels read the caller's rows as-is, so rows in another
   // code type are refused rather than reinterpreted.
-  const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};
-  const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
-  const std::vector<std::uint8_t> x8(panel.stride, 1);
-  const std::vector<std::int32_t> x32(panel.stride, 1);
-  const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
-  std::vector<float> c(2);
-  IgemmOp op;
-  op.m = 1;
-  op.n = 2;
-  op.k = 3;
-  op.panel = &panel;
-  op.c = c.data();
-  op.epilogue = {scale.data(), bias.data()};
-  op.accum = IgemmAccum::kInt32;
-  op.x_bound = 255;
+  SmallOp small;
+  IgemmOp op = small.op();
+  const std::vector<std::uint8_t> x8(small.panel.stride, 1);
+  op.x16 = nullptr;
   op.x8 = x8.data();
   EXPECT_THROW(igemm_run(op), Error);
-  op.x8 = nullptr;
-  op.x = x32.data();
+  op.x16 = small.x16.data();  // both lane types set
   EXPECT_THROW(igemm_run(op), Error);
   if (igemm_packed_simd()) {
     const IgemmPanel packed =
-        igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
+        igemm_pack(small.codes, 2, 3, IgemmKernel::kVecPacked);
     const std::vector<std::int16_t> x16(packed.stride, 1);
     op.panel = &packed;
-    op.x = nullptr;
+    op.x8 = nullptr;
     op.x16 = x16.data();
     EXPECT_THROW(igemm_run(op), Error);
   }
@@ -513,12 +512,6 @@ TEST(IgemmPack, DotLayoutPadsDepthToLaneMultiples) {
   ASSERT_EQ(v8.i8.size(), 2u * 32u);
   EXPECT_EQ(v8.i8[32], 4);
   EXPECT_TRUE(v8.i16.empty());
-
-  // Scalar pads nothing: its activation rows are dense, its panel the
-  // transposed depth×rows rank-1 layout.
-  const IgemmPanel scalar = igemm_pack(codes, 2, 3, IgemmKernel::kScalar);
-  EXPECT_EQ(scalar.stride, 3u);
-  EXPECT_EQ(scalar.i16, (std::vector<std::int16_t>{1, 4, 2, 5, 3, 6}));
 }
 
 TEST(IgemmPack, RejectsCodesOutsideTheKernelLaneType) {
@@ -527,8 +520,11 @@ TEST(IgemmPack, RejectsCodesOutsideTheKernelLaneType) {
   EXPECT_NO_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16));
   EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVecPacked), Error);
   codes[2] = 40000;  // beyond int16: every kernel rejects
-  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kScalar), Error);
   EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16), Error);
+  codes[2] = -40000;
+  EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16), Error);
+  codes[2] = 32767;  // int16 max is fine
+  EXPECT_NO_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kVec16));
   // kAuto is not a packable layout.
   codes[2] = 1;
   EXPECT_THROW(igemm_pack(codes, 2, 2, IgemmKernel::kAuto), Error);
@@ -554,77 +550,46 @@ TEST(IgemmFitsInt32, ExactBoundary) {
   EXPECT_FALSE(igemm_fits_int32(1 << 20, 1 << 20, 4));
 }
 
+/// The widest int16 weight code against the top u8 code, `k` times.
+Problem top_of_int32_problem(std::size_t k) {
+  Problem p;
+  p.m = 1;
+  p.n = 1;
+  p.k = k;
+  p.w.assign(k, 32767);
+  p.x.assign(k, 255);
+  p.scale = {1.0f};
+  p.bias = {0.0f};
+  return p;
+}
+
 TEST(IgemmFitsInt32, BoundaryCodesRunExactInInt32) {
-  // One product at the very top of int32: 32767 · 65535 = 2,147,385,345.
-  const std::vector<std::int32_t> w{32767};
-  const std::vector<std::int32_t> x{65535};
-  ASSERT_TRUE(igemm_fits_int32(32767, 65535, 1));
-  const IgemmPanel panel = igemm_pack(w, 1, 1, IgemmKernel::kScalar);
-  const std::vector<float> scale{1.0f}, bias{0.0f};
-  float got = 0.0f;
-  IgemmOp op;
-  op.m = 1;
-  op.n = 1;
-  op.k = 1;
-  op.panel = &panel;
-  op.x = x.data();
-  op.c = &got;
-  op.epilogue = {scale.data(), bias.data()};
-  op.accum = IgemmAccum::kInt32;
-  op.x_bound = 65535;
-  igemm_run(op);
-  EXPECT_EQ(got, static_cast<float>(std::int64_t{32767} * 65535));
+  // 257 products of 32767 · 255 sum to 2,147,385,345: the top of int32.
+  const Problem p = top_of_int32_problem(257);
+  ASSERT_TRUE(igemm_fits_int32(32767, 255, 257));
+  const IgemmPanel panel = igemm_pack(p.w, 1, p.k, IgemmKernel::kVec16);
+  DotRows rows;
+  std::vector<float> got(1);
+  igemm_run(float_op(p, panel, rows, got));
+  EXPECT_EQ(got[0], static_cast<float>(std::int64_t{32767} * 255 * 257));
 }
 
 TEST(IgemmFitsInt32, WrapBeyondTheBoundIsWhyThePredicateGates) {
-  // Two such products overflow int32.  The kernel never runs int32 past
-  // the bound (that would be signed-overflow UB), so demonstrate the
-  // wrap in well-defined unsigned arithmetic: the mod-2^32 sum
+  // One more such product overflows int32.  The kernel never runs int32
+  // past the bound (that would be signed-overflow UB), so demonstrate
+  // the wrap in well-defined unsigned arithmetic: the mod-2^32 sum
   // reinterpreted as int32 disagrees with the int64 truth.
-  const std::int64_t term = std::int64_t{32767} * 65535;
-  ASSERT_FALSE(igemm_fits_int32(32767, 65535, 2));
-  const std::int64_t truth = 2 * term;
-  const auto wrapped_bits =
-      static_cast<std::uint32_t>(2 * static_cast<std::uint64_t>(term));
-  const auto wrapped = static_cast<std::int32_t>(wrapped_bits);
+  const std::int64_t truth = std::int64_t{32767} * 255 * 258;
+  ASSERT_FALSE(igemm_fits_int32(32767, 255, 258));
+  const auto wrapped =
+      static_cast<std::int32_t>(static_cast<std::uint32_t>(truth));
   EXPECT_NE(static_cast<std::int64_t>(wrapped), truth);
-  // The int64 path the predicate falls back to stays exact.
-  const std::vector<std::int32_t> w{32767, 32767};
-  const std::vector<std::int32_t> x{65535, 65535};
-  const IgemmPanel panel = igemm_pack(w, 1, 2, IgemmKernel::kScalar);
-  const std::vector<float> scale{1.0f}, bias{0.0f};
-  float got = 0.0f;
-  IgemmOp op;
-  op.m = 1;
-  op.n = 1;
-  op.k = 2;
-  op.panel = &panel;
-  op.x = x.data();
-  op.c = &got;
-  op.epilogue = {scale.data(), bias.data()};
-  op.accum = IgemmAccum::kInt64;
-  op.x_bound = 65535;
-  igemm_run(op);
-  EXPECT_EQ(got, static_cast<float>(truth));
-}
-
-// ---- legacy panel packing ---------------------------------------------------
-
-TEST(IgemmPackPanel, TransposeLaysOutColumnsAsRows) {
-  const std::vector<std::int32_t> codes{1, 2, 3, 4, 5, 6};  // 2×3
-  const auto flat = igemm_pack_panel(codes, 2, 3, false);
-  EXPECT_EQ(flat, (std::vector<std::int16_t>{1, 2, 3, 4, 5, 6}));
-  const auto t = igemm_pack_panel(codes, 2, 3, true);
-  EXPECT_EQ(t, (std::vector<std::int16_t>{1, 4, 2, 5, 3, 6}));
-}
-
-TEST(IgemmPackPanel, RejectsCodesOutsideInt16) {
-  std::vector<std::int32_t> codes{0, 1, 40000, 2};
-  EXPECT_THROW(igemm_pack_panel(codes, 2, 2, false), Error);
-  codes[2] = -40000;
-  EXPECT_THROW(igemm_pack_panel(codes, 2, 2, true), Error);
-  codes[2] = 32767;  // int16 max is fine
-  EXPECT_NO_THROW(igemm_pack_panel(codes, 2, 2, false));
+  // So igemm_run refuses the op instead of running it.
+  const Problem p = top_of_int32_problem(258);
+  const IgemmPanel panel = igemm_pack(p.w, 1, p.k, IgemmKernel::kVec16);
+  DotRows rows;
+  std::vector<float> got(1);
+  EXPECT_THROW(igemm_run(float_op(p, panel, rows, got)), Error);
 }
 
 // ---- requant epilogue differential ------------------------------------------
@@ -632,9 +597,8 @@ TEST(IgemmPackPanel, RejectsCodesOutsideInt16) {
 /// The fused-datapath spec: every kernel's requant epilogue must equal a
 /// naive int64 accumulation followed by `requant_apply` — same integer
 /// associativity argument as the float epilogue, now in the multiplier
-/// domain.  Sweeps u8 and i16 code inputs/outputs, per-column channel
-/// mapping, kernels, threads and a k-splitting blocking (the epilogue
-/// must fire only after the full reduction).
+/// domain.  Sweeps u8 code inputs, output grids, per-column channel
+/// mapping, kernels and threads.
 TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
   Rng rng(0xCC01);
   struct Cfg {
@@ -642,9 +606,9 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
     std::int32_t max_w, max_x, qmax;
   };
   const Cfg configs[] = {
-      {33, 8, 27, 7, 3, 255},      // vec-packed-eligible bounds, u8 codes
-      {18, 6, 40, 100, 255, 255},  // full 8-bit input grid, u8 codes
-      {21, 5, 16, 40, 1000, 4095}, // 10-bit codes: i16 in, i16 out
+      {33, 8, 27, 7, 3, 255},      // vec-packed-eligible bounds
+      {18, 6, 40, 100, 255, 255},  // full 8-bit input grid
+      {21, 5, 16, 40, 255, 15},    // 4-bit output grid: codes clamp at 15
   };
   for (const Cfg& cfg : configs) {
     std::vector<std::int32_t> w(cfg.n * cfg.k), x(cfg.m * cfg.k);
@@ -655,7 +619,6 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
     for (auto& v : x) {
       v = static_cast<std::int32_t>(rng.uniform_int(cfg.max_x + 1));
     }
-    const bool u8_codes = cfg.max_x <= 255 && cfg.qmax <= 255;
 
     // Realistic per-channel parameters straight from make_requant.
     const std::int64_t bound = std::int64_t{cfg.max_w} * cfg.max_x *
@@ -680,48 +643,27 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
     }
 
     const std::int32_t max_abs = igemm_max_abs(w);
-    std::vector<IgemmAccum> accums{IgemmAccum::kInt64};
-    if (igemm_fits_int32(max_abs, cfg.max_x, cfg.k)) {
-      accums.push_back(IgemmAccum::kInt32);
-    }
-    const IgemmBlocking blockings[] = {{}, {.nc = 3, .kc = 7}};
-    for (IgemmAccum accum : accums) {
-      for (IgemmKernel kernel : eligible_kernels(max_abs, cfg.max_x, accum)) {
-        const IgemmPanel panel = igemm_pack(w, cfg.n, cfg.k, kernel);
-        for (const IgemmBlocking& blk : blockings) {
-          for (std::size_t threads : {1, 2, 4}) {
-            IgemmOp op;
-            op.m = cfg.m;
-            op.n = cfg.n;
-            op.k = cfg.k;
-            op.panel = &panel;
-            op.accum = accum;
-            op.blocking = blk;
-            op.x_bound = cfg.max_x;
-            op.requant = rq.data();
-            op.requant_qmax = cfg.qmax;
-            DotRows rows;
-            rows.lower(op, x,
-                       u8_codes ? DotRows::Codes::kU8 : DotRows::Codes::kI16);
-            std::vector<std::uint8_t> got8(cfg.m * cfg.n, 0xEE);
-            std::vector<std::int16_t> got16(cfg.m * cfg.n, -7);
-            if (u8_codes) {
-              op.out8 = got8.data();
-            } else {
-              op.out16 = got16.data();
-            }
-            igemm_run(op, ctx_for(threads));
-            for (std::size_t i = 0; i < want.size(); ++i) {
-              const std::int32_t got =
-                  u8_codes ? static_cast<std::int32_t>(got8[i])
-                           : static_cast<std::int32_t>(got16[i]);
-              ASSERT_EQ(got, want[i])
-                  << "kernel=" << igemm_kernel_str(kernel)
-                  << " accum=" << static_cast<int>(accum)
-                  << " threads=" << threads << " nc=" << blk.nc
-                  << " kc=" << blk.kc << " idx=" << i;
-            }
-          }
+    for (IgemmKernel kernel : eligible_kernels(max_abs, cfg.max_x)) {
+      const IgemmPanel panel = igemm_pack(w, cfg.n, cfg.k, kernel);
+      for (std::size_t threads : {1, 2, 4}) {
+        IgemmOp op;
+        op.m = cfg.m;
+        op.n = cfg.n;
+        op.k = cfg.k;
+        op.panel = &panel;
+        op.x_bound = cfg.max_x;
+        op.requant = rq.data();
+        op.requant_qmax = cfg.qmax;
+        DotRows rows;
+        rows.lower(op, x);
+        std::vector<std::uint8_t> got(cfg.m * cfg.n, 0xEE);
+        op.out8 = got.data();
+        igemm_run(op, ctx_for(threads));
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(static_cast<std::int32_t>(got[i]), want[i])
+              << "kernel=" << igemm_kernel_str(kernel)
+              << " threads=" << threads << " qmax=" << cfg.qmax
+              << " idx=" << i;
         }
       }
     }
@@ -764,17 +706,16 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveForLinearLayers) {
     }
   }
   const std::int32_t max_abs = igemm_max_abs(w_rows);
-  for (IgemmKernel kernel : eligible_kernels(max_abs, 255, IgemmAccum::kInt32)) {
+  for (IgemmKernel kernel : eligible_kernels(max_abs, 255)) {
     const IgemmPanel panel = igemm_pack(w_rows, out, k, kernel);
     IgemmOp op;
     op.m = batch;
     op.n = out;
     op.k = k;
     op.panel = &panel;
-    op.accum = IgemmAccum::kInt32;
     op.x_bound = 255;
     DotRows rows;
-    rows.lower(op, x, DotRows::Codes::kU8);
+    rows.lower(op, x);
     op.requant = rq.data();
     op.requant_qmax = 255;
     std::vector<std::uint8_t> got(batch * out, 0xEE);

@@ -284,9 +284,9 @@ TEST(IntegerEngineTest, BlockedForwardBitIdenticalMlp) {
   expect_bitwise_forward(s);
 }
 
-// ---- static accumulator selection ------------------------------------------
+// ---- compiled plans and the 8-bit ceiling -----------------------------------
 
-TEST(IntegerEngineTest, CompiledPlansCarryPackedPanelsAndAccum) {
+TEST(IntegerEngineTest, CompiledPlansCarryPackedPanels) {
   EngineSetup s = make_setup(quant::Policy::kMinMax, 1);
   IntegerNetwork net = IntegerNetwork::compile(s.model);
   for (std::size_t l = 0; l < net.layer_count(); ++l) {
@@ -302,10 +302,9 @@ TEST(IntegerEngineTest, CompiledPlansCarryPackedPanelsAndAccum) {
     // this layer's static bounds.
     EXPECT_EQ(plan.igemm_kernel,
               igemm_select_kernel(igemm_requested_kernel(), plan.max_abs_code,
-                                  plan.in_code_bound, plan.accum));
+                                  plan.in_code_bound));
     EXPECT_GT(plan.in_code_bound, 0);
-    // This toy net's depths are tiny; every layer must pick int32.
-    EXPECT_EQ(plan.accum, IgemmAccum::kInt32);
+    EXPECT_LE(plan.in_code_bound, 255);
     EXPECT_TRUE(
         igemm_fits_int32(plan.max_abs_code, plan.in_code_bound,
                          plan.kind == IntLayerPlan::Kind::kConv
@@ -314,10 +313,10 @@ TEST(IntegerEngineTest, CompiledPlansCarryPackedPanelsAndAccum) {
   }
 }
 
-/// A synthetic linear plan at the exact overflow boundary.  Codes of
-/// magnitude 255 against the 8-bit input bound (255) admit int32 up to
-/// depth 33025 (255·255·33025 = 2,147,450,625 ≤ INT32_MAX); one feature
-/// more must flip the plan to the int64 fallback.
+/// A synthetic linear head at the int32 boundary.  Codes of magnitude
+/// 255 against the 8-bit input bound (255) prove int32 up to depth 33025
+/// (255·255·33025 = 2,147,450,625 ≤ INT32_MAX); one feature more fails
+/// the proof.
 IntLayerPlan boundary_linear_plan(std::size_t in_features) {
   IntLayerPlan plan;
   plan.kind = IntLayerPlan::Kind::kLinear;
@@ -331,44 +330,111 @@ IntLayerPlan boundary_linear_plan(std::size_t in_features) {
   return plan;
 }
 
-TEST(IntegerEngineTest, AccumulatorSelectionAtTheOverflowBoundary) {
-  const IntegerNetwork fits =
-      IntegerNetwork::from_plans({boundary_linear_plan(33025)});
-  EXPECT_EQ(fits.plan(0).accum, IgemmAccum::kInt32);
-  EXPECT_EQ(fits.plan(0).max_abs_code, 255);
-  EXPECT_EQ(fits.plan(0).in_code_bound, 255);
-
-  const IntegerNetwork falls_back =
-      IntegerNetwork::from_plans({boundary_linear_plan(33026)});
-  EXPECT_EQ(falls_back.plan(0).accum, IgemmAccum::kInt64);
+std::string from_plans_error(std::vector<IntLayerPlan> plans) {
+  try {
+    IntegerNetwork::from_plans(std::move(plans));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(IntegerEngineTest, Int64FallbackLayerStaysExact) {
-  // Worst-case inputs on the fallback layer: every activation snaps to
-  // the top input code (255), every weight code is 255, so each of the
-  // 33026 terms is 65025 and the true sum (2,147,548,650) exceeds
-  // INT32_MAX — an int32 accumulator would wrap.  The engine must have
-  // selected int64 and match the naive reference bit for bit.
-  const std::size_t k = 33026;
-  IntegerNetwork net = IntegerNetwork::from_plans({boundary_linear_plan(k)});
-  ASSERT_EQ(net.plan(0).accum, IgemmAccum::kInt64);
-  Tensor x({1, 1, 1, k});
-  for (auto& v : x.data()) v = 1.0f;  // snaps to code 255 everywhere
-  // The engine expects NCHW input, so flatten ahead of the linear plan.
-  IntLayerPlan flat;
+std::string compile_error(models::QuantModel& model) {
+  try {
+    IntegerNetwork::compile(model);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(IntegerEngineTest, DeepestInt32LayerStaysExact) {
+  // Worst-case inputs on the deepest layer the int32 proof admits: every
+  // activation snaps to the top input code (255) and every weight code is
+  // 255, so each sum is 2,147,450,625, within 33 Ki of INT32_MAX.
+  const std::size_t k = 33025;
+  IntLayerPlan flat;  // the engine expects NCHW input
   flat.kind = IntLayerPlan::Kind::kFlatten;
   flat.name = "flatten@0";
-  IntegerNetwork net2 =
+  const IntegerNetwork net =
       IntegerNetwork::from_plans({flat, boundary_linear_plan(k)});
-  const Tensor fast = net2.forward(x);
-  const Tensor ref = net2.forward_reference(x);
+  EXPECT_EQ(net.plan(1).max_abs_code, 255);
+  EXPECT_EQ(net.plan(1).in_code_bound, 255);
+  Tensor x({1, 1, 1, k});
+  for (auto& v : x.data()) v = 1.0f;  // snaps to code 255 everywhere
+  const Tensor fast = net.forward(x);
+  const Tensor ref = net.forward_reference(x);
   ASSERT_EQ(fast.shape(), ref.shape());
+  const float sum =
+      static_cast<float>(std::int64_t{255} * 255 * static_cast<std::int64_t>(k));
   for (std::size_t i = 0; i < fast.data().size(); ++i) {
     EXPECT_EQ(fast.data()[i], ref.data()[i]);
+    EXPECT_EQ(fast.data()[i], sum * 1e-6f);
   }
-  // And the sum really does bust int32 — the fallback was load-bearing.
-  EXPECT_GT(std::int64_t{255} * 255 * static_cast<std::int64_t>(k),
-            std::int64_t{std::numeric_limits<std::int32_t>::max()});
+}
+
+TEST(IntegerEngineTest, FromPlansRejectsLayersPastTheEightBitCeiling) {
+  // One feature deeper than the int32 proof allows.
+  std::string message = from_plans_error({boundary_linear_plan(33026)});
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+  EXPECT_NE(message.find("33026"), std::string::npos) << message;
+  EXPECT_NE(message.find("int32"), std::string::npos) << message;
+
+  // Weight grids above 8 bits.
+  for (int bits : {9, 12}) {
+    IntLayerPlan wide = boundary_linear_plan(16);
+    wide.weight_bits = bits;
+    message = from_plans_error({wide});
+    EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(bits) + "-bit weight grid"),
+              std::string::npos)
+        << message;
+  }
+
+  // A quantized activation grid between 8 and 16 bits; 16 and above is
+  // the unquantized head, which stays legal as the last layer.
+  IntLayerPlan act = boundary_linear_plan(16);
+  act.has_act = true;
+  act.act_clip = 1.0f;
+  act.act_bits = 12;
+  message = from_plans_error({act});
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+  EXPECT_NE(message.find("12-bit activation grid"), std::string::npos)
+      << message;
+  act.act_bits = 16;
+  EXPECT_EQ(from_plans_error({act}), "");
+}
+
+TEST(IntegerEngineTest, CompileRejectsGridsAboveEightBits) {
+  // Untrained models compile like trained ones; only the grids matter.
+  models::ModelConfig mc;
+  mc.num_classes = 5;
+  mc.image_size = 8;
+  mc.width_multiplier = 0.25f;
+  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
+  auto model =
+      models::make_simple_cnn(mc, factory, quant::BitLadder({12, 9, 8}));
+  const std::string first = model.registry().unit(0).name;
+  for (std::size_t pos : {0, 1}) {
+    model.registry().set_all(pos);
+    const int bits = pos == 0 ? 12 : 9;
+    const std::string message = compile_error(model);
+    EXPECT_NE(message.find("'" + first + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(bits) + "-bit weight grid"),
+              std::string::npos)
+        << message;
+  }
+  model.registry().set_all(2);
+  EXPECT_EQ(compile_error(model), "");
+  // 8-bit weights under a 12-bit activation grid.
+  quant::QuantUnit& unit = model.registry().unit(1);
+  ASSERT_NE(unit.act, nullptr);
+  unit.act->set_bits(12);
+  const std::string message = compile_error(model);
+  EXPECT_NE(message.find("'" + unit.name + "'"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("12-bit activation grid"), std::string::npos)
+      << message;
 }
 
 // ---- kernel selection / env override ----------------------------------------
@@ -397,36 +463,43 @@ TEST(IntegerEngineTest, KernelEnvOverridePinsEveryEligibleLayer) {
   EngineSetup s = make_setup(quant::Policy::kMinMax, 1);
   const Tensor x = snap_input(s.val.all().images);
 
-  setenv("CCQ_IGEMM_KERNEL", "scalar", 1);
-  IntegerNetwork scalar_net = IntegerNetwork::compile(s.model);
-  for (std::size_t l = 0; l < scalar_net.layer_count(); ++l) {
-    const auto& plan = scalar_net.plan(l);
+  setenv("CCQ_IGEMM_KERNEL", "vec16", 1);
+  IntegerNetwork vec16_net = IntegerNetwork::compile(s.model);
+  for (std::size_t l = 0; l < vec16_net.layer_count(); ++l) {
+    const auto& plan = vec16_net.plan(l);
     if (plan.kind != IntLayerPlan::Kind::kConv &&
         plan.kind != IntLayerPlan::Kind::kLinear) {
       continue;
     }
-    EXPECT_EQ(plan.igemm_kernel, IgemmKernel::kScalar) << plan.name;
-    EXPECT_EQ(plan.panel.kernel, IgemmKernel::kScalar) << plan.name;
+    EXPECT_EQ(plan.igemm_kernel, IgemmKernel::kVec16) << plan.name;
+    EXPECT_EQ(plan.panel.kernel, IgemmKernel::kVec16) << plan.name;
   }
 
-  setenv("CCQ_IGEMM_KERNEL", "vec16", 1);
-  IntegerNetwork vec_net = IntegerNetwork::compile(s.model);
-  bool saw_vec16 = false;
-  for (std::size_t l = 0; l < vec_net.layer_count(); ++l) {
-    const auto& plan = vec_net.plan(l);
+  setenv("CCQ_IGEMM_KERNEL", "vec-packed", 1);
+  IntegerNetwork packed_net = IntegerNetwork::compile(s.model);
+  bool saw_packed = false;
+  for (std::size_t l = 0; l < packed_net.layer_count(); ++l) {
+    const auto& plan = packed_net.plan(l);
     if (plan.kind != IntLayerPlan::Kind::kConv &&
         plan.kind != IntLayerPlan::Kind::kLinear) {
       continue;
     }
-    // Eligible layers honour the override; ineligible ones (int64
-    // accumulator, unknown bound) may legally fall back.
-    if (plan.igemm_kernel == IgemmKernel::kVec16) saw_vec16 = true;
+    // Eligible layers honour the override; ineligible ones fall to vec16.
+    if (plan.igemm_kernel == IgemmKernel::kVecPacked) {
+      saw_packed = true;
+    } else {
+      EXPECT_FALSE(igemm_kernel_eligible(IgemmKernel::kVecPacked,
+                                         plan.max_abs_code,
+                                         plan.in_code_bound))
+          << plan.name;
+    }
   }
-  EXPECT_TRUE(saw_vec16) << "toy net has int32 layers; vec16 must engage";
+  EXPECT_EQ(saw_packed, igemm_packed_simd())
+      << "toy 4-bit net: vec-packed must engage wherever the build has it";
 
   // The kernel choice must never change a single output bit.
-  const Tensor a = scalar_net.forward(x);
-  const Tensor b = vec_net.forward(x);
+  const Tensor a = vec16_net.forward(x);
+  const Tensor b = packed_net.forward(x);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     ASSERT_EQ(a.data()[i], b.data()[i]) << "logit " << i;
@@ -436,14 +509,19 @@ TEST(IntegerEngineTest, KernelEnvOverridePinsEveryEligibleLayer) {
 TEST(IntegerEngineTest, UnknownKernelOverrideNamesTheAvailableOnes) {
   KernelEnvGuard guard;
   EngineSetup s = make_setup(quant::Policy::kMinMax, 1);
-  setenv("CCQ_IGEMM_KERNEL", "tensor-core", 1);
-  try {
-    IntegerNetwork::compile(s.model);
-    FAIL() << "expected ccq::Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("tensor-core"), std::string::npos);
-    EXPECT_NE(what.find("vec-packed"), std::string::npos);
+  for (const char* unknown : {"tensor-core", "scalar"}) {
+    setenv("CCQ_IGEMM_KERNEL", unknown, 1);
+    try {
+      IntegerNetwork::compile(s.model);
+      FAIL() << "expected ccq::Error for " << unknown;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + unknown + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("vec16, vec-packed, auto"), std::string::npos)
+          << what;
+    }
   }
 }
 

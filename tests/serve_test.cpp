@@ -249,11 +249,16 @@ TEST(ArtifactTest, TruncationDetected) {
 // ---- hostile artifacts ----------------------------------------------------
 
 /// One hand-built, correctly checksummed artifact: a single rung holding
-/// one conv layer named 'hostile' whose geometry, code stream header and
-/// channel-scale count are chosen by the caller.  Every count is a lie
-/// the reader must catch before it sizes an allocation.
+/// one conv layer named 'hostile' whose geometry, grids, code stream
+/// header and channel-scale count are chosen by the caller.  Every count
+/// is a lie the reader must catch before it sizes an allocation, and
+/// every grid must meet the engine's 8-bit ceiling.
 struct CraftedLayer {
   std::uint64_t out_channels = 1, in_channels = 1;
+  std::uint8_t weight_bits = 8;
+  std::uint8_t act_bits = 32;  // with has_act: the layer's activation grid
+  bool has_act = false;
+  std::int64_t min_code = 0;
   std::uint64_t code_count = 1;
   std::uint8_t code_bits = 0;
   std::uint64_t scale_count = 1;
@@ -274,10 +279,10 @@ std::string write_crafted(const std::string& name, const CraftedLayer& layer) {
   varint(7);
   payload += "hostile";
   pod(std::uint8_t{0});   // kind: conv
-  pod(std::uint8_t{8});   // weight bits
-  pod(std::uint8_t{0});   // no activation grid
-  pod(std::uint8_t{32});  // act bits
-  pod(0.0f);              // act clip
+  pod(layer.weight_bits);
+  pod(std::uint8_t{layer.has_act});
+  pod(layer.act_bits);
+  pod(1.0f);              // act clip
   for (std::uint64_t dim : {layer.in_channels, layer.out_channels,
                             std::uint64_t{1}, std::uint64_t{1},
                             std::uint64_t{0}, std::uint64_t{0},
@@ -285,7 +290,8 @@ std::string write_crafted(const std::string& name, const CraftedLayer& layer) {
                             std::uint64_t{2}}) {
     varint(dim);  // in/out channels, kernel, stride, pad, features, pool
   }
-  varint(0);  // zigzag min_code
+  varint((static_cast<std::uint64_t>(layer.min_code) << 1) ^
+         static_cast<std::uint64_t>(layer.min_code >> 63));  // zigzag
   varint(1);  // divisor
   pod(layer.code_bits);
   varint(layer.code_count);
@@ -348,6 +354,38 @@ TEST(ArtifactTest, CraftedCountsFailNamingTheLayerBeforeAllocating) {
     EXPECT_LT(peak_rss_kb() - rss_before, 64 * 1024) << c.what;
     fs::remove(path);
   }
+}
+
+TEST(ArtifactTest, CraftedGridsPastTheEngineCeilingFailNamingTheLayer) {
+  struct Case {
+    const char* what;
+    CraftedLayer layer;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"12-bit weights", {.weight_bits = 12}, "weight bits 12"},
+      {"12-bit activations",
+       {.act_bits = 12, .has_act = true},
+       "activation bits 12"},
+      // A 0-bit stream: every code equals min_code, 1000 > 2^8.
+      {"code outside the envelope", {.min_code = 1000}, "weight code 1000"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = write_crafted("ccq_serve_ceiling.ccqa", c.layer);
+    const std::string message = error_message([&] { inspect_artifact(path); });
+    EXPECT_NE(message.find("layer 'hostile'"), std::string::npos)
+        << c.what << ": " << message;
+    EXPECT_NE(message.find(c.expect), std::string::npos)
+        << c.what << ": " << message;
+    EXPECT_EQ(error_message([&] { load_artifact(path); }), message) << c.what;
+    fs::remove(path);
+  }
+  // The same layer at 8 bits loads.
+  const std::string path = write_crafted("ccq_serve_ceiling.ccqa",
+                                         {.min_code = 256});
+  EXPECT_EQ(inspect_artifact(path).layers.at(0).weight_bits.at(0), 8);
+  EXPECT_NO_THROW(load_artifact(path));
+  fs::remove(path);
 }
 
 TEST(ArtifactTest, ConstantCodeStreamIsBoundedBeforeItIsExpanded) {

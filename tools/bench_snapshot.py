@@ -21,9 +21,9 @@ serving stack:
             form a ratio against
 
   igemm     BM_IgemmForward -> BENCH_igemm.json
-            the kernel registry (scalar / vec16 / vec-packed) vs the naive
-            int64 reference, on a two-conv net whose quantized activations
-            make every layer fuse its requantization into the epilogue
+            the kernel registry (vec16 / vec-packed) vs the naive int64
+            reference, on a two-conv net whose quantized activations make
+            every layer fuse its requantization into the epilogue
   engine    BM_EngineForward -> BENCH_engine.json
             the end-to-end fused engine forward (u8 codes through igemm
             epilogues, integer pooling, final decode) vs forward_reference
@@ -63,8 +63,11 @@ parent commit in git_sha, and these equal `git rev-parse <commit>:src`
 and `<commit>:bench` for the commit that holds the timed code), the
 build type and C++ flags CMake wrote to <build>/bench/
 build_context.json, the ISA leg those flags select (portable, or the
--march target such as native), and libbenchmark's num_cpus and
-mhz_per_cpu.  libbenchmark's own "library_build_type" (how the
+-march target such as native), libbenchmark's num_cpus and
+mhz_per_cpu, and, for bench_kernels suites, igemm_packed_simd (whether
+the build carries vec-packed's 8-bit-lane SIMD, which decides whether
+the igemm grid has vec-packed rows).  libbenchmark's own
+"library_build_type" (how the
 benchmark library was compiled, not this repo) is kept as
 benchmark_library_build_type.  A check refuses to compare a run with a
 snapshot from another build type, flag set or ISA leg; a snapshot older
@@ -110,7 +113,7 @@ SUITES = {
         "filter": "BM_IgemmForward",
         "binary": "bench_kernels",
         "snapshot": REPO / "BENCH_igemm.json",
-        "modes": {0: "reference", 1: "scalar", 2: "vec16", 3: "vec-packed"},
+        "modes": {0: "reference", 1: "vec16", 2: "vec-packed"},
         "repetitions": 5,
         "processes": 3,
     },
@@ -435,12 +438,15 @@ def run_suite(name: str, args: argparse.Namespace, raw: dict | None) -> bool:
 
     if not args.check:
         bench = raw.get("context", {})
+        packed = ({"igemm_packed_simd": bench["igemm_packed_simd"] == "true"}
+                  if "igemm_packed_simd" in bench else {})
         snapshot_path.write_text(json.dumps({
             "benchmark": suite["filter"],
             "context": {
                 **(current or {}),
                 "num_cpus": bench.get("num_cpus"),
                 "mhz_per_cpu": bench.get("mhz_per_cpu"),
+                **packed,
                 "benchmark_library_build_type": bench.get("library_build_type"),
             },
             "rows": rows,

@@ -3,6 +3,7 @@
 // convolution, the quantizers, and the competition probe path.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdlib>
 #include <string>
 
@@ -516,20 +517,88 @@ hw::IntegerNetwork engine_net(int bits) {
        std::move(fc)});
 }
 
+/// The bench SimpleCNN as `ccq run --arch simplecnn` builds it and the
+/// server runs it: 3×3 convs (pad 1) from a 16×16×3 input to 4/8/12/16
+/// channels at strides 1/2/2/2, a global average pool and a 10-way
+/// float head.  `bits` gives the four convs' and the head's weight
+/// grids, and the convs' activation grids.  Codes are drawn once with a
+/// fixed seed, ~40% zeros, like the other bench nets.
+hw::IntegerNetwork served_cnn_net(const std::array<int, 5>& bits) {
+  Rng rng(31);
+  auto codes = [&](std::size_t count, int b) {
+    const std::int32_t top = 1 << b;
+    std::vector<std::int32_t> out(count);
+    for (auto& c : out) {
+      c = rng.uniform() < 0.4
+              ? 0
+              : static_cast<std::int32_t>(rng.uniform_int(2 * top + 1)) - top;
+    }
+    return out;
+  };
+  std::vector<hw::IntLayerPlan> plans;
+  const std::size_t widths[] = {4, 8, 12, 16};
+  std::size_t in_c = 3;
+  for (std::size_t i = 0; i < 4; ++i) {
+    hw::IntLayerPlan p;
+    p.kind = hw::IntLayerPlan::Kind::kConv;
+    p.name = "conv" + std::to_string(i);
+    p.in_channels = in_c;
+    p.out_channels = widths[i];
+    p.kernel = 3;
+    p.stride = i == 0 ? 1 : 2;
+    p.pad = 1;
+    p.weight_bits = bits[i];
+    p.weight_codes = codes(widths[i] * in_c * 9, bits[i]);
+    p.channel_scale.assign(widths[i], 0.001f);
+    p.bias.assign(widths[i], 0.01f);
+    p.has_act = true;
+    p.act_bits = bits[i];
+    p.act_clip = 1.0f;
+    plans.push_back(std::move(p));
+    in_c = widths[i];
+  }
+  hw::IntLayerPlan gap;
+  gap.kind = hw::IntLayerPlan::Kind::kGlobalAvgPool;
+  gap.name = "gap@12";
+  plans.push_back(gap);
+  hw::IntLayerPlan fc;
+  fc.kind = hw::IntLayerPlan::Kind::kLinear;
+  fc.name = "fc";
+  fc.in_features = in_c;
+  fc.out_features = 10;
+  fc.weight_bits = bits[4];
+  fc.weight_codes = codes(fc.in_features * fc.out_features, bits[4]);
+  fc.channel_scale.assign(fc.out_features, 0.001f);
+  fc.bias.assign(fc.out_features, 0.01f);
+  plans.push_back(std::move(fc));
+  return hw::IntegerNetwork::from_plans(std::move(plans));
+}
+
 /// End-to-end engine forward, fused datapath vs the naive int64
-/// `forward_reference` oracle.  Args are {bits, mode} with mode
-/// 0=reference, 1=fused (auto kernel selection).  Outputs are
-/// bit-identical by construction (engine_datapath_test), so the rows
-/// track the fused datapath's speed and the allocs_per_iter=0 warm
-/// contract; BENCH_engine.json snapshots them.
+/// `forward_reference` oracle.  Args are {bits, mode, net} with mode
+/// 0=reference, 1=fused (auto kernel selection) and net
+///   0 — `engine_net(bits)` at batch 4 (16→32→32 channels);
+///   1 — the served SimpleCNN at batch 1 with every layer at `bits`
+///       (the `quantize` workload ends all-2-bit);
+///   2 — the served SimpleCNN at batch 1 at the `serve-tcp` workload's
+///       8/8/4/2/8 bits (`bits` is 0).
+/// Outputs are bit-identical by construction (engine_datapath_test), so
+/// the rows track the fused datapath's speed and the allocs_per_iter=0
+/// warm contract; BENCH_engine.json snapshots them.
 void BM_EngineForward(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   const bool reference = state.range(1) == 0;
+  const auto net_id = state.range(2);
   const KernelEnvPin pin(nullptr);  // auto selection
-  hw::IntegerNetwork net = engine_net(bits);
+  hw::IntegerNetwork net =
+      net_id == 0   ? engine_net(bits)
+      : net_id == 1 ? served_cnn_net({bits, bits, bits, bits, bits})
+                    : served_cnn_net({8, 8, 4, 2, 8});
   state.SetLabel(reference ? "reference" : "fused");
+  const std::size_t batch = net_id == 0 ? 4 : 1;
+  const std::size_t channels = net_id == 0 ? 16 : 3;
   Rng rng(3);
-  Tensor x({4, 16, 16, 16});
+  Tensor x({batch, channels, 16, 16});
   for (auto& v : x.data()) v = static_cast<float>(rng.uniform());
   Workspace ws;
   ExecContext ctx;  // serial: thread scaling is covered by *Threads benches
@@ -543,16 +612,21 @@ void BM_EngineForward(benchmark::State& state) {
     ws.recycle(std::move(y));
   }
   report_allocs(state, before);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
-                          static_cast<std::int64_t>(net.macs_per_sample(16, 16)));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(batch * net.macs_per_sample(16, 16)));
 }
 BENCHMARK(BM_EngineForward)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
+    ->Args({2, 0, 0})
+    ->Args({2, 1, 0})
+    ->Args({4, 0, 0})
+    ->Args({4, 1, 0})
+    ->Args({8, 0, 0})
+    ->Args({8, 1, 0})
+    ->Args({2, 0, 1})
+    ->Args({2, 1, 1})
+    ->Args({0, 0, 2})
+    ->Args({0, 1, 2});
 
 void BM_KlCalibration(benchmark::State& state) {
   Rng rng(5);

@@ -97,13 +97,12 @@ struct CountingAllocator {
 /// Storage type for Tensor data and Workspace pool buffers.
 using FloatVec = std::vector<float, CountingAllocator<float>>;
 
-/// Storage types for the Workspace's integer pools (igemm activation
-/// codes, im2col buffers, and the vector kernels' repacked int16 / uint8
-/// activation panels).  Counted by the same allocator so the warm
+/// Storage types for the Workspace's integer pools (the integer
+/// engine's activation code maps: u8 on the serving path, int32 on the
+/// reference one).  Counted by the same allocator so the warm
 /// zero-allocations contract covers the integer datapath too, and
 /// 64-byte aligned for split-free vector loads from the buffer base.
 using Int32Vec = std::vector<std::int32_t, CountingAllocator<std::int32_t, 64>>;
-using Int16Vec = std::vector<std::int16_t, CountingAllocator<std::int16_t, 64>>;
 using ByteVec = std::vector<std::uint8_t, CountingAllocator<std::uint8_t, 64>>;
 
 }  // namespace ccq

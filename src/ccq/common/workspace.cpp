@@ -83,14 +83,6 @@ void Workspace::release_ints(Int32Vec&& buf) {
   release_impl(&Arena::int_buckets, std::move(buf));
 }
 
-Int16Vec Workspace::acquire_shorts(std::size_t n) {
-  return acquire_impl(&Arena::short_buckets, n);
-}
-
-void Workspace::release_shorts(Int16Vec&& buf) {
-  release_impl(&Arena::short_buckets, std::move(buf));
-}
-
 ByteVec Workspace::acquire_bytes(std::size_t n) {
   return acquire_impl(&Arena::byte_buckets, n);
 }
@@ -104,7 +96,6 @@ void Workspace::reset() {
   for (auto& [tid, arena] : arenas_) {
     for (auto& bucket : arena->buckets) bucket.clear();
     for (auto& bucket : arena->int_buckets) bucket.clear();
-    for (auto& bucket : arena->short_buckets) bucket.clear();
     for (auto& bucket : arena->byte_buckets) bucket.clear();
   }
 }
@@ -115,7 +106,6 @@ std::size_t Workspace::pooled_buffers() const {
   for (const auto& [tid, arena] : arenas_) {
     for (const auto& bucket : arena->buckets) n += bucket.size();
     for (const auto& bucket : arena->int_buckets) n += bucket.size();
-    for (const auto& bucket : arena->short_buckets) n += bucket.size();
     for (const auto& bucket : arena->byte_buckets) n += bucket.size();
   }
   return n;
@@ -131,11 +121,6 @@ std::size_t Workspace::pooled_bytes() const {
     for (const auto& bucket : arena->int_buckets) {
       for (const auto& buf : bucket) {
         bytes += buf.capacity() * sizeof(std::int32_t);
-      }
-    }
-    for (const auto& bucket : arena->short_buckets) {
-      for (const auto& buf : bucket) {
-        bytes += buf.capacity() * sizeof(std::int16_t);
       }
     }
     for (const auto& bucket : arena->byte_buckets) {

@@ -91,12 +91,12 @@ class Workspace {
   FloatLease floats(std::size_t n) { return FloatLease(*this, n); }
 
   // ---- integer buffer pools ---------------------------------------------
-  // Same bucket/arena machinery over int32 / int16 / byte storage: the
-  // igemm deployment path leases activation-code and im2col column
-  // buffers (int32) plus the vector kernels' repacked int16 / uint8
-  // activation panels here, so warm integer inference is allocation-free
-  // alongside the float pool.  All integer pool storage is 64-byte
-  // aligned (alloc.hpp) for split-free SIMD loads from the buffer base.
+  // Same bucket/arena machinery over int32 / byte storage: the integer
+  // engine leases its activation code maps here (u8 on the serving path,
+  // int32 on the reference one), so warm integer inference is
+  // allocation-free alongside the float pool.  All integer pool storage
+  // is 64-byte aligned (alloc.hpp) for split-free SIMD loads from the
+  // buffer base.
 
   /// A buffer of exactly `n` int32s with unspecified contents.
   Int32Vec acquire_ints(std::size_t n);
@@ -133,48 +133,13 @@ class Workspace {
   /// Lease `n` int32s of scratch (unspecified contents).
   IntLease ints(std::size_t n) { return IntLease(*this, n); }
 
-  /// A buffer of exactly `n` int16s with unspecified contents.
-  Int16Vec acquire_shorts(std::size_t n);
-
-  /// Return an int16 buffer to the calling thread's arena.
-  void release_shorts(Int16Vec&& buf);
-
-  /// RAII int16 scratch lease (vec16 igemm activation panels).
-  class ShortLease {
-   public:
-    ShortLease(Workspace& ws, std::size_t n)
-        : ws_(&ws), buf_(ws.acquire_shorts(n)) {}
-    ShortLease(ShortLease&& other) noexcept
-        : ws_(other.ws_), buf_(std::move(other.buf_)) {
-      other.ws_ = nullptr;
-    }
-    ShortLease& operator=(ShortLease&&) = delete;
-    ShortLease(const ShortLease&) = delete;
-    ShortLease& operator=(const ShortLease&) = delete;
-    ~ShortLease() {
-      if (ws_ != nullptr) ws_->release_shorts(std::move(buf_));
-    }
-
-    std::int16_t* data() { return buf_.data(); }
-    const std::int16_t* data() const { return buf_.data(); }
-    std::size_t size() const { return buf_.size(); }
-    std::span<std::int16_t> span() { return {buf_.data(), buf_.size()}; }
-
-   private:
-    Workspace* ws_;
-    Int16Vec buf_;
-  };
-
-  /// Lease `n` int16s of scratch (unspecified contents).
-  ShortLease shorts(std::size_t n) { return ShortLease(*this, n); }
-
   /// A buffer of exactly `n` bytes with unspecified contents.
   ByteVec acquire_bytes(std::size_t n);
 
   /// Return a byte buffer to the calling thread's arena.
   void release_bytes(ByteVec&& buf);
 
-  /// RAII byte scratch lease (vec-packed igemm activation panels).
+  /// RAII byte scratch lease (the serving engine's u8 code maps).
   class ByteLease {
    public:
     ByteLease(Workspace& ws, std::size_t n)
@@ -237,13 +202,12 @@ class Workspace {
   static Workspace& scratch();
 
  private:
-  // One free-list vector per power-of-two capacity bucket; float, int32,
-  // int16 and byte storage pool separately (buffers never change element
+  // One free-list vector per power-of-two capacity bucket; float, int32
+  // and byte storage pool separately (buffers never change element
   // type).
   struct Arena {
     std::vector<std::vector<FloatVec>> buckets;
     std::vector<std::vector<Int32Vec>> int_buckets;
-    std::vector<std::vector<Int16Vec>> short_buckets;
     std::vector<std::vector<ByteVec>> byte_buckets;
   };
 

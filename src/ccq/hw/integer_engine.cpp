@@ -16,6 +16,7 @@
 #include "ccq/nn/pool.hpp"
 #include "ccq/quant/act_quant.hpp"
 #include "ccq/quant/weight_hooks.hpp"
+#include "ccq/tensor/vec4.hpp"
 
 namespace ccq::hw {
 
@@ -364,6 +365,34 @@ std::vector<std::int32_t> channels_last_codes(const IntLayerPlan& plan) {
   return out;
 }
 
+/// The epilogues index `channel_scale`, `bias` and `requant` by output
+/// channel, and requant_apply's rounding shift is defined on [1, 62]
+/// only, so a plan whose per-channel vectors are short or long, or whose
+/// requant carries a shift outside that range, is rejected by name
+/// instead of reading past a vector or shifting by an undefined amount.
+void check_per_channel(const IntLayerPlan& plan, std::size_t channels) {
+  const auto check_count = [&](const char* what, std::size_t count) {
+    if (count != channels) {
+      throw Error("integer engine: layer '" + plan.name + "' has " +
+                  std::to_string(count) + " " + what + " entries for " +
+                  std::to_string(channels) + " output channels");
+    }
+  };
+  check_count("channel_scale", plan.channel_scale.size());
+  check_count("bias", plan.bias.size());
+  if (plan.requant.empty()) return;
+  check_count("requant", plan.requant.size());
+  for (std::size_t c = 0; c < channels; ++c) {
+    const std::int32_t shift = plan.requant[c].shift;
+    if (shift < 1 || shift > 62) {
+      throw Error("integer engine: layer '" + plan.name +
+                  "' has requant shift " + std::to_string(shift) +
+                  " on output channel " + std::to_string(c) +
+                  "; shifts must lie in [1, 62]");
+    }
+  }
+}
+
 /// One rung's finalize pass.  Static bound on |incoming activation
 /// codes|, threaded layer to layer: the input snap is 8-bit (codes in
 /// [0, 255]); a b-bit activation grid emits codes in [0, 2^b − 1];
@@ -411,14 +440,17 @@ void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
                     " x depth " + std::to_string(depth) +
                     " exceeds 2147483647");
       }
+      check_per_channel(plan, rows);
       plan.igemm_kernel =
           igemm_select_kernel(requested, plan.max_abs_code, in_bound);
-      // Both run as activation dot rows × the panel, so the panel rows
-      // follow the lowering's patch order: (ky, kx, c) for a conv, whose
-      // codes are serialized (c, ky, kx); a linear layer is the 1×1 case.
+      // Both read their patches in place, so the panel rows follow the
+      // channels-last patch order: (ky, kx, c) for a conv, whose codes
+      // are serialized (c, ky, kx), one run per kernel row; a linear
+      // layer is the one-run case.
       plan.panel = igemm_pack(conv ? channels_last_codes(plan)
                                    : plan.weight_codes,
-                              rows, depth, plan.igemm_kernel);
+                              rows, depth, plan.igemm_kernel,
+                              conv ? plan.kernel : 1);
       // Fused fixed-point requantization: fold channel_scale/bias and
       // the activation grid into int32-multiplier requant parameters so
       // the igemm epilogue writes the next layer's codes directly.
@@ -524,12 +556,60 @@ void apply_act(Tensor& x, const IntLayerPlan& plan) {
 // Activations flow layer to layer as integer *codes* on the current
 // activation grid (u8; exact int32 on the reference backend) instead of
 // a float tensor, stored channels-last — (N, H, W, C) — while the map is
-// spatial, so each conv lowers its patches from contiguous channel runs
-// and its epilogue writes the next map without a transpose.  The walk keeps the logical NCHW shape; only
-// the storage order differs, and it is undone wherever the layout
-// becomes visible: a flatten of a spatial map and the final decode.
-// These helpers are templated on the code type, so both MAC backends
-// share them.
+// spatial, so each conv reads its patches as contiguous channel runs and
+// its epilogue writes the next map without a transpose.  On the serving
+// backend a map that feeds a conv also carries that conv's zero border,
+// written by the map's producer, so the kernels never test for padding
+// taps.  The walk keeps the logical NCHW shape; only the storage order
+// differs, and it is undone wherever the layout becomes visible: a
+// flatten of a spatial map and the final decode.  These helpers are
+// templated on the code type, so both MAC backends share them.
+
+/// Storage of one code map: `n` images of (h + 2·pad) × (w + 2·pad) × c
+/// codes whose pad-wide border is zero, then kIgemmSlack zero codes of
+/// tail slack that a kernel's last vector step may read.  A feature map
+/// (n, c) is the 1×1 case.
+struct MapLayout {
+  std::size_t n = 0, h = 1, w = 1, c = 0, pad = 0;
+
+  std::size_t pitch() const { return (w + 2 * pad) * c; }
+  std::size_t image() const { return (h + 2 * pad) * pitch(); }
+  std::size_t size() const { return n * image() + kIgemmSlack; }
+  /// Offset of pixel (img, y, x)'s first channel.
+  std::size_t at(std::size_t img, std::size_t y, std::size_t x) const {
+    return img * image() + (y + pad) * pitch() + (x + pad) * c;
+  }
+};
+
+/// The storage of a map of logical shape `s` (NCHW, or (n, features))
+/// bordered by `pad`; feature maps feed no conv, so they carry none.
+MapLayout map_layout(const Shape& s, std::size_t pad) {
+  if (s.size() == 4) return {s[0], s[2], s[3], s[1], pad};
+  return {s[0], 1, 1, shape_numel(s) / s[0], 0};
+}
+
+/// Lease a map of layout `m` with its border and tail slack zeroed; its
+/// producer writes the interior.
+template <typename Lease>
+Lease new_map(const MapLayout& m, Workspace& ws) {
+  Lease lease(ws, m.size());
+  auto* dst = lease.data();
+  using T = std::remove_reference_t<decltype(*dst)>;
+  if (m.pad > 0) {
+    const std::size_t pitch = m.pitch(), edge = m.pad * m.c;
+    for (std::size_t img = 0; img < m.n; ++img) {
+      T* map = dst + img * m.image();
+      std::fill_n(map, m.pad * pitch, T{0});
+      std::fill_n(map + (m.pad + m.h) * pitch, m.pad * pitch, T{0});
+      for (std::size_t y = m.pad; y < m.pad + m.h; ++y) {
+        std::fill_n(map + y * pitch, edge, T{0});
+        std::fill_n(map + (y + 1) * pitch - edge, edge, T{0});
+      }
+    }
+  }
+  std::fill_n(dst + m.n * m.image(), kIgemmSlack, T{0});
+  return lease;
+}
 
 /// Valid-window pool output extent (matches nn::MaxPool2d/AvgPool2d).
 inline std::size_t pool_out(std::size_t in, std::size_t k, std::size_t s) {
@@ -543,45 +623,56 @@ inline std::int64_t mean_code(std::int64_t sum, std::int64_t cnt) {
   return (2 * sum + cnt) / (2 * cnt);
 }
 
-/// Snap one value onto a code in [0, qmax], rounding half up.  The
-/// coordinate is clamped in float *before* any integer conversion, so
-/// every input has a defined, monotone code: NaN and negatives give 0,
-/// +Inf and anything at or above qmax give qmax.  Inside the clamp the
-/// truncation is exact and q − trunc(q) is the exact fraction, so this
-/// equals clamp(lround(q), 0, qmax) wherever lround is defined.
-inline std::int32_t snap_code(float v, float scale, std::int32_t qmax) {
-  // std::max(0, q) keeps 0 for a NaN q; std::min saturates +Inf.
-  const float q =
-      std::min(std::max(0.0f, v / scale), static_cast<float>(qmax));
-  const auto t = static_cast<std::int32_t>(q);
-  return t + (q - static_cast<float>(t) >= 0.5f ? 1 : 0);
+/// snap_code on four lanes: the same float expression lane by lane, so
+/// each lane's code equals the scalar one for every input.
+inline vec::vi4 snap_code4(vec::v4 v, float scale, float qmax) {
+  const vec::v4 zero = vec::splat(0.0f), top = vec::splat(qmax);
+  vec::v4 q = v / vec::splat(scale);
+  q = zero < q ? q : zero;  // std::max(0, q): a NaN lane gives 0
+  q = top < q ? top : q;    // std::min(q, qmax): +Inf saturates
+  const vec::vi4 t = __builtin_convertvector(q, vec::vi4);
+  const vec::v4 frac = q - __builtin_convertvector(t, vec::v4);
+  return t - (frac >= vec::splat(0.5f));  // a true lane is −1
 }
 
-/// Snap the (N, C, H, W) float input onto its 8-bit grid, transposing to
-/// channels-last codes in the same pass.
+/// Snap the (N, C, H, W) float input onto its 8-bit grid, four pixels of
+/// an image row at a time, transposing into the channels-last map `out`.
 template <typename T>
-void snap_input(const Tensor& x, float scale, T* dst) {
-  const std::size_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
+void snap_input(const Tensor& x, float scale, const MapLayout& out, T* dst) {
+  const std::size_t c = out.c, w = out.w;
   const float* src = x.data().data();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t img = 0; img < out.n; ++img) {
     for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = src + (i * c + ch) * hw;
-      T* out = dst + i * hw * c + ch;
-      for (std::size_t p = 0; p < hw; ++p) {
-        out[p * c] = static_cast<T>(snap_code(plane[p], scale, 255));
+      for (std::size_t y = 0; y < out.h; ++y, src += w) {
+        T* row = dst + out.at(img, y, 0) + ch;
+        vec::for_blocks(w, [&](std::size_t i, std::size_t k) {
+          const vec::vi4 codes = snap_code4(vec::load4(src + i, k), scale,
+                                            255.0f);
+          for (std::size_t l = 0; l < k; ++l) {
+            row[(i + l) * c] = static_cast<T>(codes[l]);
+          }
+        });
       }
     }
   }
 }
 
-/// Snap float values already on the grid `scale` back into codes, in
-/// place order — the re-entry after an unfused layer's apply_act, where
-/// the snap is exact because every value is already k·scale.
+/// Snap float values already on the grid `scale` back into codes — the
+/// re-entry after an unfused layer's apply_act, where the snap is exact
+/// because every value is already k·scale.  `t` holds the map's interior
+/// channels-last and unbordered.
 template <typename T>
-void snap_codes(const Tensor& t, float scale, std::int32_t qmax, T* dst) {
-  auto p = t.data();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    dst[i] = static_cast<T>(snap_code(p[i], scale, qmax));
+void snap_codes(const Tensor& t, float scale, std::int32_t qmax,
+                const MapLayout& out, T* dst) {
+  const float* src = t.data().data();
+  const std::size_t run = out.w * out.c;  // one interior row
+  for (std::size_t img = 0; img < out.n; ++img) {
+    for (std::size_t y = 0; y < out.h; ++y, src += run) {
+      T* row = dst + out.at(img, y, 0);
+      for (std::size_t i = 0; i < run; ++i) {
+        row[i] = static_cast<T>(snap_code(src[i], scale, qmax));
+      }
+    }
   }
 }
 
@@ -620,23 +711,23 @@ Tensor decode_codes(const T* src, const Shape& shape, float scale,
 }
 
 /// Integer max pool over channels-last code maps (exact: max commutes
-/// with the positive decode scale).
+/// with the positive decode scale), from an unbordered map into `out`.
 template <typename T>
-void pool_max_codes(const T* src, T* dst, std::size_t n, std::size_t c,
+void pool_max_codes(const T* src, T* dst, const MapLayout& out,
                     std::size_t h, std::size_t w, std::size_t k,
                     std::size_t s) {
-  const std::size_t oh = pool_out(h, k, s), ow = pool_out(w, k, s);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        T* out = dst + ((i * oh + oy) * ow + ox) * c;
+  const std::size_t c = out.c;
+  for (std::size_t i = 0; i < out.n; ++i) {
+    for (std::size_t oy = 0; oy < out.h; ++oy) {
+      for (std::size_t ox = 0; ox < out.w; ++ox) {
+        T* o = dst + out.at(i, oy, ox);
         const T* corner = src + ((i * h + oy * s) * w + ox * s) * c;
-        std::copy(corner, corner + c, out);
+        std::copy(corner, corner + c, o);
         for (std::size_t ky = 0; ky < k; ++ky) {
           for (std::size_t kx = 0; kx < k; ++kx) {
             const T* tap = corner + (ky * w + kx) * c;
             for (std::size_t ch = 0; ch < c; ++ch) {
-              out[ch] = std::max(out[ch], tap[ch]);
+              o[ch] = std::max(o[ch], tap[ch]);
             }
           }
         }
@@ -645,18 +736,19 @@ void pool_max_codes(const T* src, T* dst, std::size_t n, std::size_t c,
   }
 }
 
-/// Integer average pool over channels-last code maps; each window mean
-/// is requantized back onto the grid with mean_code.
+/// Integer average pool over channels-last code maps, from an
+/// unbordered map into `out`; each window mean is requantized back onto
+/// the grid with mean_code.
 template <typename T>
-void pool_avg_codes(const T* src, T* dst, std::size_t n, std::size_t c,
+void pool_avg_codes(const T* src, T* dst, const MapLayout& out,
                     std::size_t h, std::size_t w, std::size_t k,
                     std::size_t s) {
-  const std::size_t oh = pool_out(h, k, s), ow = pool_out(w, k, s);
+  const std::size_t c = out.c;
   const auto cnt = static_cast<std::int64_t>(k * k);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        T* out = dst + ((i * oh + oy) * ow + ox) * c;
+  for (std::size_t i = 0; i < out.n; ++i) {
+    for (std::size_t oy = 0; oy < out.h; ++oy) {
+      for (std::size_t ox = 0; ox < out.w; ++ox) {
+        T* o = dst + out.at(i, oy, ox);
         const T* corner = src + ((i * h + oy * s) * w + ox * s) * c;
         for (std::size_t ch = 0; ch < c; ++ch) {
           std::int64_t sum = 0;
@@ -665,7 +757,7 @@ void pool_avg_codes(const T* src, T* dst, std::size_t n, std::size_t c,
               sum += corner[(ky * w + kx) * c + ch];
             }
           }
-          out[ch] = static_cast<T>(mean_code(sum, cnt));
+          o[ch] = static_cast<T>(mean_code(sum, cnt));
         }
       }
     }
@@ -701,14 +793,14 @@ class CodeStore {
   void visit(F&& f) const {
     if (lease_) f(lease_->data());
   }
-  /// Replace the codes by `f(src, dst)` written into a fresh lease of
-  /// `n` codes (pooling keeps the grid).
+  /// Replace the codes by `f(src, dst)` written into a fresh map of
+  /// layout `out` (pooling keeps the grid).
   template <typename F>
-  void map(std::size_t n, Workspace& ws, F&& f) {
+  void map(const MapLayout& out, Workspace& ws, F&& f) {
     if (!lease_) return;
-    Lease out(ws, n);
-    f(std::as_const(*lease_).data(), out.data());
-    lease_.emplace(std::move(out));  // the old codes go back to the pool
+    Lease next = new_map<Lease>(out, ws);
+    f(std::as_const(*lease_).data(), next.data());
+    lease_.emplace(std::move(next));  // the old codes go back to the pool
   }
 
  private:
@@ -718,29 +810,31 @@ class CodeStore {
 // ---- MAC backends ------------------------------------------------------------
 //
 // The layer walk below is written once and instantiated over two MAC
-// backends (policy structs).  Each names the lease its codes travel in
-// and runs one conv/linear layer of geometry `g` (a linear layer is the
-// 1×1 kernel over a 1×1 map of in_features channels) over `n` images
-// from channels-last codes `src` into channels-last `out`: the next
-// layer's codes through the fused requant epilogue when `out` is
-// integer, the float epilogue when it is float.
+// backends (policy structs).  Each names the lease its codes travel in,
+// whether its maps carry their consumer conv's zero border, and runs one
+// conv/linear layer of geometry `g` (a linear layer is the 1×1 kernel
+// over a 1×1 map of in_features channels) over `n` images from
+// channels-last codes `src` into channels-last `out`, bordered by
+// `out_pad`: the next layer's codes through the fused requant epilogue
+// when `out` is integer, the float epilogue when it is float.
 
-/// The serving datapath: u8 codes.  Each layer lowers them once, with
-/// `im2row`, into the dot rows of its selected kernel (that kernel's
-/// lane type, `panel.stride` lanes per row, the whole batch folded into
-/// the rows) and runs one `IgemmOp` over its packed weight panel.
+/// The serving datapath: u8 codes in bordered maps.  Each layer is one
+/// `IgemmOp` whose kernel reads the patches in place from `src` against
+/// the layer's packed weight panel, the whole batch in one call.
 struct IgemmMac {
   using Lease = Workspace::ByteLease;
+  static constexpr bool kBordered = true;
 
   template <typename TOut>
   static void run(const IntLayerPlan& plan, const ConvGeometry& g,
                   std::size_t n, const std::uint8_t* src, TOut* out,
-                  Workspace& ws, const ExecContext& ctx) {
+                  std::size_t out_pad, const ExecContext& ctx) {
     IgemmOp op;
-    op.m = n * g.out_spatial();
-    op.n = plan.panel.rows;
-    op.k = g.patch_size();
+    op.geometry = g;
+    op.batch = n;
     op.panel = &plan.panel;
+    op.x = src;
+    op.out_pad = out_pad;
     op.x_bound = plan.in_code_bound;
     if constexpr (std::is_same_v<TOut, float>) {
       op.c = out;
@@ -750,45 +844,24 @@ struct IgemmMac {
       op.requant = plan.requant.data();
       op.requant_qmax = plan.out_qmax;
     }
-    if (plan.igemm_kernel == IgemmKernel::kVecPacked) {
-      lower_and_run<Workspace::ByteLease>(op, g, n, src, ws, ctx);
-    } else {
-      lower_and_run<Workspace::ShortLease>(op, g, n, src, ws, ctx);
-    }
-  }
-
- private:
-  /// Lower `src` into dot rows leased as `Rows` (u8 lanes for
-  /// vec-packed, int16 lanes for vec16) and run `op` over them.
-  template <typename Rows>
-  static void lower_and_run(IgemmOp& op, const ConvGeometry& g,
-                            std::size_t n, const std::uint8_t* src,
-                            Workspace& ws, const ExecContext& ctx) {
-    const std::size_t stride = op.panel->stride;
-    Rows rows(ws, op.m * stride);
-    im2row(src, g, n, rows.data(), stride, ctx);
-    if constexpr (std::is_same_v<Rows, Workspace::ByteLease>) {
-      op.x8 = rows.data();
-    } else {
-      op.x16 = rows.data();
-    }
     igemm_run(op, ctx);
   }
 };
 
 /// The specification oracle: a direct convolution over exact int32
-/// channels-last codes, reading `weight_codes` in their serialized
-/// (oc, c, ky, kx) order, with unconditional int64 accumulation, padding
-/// taps skipped, and `requant_apply` per output — no lowering, panel
-/// permutation, packing, narrowing or kernel selection, so it checks all
-/// of those in the serving backend independently.
+/// channels-last codes in unbordered maps, reading `weight_codes` in
+/// their serialized (oc, c, ky, kx) order, with unconditional int64
+/// accumulation, padding taps skipped, and `requant_apply` per output —
+/// no border, panel permutation, packing, narrowing or kernel selection,
+/// so it checks all of those in the serving backend independently.
 struct ReferenceMac {
   using Lease = Workspace::IntLease;
+  static constexpr bool kBordered = false;  // so out_pad is always 0
 
   template <typename TOut>
   static void run(const IntLayerPlan& plan, const ConvGeometry& g,
                   std::size_t n, const std::int32_t* src, TOut* out,
-                  Workspace& /*ws*/, const ExecContext& ctx) {
+                  std::size_t /*out_pad*/, const ExecContext& ctx) {
     const std::size_t oh = g.out_h(), ow = g.out_w();
     const std::size_t c = g.in_channels, k = g.kernel;
     const std::size_t outs = plan.kind == IntLayerPlan::Kind::kConv
@@ -858,18 +931,29 @@ ConvGeometry layer_geometry(const IntLayerPlan& plan, const Shape& shape) {
 /// The one layer walk behind forward and forward_reference.  The input
 /// is snapped onto its 8-bit grid into channels-last codes; codes then
 /// flow through every layer of rung `rung` over backend `Mac` and are
-/// decoded once at the edge, back in NCHW order.  An unfused conv/linear
-/// runs the float epilogue: with a quantized activation (make_requant
-/// refused the layer) its output snaps back into codes, without one it
-/// is the result — finalize_plans lets only flattens follow an
-/// unquantized producer.
+/// decoded once at the edge, back in NCHW order.  Every producer — the
+/// input snap, a fused epilogue, an unfused layer's re-snap, a pool —
+/// writes its map with the border its consumer needs (on a bordered
+/// backend, the pad of a conv that follows; none otherwise).  An unfused
+/// conv/linear runs the float epilogue: with a quantized activation
+/// (make_requant refused the layer) its output snaps back into codes,
+/// without one it is the result — finalize_plans lets only flattens
+/// follow an unquantized producer.
 template <typename Mac>
 Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
             std::size_t rung, const Tensor& x, Workspace& ws,
             const ExecContext& ctx) {
   CCQ_CHECK(rung < rungs.size(), "rung index out of range");
   CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
+  const std::vector<IntLayerPlan>& plans = rungs[rung];
   using Lease = typename Mac::Lease;
+  // The border of the map that feeds layer i.
+  const auto border = [&](std::size_t i) -> std::size_t {
+    return Mac::kBordered && i < plans.size() &&
+                   plans[i].kind == IntLayerPlan::Kind::kConv
+               ? plans[i].pad
+               : 0;
+  };
   CodeStore<Lease> codes;
   Tensor act;
   Shape shape = x.shape();  // logical NCHW; spatial codes are NHWC
@@ -877,12 +961,14 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
   {
     // Standard 8-bit input quantization.
     telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-    Lease lease(ws, x.numel());
-    snap_input(x, scale, lease.data());
+    const MapLayout out = map_layout(shape, border(0));
+    Lease lease = new_map<Lease>(out, ws);
+    snap_input(x, scale, out, lease.data());
     codes.adopt(std::move(lease));
   }
 
-  for (const auto& plan : rungs[rung]) {
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const IntLayerPlan& plan = plans[i];
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv:
       case IntLayerPlan::Kind::kLinear: {
@@ -893,18 +979,19 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
                 ? Shape{n, plan.out_channels, g.out_h(), g.out_w()}
                 : Shape{n, plan.out_features};
         if (plan.requant_fused) {
-          // The epilogue writes the next layer's codes directly; no
-          // float tensor is materialised at the boundary.
-          Lease out(ws, shape_numel(out_shape));
+          // The epilogue writes the next layer's codes directly, border
+          // included; no float tensor is materialised at the boundary.
+          const MapLayout out = map_layout(out_shape, border(i + 1));
+          Lease next = new_map<Lease>(out, ws);
           codes.visit([&](const auto* src) {
-            Mac::run(plan, g, n, src, out.data(), ws, ctx);
+            Mac::run(plan, g, n, src, next.data(), out.pad, ctx);
           });
-          codes.adopt(std::move(out));
+          codes.adopt(std::move(next));
           scale = act_scale(plan);
         } else {
           Tensor out = ws.tensor_uninit(out_shape);  // channels-last
           codes.visit([&](const auto* src) {
-            Mac::run(plan, g, n, src, out.data().data(), ws, ctx);
+            Mac::run(plan, g, n, src, out.data().data(), 0, ctx);
           });
           codes.reset();
           apply_act(out, plan);
@@ -914,8 +1001,9 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
             const auto qmax = static_cast<std::int32_t>(
                 (std::int32_t{1} << plan.act_bits) - 1);
             telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-            Lease lease(ws, out.numel());
-            snap_codes(out, scale, qmax, lease.data());
+            const MapLayout layout = map_layout(out_shape, border(i + 1));
+            Lease lease = new_map<Lease>(layout, ws);
+            snap_codes(out, scale, qmax, layout, lease.data());
             codes.adopt(std::move(lease));
             ws.recycle(std::move(out));
           } else if (out_shape.size() == 4) {
@@ -938,16 +1026,15 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
                           w = shape[3];
         const std::size_t k = plan.pool_kernel, s = plan.pool_stride;
         const Shape out_shape = {n, c, pool_out(h, k, s), pool_out(w, k, s)};
+        const MapLayout out = map_layout(out_shape, border(i + 1));
         if (plan.kind == IntLayerPlan::Kind::kAvgPool) {
           telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-          codes.map(shape_numel(out_shape), ws,
-                    [&](const auto* src, auto* dst) {
-            pool_avg_codes(src, dst, n, c, h, w, k, s);
+          codes.map(out, ws, [&](const auto* src, auto* dst) {
+            pool_avg_codes(src, dst, out, h, w, k, s);
           });
         } else {
-          codes.map(shape_numel(out_shape), ws,
-                    [&](const auto* src, auto* dst) {
-            pool_max_codes(src, dst, n, c, h, w, k, s);
+          codes.map(out, ws, [&](const auto* src, auto* dst) {
+            pool_max_codes(src, dst, out, h, w, k, s);
           });
         }
         shape = out_shape;
@@ -957,7 +1044,8 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
         const std::size_t n = shape[0], c = shape[1];
         const std::size_t hw = shape[2] * shape[3];
         telemetry::ScopedTimer timer(telemetry::Timer::kHwRequant);
-        codes.map(n * c, ws, [&](const auto* src, auto* dst) {
+        codes.map(map_layout({n, c}, 0), ws,
+                  [&](const auto* src, auto* dst) {
           gap_codes(src, dst, n, c, hw);
         });
         shape = {n, c};
@@ -968,15 +1056,17 @@ Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
         // trained: a spatial code map with more than one channel and
         // more than one pixel is reordered; otherwise the layouts agree
         // and the flatten is shape-only.
+        const Shape flat = {shape[0], shape_numel(shape) / shape[0]};
         if (codes.engaged() && shape.size() == 4 && shape[1] > 1 &&
             shape[2] * shape[3] > 1) {
           const std::size_t n = shape[0], c = shape[1];
           const std::size_t hw = shape[2] * shape[3];
-          codes.map(shape_numel(shape), ws, [&](const auto* src, auto* dst) {
+          codes.map(map_layout(flat, 0), ws,
+                    [&](const auto* src, auto* dst) {
             to_nchw(src, dst, n, c, hw, [](auto v) { return v; });
           });
         }
-        shape = {shape[0], shape_numel(shape) / shape[0]};
+        shape = flat;
         if (!codes.engaged()) act.resize(shape);
         break;
       }

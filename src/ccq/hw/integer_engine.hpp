@@ -16,18 +16,22 @@
 //     ccq::Error naming the layer, instead of carrying a wider datapath;
 //   * activations flow layer-to-layer as u8 integer *codes* with no
 //     intermediate float tensor, stored channels-last — (N, H, W, C) —
-//     while the map is spatial;
+//     while the map is spatial.  A map that feeds a conv is stored with
+//     that conv's zero border, (N, H+2p, W+2p, C), plus tail slack
+//     (kIgemmSlack); its producer — the input snap, a fused epilogue,
+//     an unfused layer's re-snap or a pool — writes it in place, border
+//     included;
 //   * every convolution / fully-connected inner product runs through the
 //     igemm kernel-dispatch API (`ccq::IgemmOp` + `igemm_run`) as one
-//     product of activation dot rows against a packed weight panel.  At
-//     plan-finalize time each layer picks a named kernel variant from
-//     the registry (vec16 / vec-packed, overridable via
-//     `$CCQ_IGEMM_KERNEL`) based on its static code bounds and packs its
-//     weight codes into that kernel's panel layout — a conv's in its
-//     (ky, kx, c) patch order.  At run time each conv lowers its codes
-//     once (`im2row`) straight into the kernel's dot rows, one row per
-//     output pixel of the whole batch; a linear layer is the
-//     1×1-kernel-over-a-1×1-map case of the same lowering;
+//     call over the whole batch.  At plan-finalize time each layer picks
+//     a named kernel variant from the registry (vec16 / vec-packed,
+//     overridable via `$CCQ_IGEMM_KERNEL`) based on its static code
+//     bounds and packs its weight codes into that kernel's panel layout
+//     — a conv's in its (ky, kx, c) patch order, one zero-padded run per
+//     kernel row.  At run time the kernel reads each output pixel's
+//     patch in place, as `kernel` contiguous runs of the bordered map;
+//     there is no lowering.  A linear layer is the one-run case: a 1×1
+//     kernel over a 1×1 map;
 //   * each layer's BN fold and the next grid's quantization are folded
 //     into per-channel fixed-point requant parameters (hw::make_requant)
 //     and fused into the igemm epilogue, which writes the next layer's
@@ -41,9 +45,11 @@
 //     weights trained on NCHW features stay valid), and so does the
 //     final decode of a net that ends spatially;
 //   * `forward_reference` is a direct naive int64 convolution over the
-//     same channels-last codes, reading the weight codes in their
-//     serialized order — the golden datapath every kernel, the lowering
-//     and the panel permutation are differentially tested against.
+//     same channels-last codes, kept exact (int32) and unbordered,
+//     skipping padding taps and reading the weight codes in their
+//     serialized order — the golden datapath every kernel, the in-place
+//     patch reads, the borders and the panel permutation are
+//     differentially tested against.
 //
 // Tests assert parity with the float-simulated forward pass — the
 // property that makes training-time accuracy numbers meaningful for the
@@ -58,6 +64,7 @@
 // through the float simulation path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,7 +105,8 @@ struct IntLayerPlan {
   IgemmKernel igemm_kernel = IgemmKernel::kVec16;
   /// `weight_codes` packed in `igemm_kernel`'s panel layout (see
   /// igemm_pack), one panel row per output channel; a conv's rows are
-  /// permuted to the (ky, kx, c) order of its channels-last patches.
+  /// permuted to the (ky, kx, c) order of its channels-last patches and
+  /// split into one zero-padded run per kernel row.
   IgemmPanel panel;
   std::int32_t max_abs_code = 0;   ///< max |weight code|
   /// Static bound on |incoming activation codes| (255 for the 8-bit
@@ -154,6 +162,23 @@ struct RungInfo {
 std::vector<std::int32_t> encode_doubled(const Tensor& q, float step,
                                          int bits, const std::string& layer);
 
+/// Snap one value onto a code in [0, qmax], rounding half up — the
+/// engine's input quantization (and its exact re-entry after an unfused
+/// layer).  The coordinate is clamped in float *before* any integer
+/// conversion, so every input has a defined, monotone code: NaN and
+/// negatives give 0, +Inf and anything at or above qmax give qmax.
+/// Inside the clamp the truncation is exact and q − trunc(q) is the
+/// exact fraction, so this equals clamp(lround(q), 0, qmax) wherever
+/// lround is defined.  The serving walk snaps its input four lanes at a
+/// time with this same expression.
+inline std::int32_t snap_code(float v, float scale, std::int32_t qmax) {
+  // std::max(0, q) keeps 0 for a NaN q; std::min saturates +Inf.
+  const float q =
+      std::min(std::max(0.0f, v / scale), static_cast<float>(qmax));
+  const auto t = static_cast<std::int32_t>(q);
+  return t + (q - static_cast<float>(t) >= 0.5f ? 1 : 0);
+}
+
 /// Compiled integer network.
 class IntegerNetwork {
  public:
@@ -206,12 +231,13 @@ class IntegerNetwork {
                  std::size_t rung) const;
 
   /// Specification datapath: the same layer walk as `forward` over a
-  /// reference MAC backend — exact int32 channels-last codes, a direct
-  /// naive convolution with unconditional int64 accumulation that reads
-  /// `weight_codes` in their serialized (oc, c, ky, kx) order and skips
-  /// padding taps, and the *same* `requant_apply` on fused layers (the
-  /// same float epilogue on unfused ones) — with no lowering, panel
-  /// permutation, packing, narrowing or kernel selection.  Integer
+  /// reference MAC backend — exact int32 channels-last codes in
+  /// unbordered maps, a direct naive convolution with unconditional
+  /// int64 accumulation that reads `weight_codes` in their serialized
+  /// (oc, c, ky, kx) order and skips padding taps, and the *same*
+  /// `requant_apply` on fused layers (the same float epilogue on unfused
+  /// ones) — with no border, panel permutation, packing, narrowing or
+  /// kernel selection.  Integer
   /// arithmetic is associative, so `forward` is bit-identical to this
   /// oracle for every kernel and thread count.  The
   /// walk's own glue (input snap, pooling, the NCHW reorders, decode) is
@@ -254,9 +280,11 @@ class IntegerNetwork {
   /// from_rungs(), per rung, so artifact loads ship ready-packed panels
   /// in the layout of the kernel that will execute them.  Throws a
   /// ccq::Error naming the layer and its numbers for a weight grid above
-  /// 8 bits, a quantized activation grid outside 1–8 bits, or a conv /
+  /// 8 bits, a quantized activation grid outside 1–8 bits, a conv /
   /// linear layer whose int32 proof fails (max |code| · incoming code
-  /// bound · depth > INT32_MAX).  Reads `$CCQ_IGEMM_KERNEL` once for the
+  /// bound · depth > INT32_MAX), a `channel_scale`, `bias` or non-empty
+  /// `requant` without exactly one entry per output channel, or a
+  /// requant shift outside [1, 62].  Reads `$CCQ_IGEMM_KERNEL` once for the
   /// whole network; throws its unknown-name error (listing available
   /// kernels) before any layer is packed.
   void finalize_plans();

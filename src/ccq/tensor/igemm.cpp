@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
 
 #include "ccq/common/error.hpp"
 #include "ccq/common/telemetry.hpp"
@@ -117,46 +118,48 @@ void check_code_fits(std::int32_t v, std::int32_t lo, std::int32_t hi,
 
 IgemmPanel igemm_pack(const std::vector<std::int32_t>& codes,
                       std::size_t rows, std::size_t depth,
-                      IgemmKernel kernel) {
+                      IgemmKernel kernel, std::size_t runs) {
   CCQ_CHECK(kernel != IgemmKernel::kAuto,
             "igemm_pack: kAuto is a selection policy — resolve it with "
             "igemm_select_kernel first");
   CCQ_CHECK(codes.size() == rows * depth,
             "igemm panel: code count does not match rows x depth");
+  CCQ_CHECK(runs > 0 && depth % runs == 0,
+            "igemm panel: depth " + std::to_string(depth) +
+                " does not split into " + std::to_string(runs) + " runs");
+  const bool vec16 = kernel == IgemmKernel::kVec16;
   IgemmPanel panel;
   panel.kernel = kernel;
   panel.rows = rows;
   panel.depth = depth;
+  panel.runs = runs;
+  panel.run = depth / runs;
+  panel.run_stride = igemm_detail::round_up(
+      panel.run, vec16 ? igemm_detail::kVec16Lanes
+                       : igemm_detail::kPackedLanes);
   panel.max_abs = igemm_max_abs(codes);
-  switch (kernel) {
-    case IgemmKernel::kVec16: {
-      panel.stride =
-          igemm_detail::round_up(depth, igemm_detail::kVec16Pad);
-      panel.i16.assign(rows * panel.stride, 0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t p = 0; p < depth; ++p) {
-          const std::int32_t v = codes[r * depth + p];
-          check_code_fits(v, -32768, 32767, r, p, "vec16 int16");
-          panel.i16[r * panel.stride + p] = static_cast<std::int16_t>(v);
+  // Zero rows fill the last four-channel tile; zero lanes pad each run.
+  const auto pack = [&](auto& lanes, std::int32_t lo, std::int32_t hi,
+                        const char* format) {
+    using Lane = typename std::decay_t<decltype(lanes)>::value_type;
+    lanes.assign(igemm_detail::round_up(rows, igemm_detail::kTile) * runs *
+                     panel.run_stride,
+                 Lane{0});
+    Lane* dst = lanes.data();
+    const std::int32_t* src = codes.data();
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t q = 0; q < runs; ++q, dst += panel.run_stride) {
+        for (std::size_t p = 0; p < panel.run; ++p, ++src) {
+          check_code_fits(*src, lo, hi, r, q * panel.run + p, format);
+          dst[p] = static_cast<Lane>(*src);
         }
       }
-      break;
     }
-    case IgemmKernel::kVecPacked: {
-      panel.stride =
-          igemm_detail::round_up(depth, igemm_detail::kPackedPad);
-      panel.i8.assign(rows * panel.stride, 0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t p = 0; p < depth; ++p) {
-          const std::int32_t v = codes[r * depth + p];
-          check_code_fits(v, -127, 127, r, p, "vec-packed int8");
-          panel.i8[r * panel.stride + p] = static_cast<std::int8_t>(v);
-        }
-      }
-      break;
-    }
-    case IgemmKernel::kAuto:
-      break;  // unreachable (checked above)
+  };
+  if (vec16) {
+    pack(panel.i16, -32768, 32767, "vec16 int16");
+  } else {
+    pack(panel.i8, -127, 127, "vec-packed int8");
   }
   return panel;
 }
@@ -168,11 +171,13 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
   const IgemmPanel& panel = *op.panel;
   CCQ_CHECK(panel.kernel != IgemmKernel::kAuto,
             "igemm_run: panel was packed for kAuto (not executable)");
-  if (panel.rows != op.n || panel.depth != op.k) {
-    throw Error("igemm_run: panel shape (" + std::to_string(panel.rows) +
-                " x " + std::to_string(panel.depth) +
-                ") does not match op (n " + std::to_string(op.n) +
-                ", depth " + std::to_string(op.k) + ")");
+  const ConvGeometry& g = op.geometry;
+  if (panel.depth != g.patch_size() || panel.runs != g.kernel) {
+    throw Error("igemm_run: panel (depth " + std::to_string(panel.depth) +
+                " in " + std::to_string(panel.runs) +
+                " runs) does not match the op's patches (depth " +
+                std::to_string(g.patch_size()) + " in " +
+                std::to_string(g.kernel) + " runs)");
   }
   // The precondition every kernel's exactness argument rests on: u8
   // activation codes and int32 sums that provably cannot overflow.
@@ -180,14 +185,14 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
     throw Error("igemm_run: activation code bound x_bound=" +
                 std::to_string(op.x_bound) + " outside [1, 255]");
   }
-  if (!igemm_fits_int32(panel.max_abs, op.x_bound, op.k)) {
+  if (!igemm_fits_int32(panel.max_abs, op.x_bound, panel.depth)) {
     throw Error("igemm_run: int32 accumulation is not provably exact "
                 "(w_max=" + std::to_string(panel.max_abs) +
                 ", x_bound=" + std::to_string(op.x_bound) +
-                ", depth=" + std::to_string(op.k) +
+                ", depth=" + std::to_string(panel.depth) +
                 "): w_max·x_bound·depth exceeds INT32_MAX");
   }
-  if (op.m == 0 || op.n == 0) return;
+  if (op.batch == 0 || panel.rows == 0) return;
   if (op.requant != nullptr) {
     CCQ_CHECK(op.out8 != nullptr,
               "igemm_run: requant epilogue needs a code output (out8)");
@@ -202,13 +207,8 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
     CCQ_CHECK(op.epilogue.scale != nullptr && op.epilogue.bias != nullptr,
               "igemm_run: null epilogue scale/bias");
   }
-  // The dot kernels read the caller's rows as-is, so the rows must come
-  // in the kernel's lane type.
-  const bool vec16 = panel.kernel == IgemmKernel::kVec16;
-  CCQ_CHECK(op.k == 0 || (vec16 ? op.x16 != nullptr && op.x8 == nullptr
-                                : op.x8 != nullptr && op.x16 == nullptr),
-            vec16 ? "igemm_run: vec16 reads int16 activation rows (x16)"
-                  : "igemm_run: vec-packed reads uint8 activation rows (x8)");
+  CCQ_CHECK(panel.depth == 0 || op.x != nullptr,
+            "igemm_run: null activation maps");
   if (!igemm_kernel_eligible(panel.kernel, panel.max_abs, op.x_bound)) {
     throw Error(std::string("igemm_run: kernel '") +
                 igemm_kernel_str(panel.kernel) +
@@ -218,7 +218,7 @@ void igemm_run(const IgemmOp& op, const ExecContext& ctx) {
                 "); re-select with igemm_select_kernel and re-pack");
   }
   telemetry::ScopedTimer timer(telemetry::Timer::kIgemm);
-  if (vec16) {
+  if (panel.kernel == IgemmKernel::kVec16) {
     telemetry::ScopedTimer kt(telemetry::Timer::kIgemmVec16);
     igemm_detail::run_vec16(op, ctx);
   } else {

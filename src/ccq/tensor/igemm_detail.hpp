@@ -12,12 +12,24 @@
 
 namespace ccq::igemm_detail {
 
-/// Dot-layout row padding (elements): depth is rounded up to a lane
-/// multiple so the inner loops carry no scalar tail.  16 int16 lanes
-/// covers SSE2 (8) and AVX2 (16); 32 8-bit lanes covers SSSE3 (16) and
-/// AVX2 (32).  Padding zeros contribute zero products — exactness holds.
-inline constexpr std::size_t kVec16Pad = 16;
-inline constexpr std::size_t kPackedPad = 32;
+/// Lanes per packed weight run: the codes one vector step of the kernel
+/// reads, so the inner loops carry no scalar tail.  vec16 widens 8 u8
+/// codes to int16 lanes per SSE2 step (16 with AVX2); vec-packed reads
+/// 16 u8 codes per SSSE3 step (32 with AVX2).  Both TUs see the same
+/// build flags, so packing and kernels agree.  Padding zeros contribute
+/// zero products — exactness holds.
+#if defined(__AVX2__)
+inline constexpr std::size_t kVec16Lanes = 16;
+inline constexpr std::size_t kPackedLanes = 32;
+#else
+inline constexpr std::size_t kVec16Lanes = 8;
+inline constexpr std::size_t kPackedLanes = 16;
+#endif
+static_assert(kPackedLanes <= kIgemmSlack && kVec16Lanes <= kIgemmSlack,
+              "a run's last vector step must stay inside the map slack");
+
+/// Output channels per register tile: panels pad their rows to it.
+inline constexpr std::size_t kTile = 4;
 
 inline constexpr std::size_t round_up(std::size_t n, std::size_t to) {
   return (n + to - 1) / to * to;
@@ -25,7 +37,7 @@ inline constexpr std::size_t round_up(std::size_t n, std::size_t to) {
 
 // ---- epilogue policies ------------------------------------------------------
 // Every kernel finishes each output element by calling `store(idx, ch,
-// acc)` on one of these: idx is the flat position in the m×n output, ch
+// acc)` on one of these: idx is the flat position in the output map, ch
 // the epilogue channel (its column), acc the exact int32 sum.  Keeping
 // the policy a template parameter lets the same microkernel bodies
 // serve the float datapath and the fused requantizing one.
@@ -65,8 +77,8 @@ void dispatch_epilogue(const IgemmOp& op, F&& f) {
 }
 
 /// Execute a validated vec16 / vec-packed op (igemm_run has already
-/// checked panel/shape/lane type/eligibility): the register-tiled dot
-/// loops over the caller's activation dot rows, parallel over rows.
+/// checked panel/geometry/eligibility): the register-tiled run loops
+/// over the op's bordered input maps, parallel over output pixels.
 void run_vec16(const IgemmOp& op, const ExecContext& ctx);
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx);
 

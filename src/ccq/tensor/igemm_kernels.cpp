@@ -1,25 +1,28 @@
 // Vectorized igemm microkernels (vec16, vec-packed) — the engine's only
 // MAC kernels.
 //
-// Both kernels compute C = X·Wᵀ over dot-layout rows: every operand row
-// is depth-contiguous and `stride` lanes long (the weight rows zero-
-// padded to a lane multiple), so the inner loops are pure widening
-// multiply-accumulate with no scalar tail.  The weight side arrives
-// pre-packed (IgemmPanel, igemm_pack); the activation rows arrive in the
-// kernel's lane type straight from the caller's lowering (hw's
-// channels-last `im2row` of u8 codes), so nothing is repacked here.
+// Both kernels compute C = X·Wᵀ with each output pixel's patch read in
+// place from the op's zero-bordered channels-last u8 maps: `kernel` runs
+// of kernel·C contiguous codes, one padded map row apart.  The weight
+// side arrives pre-packed (IgemmPanel, igemm_pack) with every run
+// zero-padded to a lane multiple, so the inner loop reads whole vectors
+// of activation codes with no scalar tail; the lanes a vector reads past
+// a run's end (the next codes of the map, or its tail slack) meet those
+// zero weights.  Nothing is lowered or repacked per call.
 //
 // Exactness (what makes every lane sum provably overflow-free):
-//   * vec16 — pmaddwd-shaped int16×int16→int32 pairs.  Each int32 lane
-//     accumulates at most ⌈k/2⌉ pair sums of magnitude <= 2·|w|·|x|, so
+//   * vec16 — u8 codes widened to int16 in registers, then pmaddwd-shaped
+//     int16×int16→int32 pairs.  Every real product lands in exactly one
+//     int32 lane and every padding lane contributes 0, so
 //     |lane| <= k·max|w|·max|x|, which igemm_run's precondition
 //     (igemm_fits_int32) bounds by INT32_MAX.
 //   * vec-packed — maddubs-shaped uint8×int8→int16 pairs, then widened
 //     by pmaddwd against ones.  Eligibility requires
 //     2·max|w|·x_bound <= 32767, so the saturating int16 intermediate
-//     never saturates; the int32 lane bound is the same subset argument.
-// Padding zeros contribute zero products.  Integer adds are associative,
-// so lane order / horizontal reduction order cannot change the bits.
+//     never saturates (a lane past a run's end has weight 0, whatever
+//     code it reads); the int32 lane bound is the same subset argument.
+// Integer adds are associative, so lane order, the run split and the
+// four-channel fold cannot change the bits.
 //
 // This translation unit is compiled with elevated optimisation (see
 // src/CMakeLists.txt) so vec16's portable fallback loop vectorizes; on
@@ -47,265 +50,134 @@ namespace ccq::igemm_detail {
 
 namespace {
 
-// ---- horizontal sums --------------------------------------------------------
+// ---- four-channel folds -----------------------------------------------------
+// [Σa, Σb, Σc, Σd] of four int32 accumulators, stored to out[0..3]: one
+// transpose and three adds instead of four horizontal sums.
 
-#if defined(__SSE2__)
-inline std::int32_t hsum_epi32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(v);
+#if defined(__AVX2__)
+inline void fold4(__m256i a, __m256i b, __m256i c, __m256i d,
+                  std::int32_t out[kTile]) {
+  const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b),
+                                      _mm256_hadd_epi32(c, d));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_add_epi32(_mm256_castsi256_si128(s),
+                                 _mm256_extracti128_si256(s, 1)));
+}
+#elif defined(__SSE2__)
+inline void fold4(__m128i a, __m128i b, __m128i c, __m128i d,
+                  std::int32_t out[kTile]) {
+  // ab = [a0+a2, b0+b2, a1+a3, b1+b3], cd likewise.
+  const __m128i ab = _mm_add_epi32(_mm_unpacklo_epi32(a, b),
+                                   _mm_unpackhi_epi32(a, b));
+  const __m128i cd = _mm_add_epi32(_mm_unpacklo_epi32(c, d),
+                                   _mm_unpackhi_epi32(c, d));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_add_epi32(_mm_unpacklo_epi64(ab, cd),
+                                 _mm_unpackhi_epi64(ab, cd)));
 }
 #endif
 
-#if defined(__AVX2__)
-inline std::int32_t hsum_epi32(__m256i v) {
-  return hsum_epi32(_mm_add_epi32(_mm256_castsi256_si128(v),
-                                  _mm256_extracti128_si256(v, 1)));
-}
-#endif
-
-// ---- vec16 dot products (int16 × int16 → int32) -----------------------------
-// dot4 amortises the shared-row loads over four opposing rows — the
-// register tiling that turns the dot kernel from load-bound to MAC-bound.
+// ---- lane policies ----------------------------------------------------------
+// One per kernel: `W` is the packed weight lane type, `kLanes` the codes
+// one step reads (the panel's run padding), `load` fetches kLanes
+// activation codes, and `mac` multiply-accumulates them against kLanes
+// weights into the int32 lanes of an accumulator.
 
 #if defined(__AVX2__)
 
-inline void dot4(const std::int16_t* a, const std::int16_t* b0,
-                 const std::int16_t* b1, const std::int16_t* b2,
-                 const std::int16_t* b3, std::size_t kp,
-                 std::int32_t out[4]) {
-  __m256i acc0 = _mm256_setzero_si256(), acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256(), acc3 = _mm256_setzero_si256();
-  for (std::size_t p = 0; p < kp; p += 16) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-    acc0 = _mm256_add_epi32(
-        acc0, _mm256_madd_epi16(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b0 + p))));
-    acc1 = _mm256_add_epi32(
-        acc1, _mm256_madd_epi16(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b1 + p))));
-    acc2 = _mm256_add_epi32(
-        acc2, _mm256_madd_epi16(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b2 + p))));
-    acc3 = _mm256_add_epi32(
-        acc3, _mm256_madd_epi16(
-                  av, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(b3 + p))));
+struct Vec16 {
+  using W = std::int16_t;
+  static constexpr std::size_t kLanes = kVec16Lanes;
+  static __m256i zero() { return _mm256_setzero_si256(); }
+  static __m256i load(const std::uint8_t* x) {
+    return _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
   }
-  out[0] = hsum_epi32(acc0);
-  out[1] = hsum_epi32(acc1);
-  out[2] = hsum_epi32(acc2);
-  out[3] = hsum_epi32(acc3);
-}
-
-inline std::int32_t dot1(const std::int16_t* a, const std::int16_t* b,
-                         std::size_t kp) {
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t p = 0; p < kp; p += 16) {
-    acc = _mm256_add_epi32(
+  static __m256i mac(__m256i acc, __m256i xv, const W* w) {
+    return _mm256_add_epi32(
         acc, _mm256_madd_epi16(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p)),
-                 _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i*>(b + p))));
+                 xv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w))));
   }
-  return hsum_epi32(acc);
-}
+};
+
+struct VecPacked {
+  using W = std::int8_t;
+  static constexpr std::size_t kLanes = kPackedLanes;
+  static __m256i zero() { return _mm256_setzero_si256(); }
+  static __m256i load(const std::uint8_t* x) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x));
+  }
+  // maddubs takes (unsigned, signed) in that order.
+  static __m256i mac(__m256i acc, __m256i xv, const W* w) {
+    const __m256i pairs = _mm256_maddubs_epi16(
+        xv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
+    return _mm256_add_epi32(acc,
+                            _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
+  }
+};
+
+constexpr bool kPackedSimd = true;
 
 #elif defined(__SSE2__)
 
-inline void dot4(const std::int16_t* a, const std::int16_t* b0,
-                 const std::int16_t* b1, const std::int16_t* b2,
-                 const std::int16_t* b3, std::size_t kp,
-                 std::int32_t out[4]) {
-  __m128i acc0 = _mm_setzero_si128(), acc1 = _mm_setzero_si128();
-  __m128i acc2 = _mm_setzero_si128(), acc3 = _mm_setzero_si128();
-  for (std::size_t p = 0; p < kp; p += 8) {
-    const __m128i av =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
-    acc0 = _mm_add_epi32(
-        acc0, _mm_madd_epi16(av, _mm_loadu_si128(
-                                     reinterpret_cast<const __m128i*>(b0 + p))));
-    acc1 = _mm_add_epi32(
-        acc1, _mm_madd_epi16(av, _mm_loadu_si128(
-                                     reinterpret_cast<const __m128i*>(b1 + p))));
-    acc2 = _mm_add_epi32(
-        acc2, _mm_madd_epi16(av, _mm_loadu_si128(
-                                     reinterpret_cast<const __m128i*>(b2 + p))));
-    acc3 = _mm_add_epi32(
-        acc3, _mm_madd_epi16(av, _mm_loadu_si128(
-                                     reinterpret_cast<const __m128i*>(b3 + p))));
+struct Vec16 {
+  using W = std::int16_t;
+  static constexpr std::size_t kLanes = kVec16Lanes;
+  static __m128i zero() { return _mm_setzero_si128(); }
+  static __m128i load(const std::uint8_t* x) {
+    return _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x)),
+        _mm_setzero_si128());
   }
-  out[0] = hsum_epi32(acc0);
-  out[1] = hsum_epi32(acc1);
-  out[2] = hsum_epi32(acc2);
-  out[3] = hsum_epi32(acc3);
-}
-
-inline std::int32_t dot1(const std::int16_t* a, const std::int16_t* b,
-                         std::size_t kp) {
-  __m128i acc = _mm_setzero_si128();
-  for (std::size_t p = 0; p < kp; p += 8) {
-    acc = _mm_add_epi32(
+  static __m128i mac(__m128i acc, __m128i xv, const W* w) {
+    return _mm_add_epi32(
         acc, _mm_madd_epi16(
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)),
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p))));
+                 xv, _mm_loadu_si128(reinterpret_cast<const __m128i*>(w))));
   }
-  return hsum_epi32(acc);
-}
+};
 
-#else  // portable widening-MAC loops; this TU's -O3 lets them vectorize
-
-inline void dot4(const std::int16_t* a, const std::int16_t* b0,
-                 const std::int16_t* b1, const std::int16_t* b2,
-                 const std::int16_t* b3, std::size_t kp,
-                 std::int32_t out[4]) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::size_t p = 0; p < kp; ++p) {
-    const std::int32_t av = a[p];
-    s0 += av * b0[p];
-    s1 += av * b1[p];
-    s2 += av * b2[p];
-    s3 += av * b3[p];
+#if defined(__SSSE3__)
+struct VecPacked {
+  using W = std::int8_t;
+  static constexpr std::size_t kLanes = kPackedLanes;
+  static __m128i zero() { return _mm_setzero_si128(); }
+  static __m128i load(const std::uint8_t* x) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(x));
   }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
+  // maddubs takes (unsigned, signed) in that order.
+  static __m128i mac(__m128i acc, __m128i xv, const W* w) {
+    const __m128i pairs = _mm_maddubs_epi16(
+        xv, _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
+    return _mm_add_epi32(acc, _mm_madd_epi16(pairs, _mm_set1_epi16(1)));
+  }
+};
 
-inline std::int32_t dot1(const std::int16_t* a, const std::int16_t* b,
-                         std::size_t kp) {
-  std::int32_t s = 0;
-  for (std::size_t p = 0; p < kp; ++p) s += std::int32_t{a[p]} * b[p];
-  return s;
-}
-
+constexpr bool kPackedSimd = true;
+#else
+constexpr bool kPackedSimd = false;
 #endif
 
-// ---- vec-packed dot products (uint8 × int8 → int32) -------------------------
-// One activation row (u8, shared) against four weight rows (i8).
-// maddubs takes (unsigned, signed) in that order.
+#else  // portable widening-MAC loop; this TU's -O3 lets it vectorize
 
-#if defined(__AVX2__)
-
-inline __m256i madd_u8s8(__m256i xv, __m256i wv, __m256i ones) {
-  return _mm256_madd_epi16(_mm256_maddubs_epi16(xv, wv), ones);
-}
-
-inline void dot4(const std::uint8_t* x, const std::int8_t* w0,
-                 const std::int8_t* w1, const std::int8_t* w2,
-                 const std::int8_t* w3, std::size_t kp, std::int32_t out[4]) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc0 = _mm256_setzero_si256(), acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256(), acc3 = _mm256_setzero_si256();
-  for (std::size_t p = 0; p < kp; p += 32) {
-    const __m256i xv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p));
-    acc0 = _mm256_add_epi32(
-        acc0, madd_u8s8(xv,
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(w0 + p)),
-                        ones));
-    acc1 = _mm256_add_epi32(
-        acc1, madd_u8s8(xv,
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(w1 + p)),
-                        ones));
-    acc2 = _mm256_add_epi32(
-        acc2, madd_u8s8(xv,
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(w2 + p)),
-                        ones));
-    acc3 = _mm256_add_epi32(
-        acc3, madd_u8s8(xv,
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(w3 + p)),
-                        ones));
+struct Vec16 {
+  using W = std::int16_t;
+  static constexpr std::size_t kLanes = kVec16Lanes;
+  static std::int32_t zero() { return 0; }
+  static const std::uint8_t* load(const std::uint8_t* x) { return x; }
+  static std::int32_t mac(std::int32_t acc, const std::uint8_t* x,
+                          const W* w) {
+    for (std::size_t l = 0; l < kLanes; ++l) acc += std::int32_t{x[l]} * w[l];
+    return acc;
   }
-  out[0] = hsum_epi32(acc0);
-  out[1] = hsum_epi32(acc1);
-  out[2] = hsum_epi32(acc2);
-  out[3] = hsum_epi32(acc3);
+};
+
+inline void fold4(std::int32_t a, std::int32_t b, std::int32_t c,
+                  std::int32_t d, std::int32_t out[kTile]) {
+  out[0] = a;
+  out[1] = b;
+  out[2] = c;
+  out[3] = d;
 }
-
-inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
-                         std::size_t kp) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t p = 0; p < kp; p += 32) {
-    acc = _mm256_add_epi32(
-        acc,
-        madd_u8s8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p)),
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + p)),
-                  ones));
-  }
-  return hsum_epi32(acc);
-}
-
-constexpr bool kPackedSimd = true;
-
-#elif defined(__SSSE3__)
-
-inline __m128i madd_u8s8(__m128i xv, __m128i wv, __m128i ones) {
-  return _mm_madd_epi16(_mm_maddubs_epi16(xv, wv), ones);
-}
-
-inline void dot4(const std::uint8_t* x, const std::int8_t* w0,
-                 const std::int8_t* w1, const std::int8_t* w2,
-                 const std::int8_t* w3, std::size_t kp, std::int32_t out[4]) {
-  const __m128i ones = _mm_set1_epi16(1);
-  __m128i acc0 = _mm_setzero_si128(), acc1 = _mm_setzero_si128();
-  __m128i acc2 = _mm_setzero_si128(), acc3 = _mm_setzero_si128();
-  for (std::size_t p = 0; p < kp; p += 16) {
-    const __m128i xv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + p));
-    acc0 = _mm_add_epi32(
-        acc0, madd_u8s8(xv,
-                        _mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(w0 + p)),
-                        ones));
-    acc1 = _mm_add_epi32(
-        acc1, madd_u8s8(xv,
-                        _mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(w1 + p)),
-                        ones));
-    acc2 = _mm_add_epi32(
-        acc2, madd_u8s8(xv,
-                        _mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(w2 + p)),
-                        ones));
-    acc3 = _mm_add_epi32(
-        acc3, madd_u8s8(xv,
-                        _mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(w3 + p)),
-                        ones));
-  }
-  out[0] = hsum_epi32(acc0);
-  out[1] = hsum_epi32(acc1);
-  out[2] = hsum_epi32(acc2);
-  out[3] = hsum_epi32(acc3);
-}
-
-inline std::int32_t dot1(const std::uint8_t* x, const std::int8_t* w,
-                         std::size_t kp) {
-  const __m128i ones = _mm_set1_epi16(1);
-  __m128i acc = _mm_setzero_si128();
-  for (std::size_t p = 0; p < kp; p += 16) {
-    acc = _mm_add_epi32(
-        acc, madd_u8s8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(x + p)),
-                       _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + p)),
-                       ones));
-  }
-  return hsum_epi32(acc);
-}
-
-constexpr bool kPackedSimd = true;
-
-#else  // no 8-bit-lane SIMD: vec-packed is never eligible (igemm.cpp)
 
 constexpr bool kPackedSimd = false;
 
@@ -313,32 +185,74 @@ constexpr bool kPackedSimd = false;
 
 // ---- shared driver ----------------------------------------------------------
 
-/// Output rows per parallel_for chunk.
-constexpr std::size_t kRowGrain = 8;
+/// Output pixels per parallel_for chunk.
+constexpr std::size_t kPixelGrain = 8;
 
-/// Dot-layout GEMM driver: C[i,j] = epilogue(dot(x_row_i, w_row_j)),
-/// both operand rows `kp` lanes apart.  Parallel over output rows in
-/// kRowGrain chunks; 4-wide register tiling over the weight rows j with a
-/// dot1 tail, so each activation row is loaded once per four output
-/// channels.  The epilogue channel is the column j.  `Epi` is one of the
-/// igemm_detail epilogue policies (float affine or fixed-point requant).
-template <typename TX, typename TW, typename Epi>
-void dot_driver(std::size_t m, std::size_t n, std::size_t kp, const TX* x,
-                const TW* w, const Epi& epi, const ExecContext& ctx) {
-  parallel_for(ctx, m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
+/// Exact sums of one patch against four consecutive panel rows (`w` the
+/// first, the others `wrow` lanes apart): `runs` runs, `pitch` codes
+/// apart in the map, each read against its `rs`-lane packed run.  Each
+/// activation vector is loaded once for the four channels.
+template <typename L>
+inline void tile4(const std::uint8_t* patch, std::size_t pitch,
+                  std::size_t runs, std::size_t rs, const typename L::W* w,
+                  std::size_t wrow, std::int32_t out[kTile]) {
+  auto a0 = L::zero(), a1 = L::zero(), a2 = L::zero(), a3 = L::zero();
+  for (std::size_t r = 0; r < runs; ++r, patch += pitch, w += rs) {
+    for (std::size_t p = 0; p < rs; p += L::kLanes) {
+      const auto xv = L::load(patch + p);
+      a0 = L::mac(a0, xv, w + p);
+      a1 = L::mac(a1, xv, w + wrow + p);
+      a2 = L::mac(a2, xv, w + 2 * wrow + p);
+      a3 = L::mac(a3, xv, w + 3 * wrow + p);
+    }
+  }
+  fold4(a0, a1, a2, a3, out);
+}
+
+/// The conv driver both kernels share: output pixel (img, oy, ox) reads
+/// its patch from the bordered input maps and writes channel j through
+/// the epilogue at its position in the (out_pad-bordered) output map.
+/// Parallel over output pixels in kPixelGrain chunks; four output
+/// channels per tile (the panel's zero rows fill the last one).
+template <typename L, typename Epi>
+void run_patches(const IgemmOp& op, const typename L::W* w, const Epi& epi,
+                 const ExecContext& ctx) {
+  const ConvGeometry& g = op.geometry;
+  const IgemmPanel& panel = *op.panel;
+  const std::size_t c = g.in_channels, oh = g.out_h(), ow = g.out_w();
+  const std::size_t pitch = (g.in_w + 2 * g.pad) * c;
+  const std::size_t image = (g.in_h + 2 * g.pad) * pitch;
+  const std::size_t n = panel.rows, q = op.out_pad;
+  const std::size_t out_pitch = (ow + 2 * q) * n;
+  const std::size_t out_image = (oh + 2 * q) * out_pitch;
+  const std::size_t rs = panel.run_stride, wrow = panel.runs * rs;
+  parallel_for(ctx, op.batch * oh * ow, kPixelGrain,
+               [&](std::size_t i0, std::size_t i1) {
+    std::size_t img = i0 / (oh * ow), oy = i0 / ow % oh, ox = i0 % ow;
     for (std::size_t i = i0; i < i1; ++i) {
-      const TX* xrow = x + i * kp;
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        std::int32_t out[4];
-        dot4(xrow, w + j * kp, w + (j + 1) * kp, w + (j + 2) * kp,
-             w + (j + 3) * kp, kp, out);
-        for (std::size_t t = 0; t < 4; ++t) {
-          epi.store(i * n + j + t, j + t, out[t]);
+      const std::uint8_t* patch =
+          op.x + img * image + (oy * pitch + ox * c) * g.stride;
+      const std::size_t out =
+          img * out_image + (oy + q) * out_pitch + (ox + q) * n;
+      for (std::size_t j = 0; j < n; j += kTile) {
+        std::int32_t acc[kTile];
+        tile4<L>(patch, pitch, panel.runs, rs, w + j * wrow, wrow, acc);
+        if (j + kTile <= n) {  // a full tile: the store loop unrolls
+          for (std::size_t t = 0; t < kTile; ++t) {
+            epi.store(out + j + t, j + t, acc[t]);
+          }
+        } else {
+          for (std::size_t t = 0; j + t < n; ++t) {
+            epi.store(out + j + t, j + t, acc[t]);
+          }
         }
       }
-      for (; j < n; ++j) {
-        epi.store(i * n + j, j, dot1(xrow, w + j * kp, kp));
+      if (++ox == ow) {
+        ox = 0;
+        if (++oy == oh) {
+          oy = 0;
+          ++img;
+        }
       }
     }
   });
@@ -349,17 +263,15 @@ void dot_driver(std::size_t m, std::size_t n, std::size_t kp, const TX* x,
 bool packed_simd() { return kPackedSimd; }
 
 void run_vec16(const IgemmOp& op, const ExecContext& ctx) {
-  const IgemmPanel& panel = *op.panel;
   dispatch_epilogue(op, [&](const auto& epi) {
-    dot_driver(op.m, op.n, panel.stride, op.x16, panel.i16.data(), epi, ctx);
+    run_patches<Vec16>(op, op.panel->i16.data(), epi, ctx);
   });
 }
 
 #if defined(__SSSE3__)
 void run_vec_packed(const IgemmOp& op, const ExecContext& ctx) {
-  const IgemmPanel& panel = *op.panel;
   dispatch_epilogue(op, [&](const auto& epi) {
-    dot_driver(op.m, op.n, panel.stride, op.x8, panel.i8.data(), epi, ctx);
+    run_patches<VecPacked>(op, op.panel->i8.data(), epi, ctx);
   });
 }
 #else

@@ -153,9 +153,26 @@ Tensor random_input(Rng& rng, std::size_t n, std::size_t c, std::size_t hw) {
   return x;
 }
 
+/// Fill `ws`'s byte pool with 0xFF-filled buffers, two per bucket (a
+/// forward holds at most two code maps at once) up to 16 KiB (the
+/// largest map the tests here build), so the serving forward's code maps
+/// come back holding stale bytes, as they do on a warm server: a border
+/// the walk forgets to rewrite then shows up as a mismatch against the
+/// unbordered reference.
+void poison_byte_pool(Workspace& ws) {
+  std::vector<Workspace::ByteLease> leases;
+  for (std::size_t bucket = 0; bucket <= 14; ++bucket) {
+    for (int copy = 0; copy < 2; ++copy) {
+      leases.emplace_back(ws, std::size_t{1} << bucket);
+      std::fill_n(leases.back().data(), leases.back().size(), 0xFF);
+    }
+  }
+}  // the leases return their buffers to the pool here
+
 void expect_bit_identical(const IntegerNetwork& net, const Tensor& x,
                           const ExecContext& ctx, const std::string& where) {
   Workspace ws_fast, ws_ref;
+  poison_byte_pool(ws_fast);
   const Tensor fast = net.forward(x, ws_fast, ctx);
   const Tensor ref = net.forward_reference(x, ws_ref, ctx);
   ASSERT_EQ(fast.shape(), ref.shape()) << where;
@@ -391,6 +408,16 @@ TEST(EngineDatapathTest, InputSnapIsMonotoneOnHostilePixels) {
                             std::nextafter(1.0f, 2.0f),
                             -1e-30f};
   std::vector<std::int32_t> want{0, 255, 0, 0, 255, 255, 0, 255, 255, 0};
+  // Values past 255·scale, and exact halves of the top codes: one more
+  // pixel than a multiple of four, so the snap's last 4-lane block is a
+  // tail.
+  for (float v : {255.5f / 255.0f, 256.0f / 255.0f, 1000.0f / 255.0f,
+                  254.5f / 255.0f, 0.5f / 255.0f}) {
+    pixels.push_back(v);
+    want.push_back(static_cast<std::int32_t>(std::clamp(
+        std::floor(static_cast<double>(v / (1.0f / 255.0f)) + 0.5), 0.0,
+        255.0)));
+  }
   // Pixels one ulp either side of (and on) each code's half-point: the
   // snap rounds v / (1/255) half up, which exact double arithmetic on
   // the float quotient states independently of the engine's formula.
@@ -405,6 +432,7 @@ TEST(EngineDatapathTest, InputSnapIsMonotoneOnHostilePixels) {
           std::clamp(std::floor(q + 0.5), 0.0, 255.0)));
     }
   }
+  ASSERT_EQ(pixels.size() % 4, 1u);
   Tensor x({1, 1, 1, pixels.size()});
   std::copy(pixels.begin(), pixels.end(), x.data().begin());
   Workspace ws;
@@ -413,6 +441,11 @@ TEST(EngineDatapathTest, InputSnapIsMonotoneOnHostilePixels) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(out.data()[i], static_cast<float>(want[i]) * scale)
         << "pixel " << i << " = " << pixels[i];
+    // The serving walk snaps four lanes at a time; every lane must give
+    // the scalar snap_code's byte.
+    EXPECT_EQ(out.data()[i],
+              static_cast<float>(snap_code(pixels[i], scale, 255)) * scale)
+        << "pixel " << i << " = " << pixels[i];
   }
   expect_bit_identical(net, x, ctx_for(1), "hostile pixels");
 }
@@ -420,24 +453,30 @@ TEST(EngineDatapathTest, InputSnapIsMonotoneOnHostilePixels) {
 // ---- lowering geometry ------------------------------------------------------
 
 /// How a swept net ends: the channels-last codes leave through a global
-/// average pool, through a flatten of the spatial map (reordered into
-/// NCHW feature order), or directly as the output (decoded in NCHW
-/// order), either as codes or as an unfused float head.
-enum class Head { kGapLinear, kFlattenLinear, kBareCodes, kBareFloat };
+/// average pool (into the float head, or through a fused hidden linear
+/// layer of depth 37, not a lane multiple, first), through a flatten of
+/// the spatial map (reordered into NCHW feature order), or directly as
+/// the output (decoded in NCHW order), either as codes or as an unfused
+/// float head.
+enum class Head { kGapLinear, kGapMlp, kFlattenLinear, kBareCodes, kBareFloat };
 
 TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
   // Every swept conv before this one is 3×3, stride 1, pad 1.  Here the
   // conv under test runs every kernel/stride/pad combination on odd,
-  // non-square maps, with channel counts putting the patch depth K·K·C
-  // on either side of vec16's 16-lane and vec-packed's 32-lane row
-  // padding, behind a 1×1 conv that feeds it codes on a 4-bit or an
-  // 8-bit grid.  Five output channels leave a tail after the 4-wide
-  // tiles.
+  // non-square maps (the 3×5 one shrinks to a 1×1 output under several),
+  // with channel counts putting each patch run of K·C codes, and the
+  // whole patch depth K·K·C, on either side of the kernels' 8/16/32-lane
+  // run padding, behind a 1×1 conv that feeds it codes on a 4-bit or an
+  // 8-bit grid into a map bordered for it.  Five output channels leave a
+  // tail after the 4-wide tiles.  Every case runs at batch 1 and 3 on a
+  // workspace whose byte pool was poisoned first (poison_byte_pool), so
+  // a border the serving walk leaves unwritten shows.
   KernelEnvGuard guard;
   struct Map {
     std::size_t h, w;
   };
-  const Map maps[] = {{7, 5}, {9, 4}};
+  const Map maps[] = {{7, 5}, {9, 4}, {3, 5}};
+  std::size_t one_by_one = 0;
   std::size_t configs = 0;
   for (std::size_t k : {1, 2, 3, 5}) {
     // Channel counts hitting K·K·C = 15, 16, 17, 31, 32, 33 where K·K
@@ -453,10 +492,12 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
           if (map.h + 2 * pad < k || map.w + 2 * pad < k) continue;
           const std::size_t oh = (map.h + 2 * pad - k) / stride + 1;
           const std::size_t ow = (map.w + 2 * pad - k) / stride + 1;
+          if (oh * ow == 1) ++one_by_one;
           for (std::size_t c : channels) {
             for (int grid : {4, 8}) {
-              for (Head head : {Head::kGapLinear, Head::kFlattenLinear,
-                                Head::kBareCodes, Head::kBareFloat}) {
+              for (Head head : {Head::kGapLinear, Head::kGapMlp,
+                                Head::kFlattenLinear, Head::kBareCodes,
+                                Head::kBareFloat}) {
                 Rng rng(7000 + configs++);
                 std::vector<IntLayerPlan> plans;
                 plans.push_back(conv_plan(rng, "pre", 3, c, 4, grid, 1, 1, 0));
@@ -467,6 +508,11 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
                   plans.push_back(
                       pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@2"));
                   plans.push_back(linear_plan(rng, "fc", 5, 3, 4, 32));
+                } else if (head == Head::kGapMlp) {
+                  plans.push_back(
+                      pool_plan(IntLayerPlan::Kind::kGlobalAvgPool, "gap@2"));
+                  plans.push_back(linear_plan(rng, "hidden", 5, 37, 4, grid));
+                  plans.push_back(linear_plan(rng, "fc", 37, 3, 4, 32));
                 } else if (head == Head::kFlattenLinear) {
                   plans.push_back(
                       pool_plan(IntLayerPlan::Kind::kFlatten, "flatten@2"));
@@ -513,7 +559,8 @@ TEST(EngineDatapathTest, LoweringGeometrySweepMatchesReference) {
       }
     }
   }
-  EXPECT_GT(configs, 500u);
+  EXPECT_GT(configs, 1000u);
+  EXPECT_GT(one_by_one, 0u);
 }
 
 // ---- allocation discipline --------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the GEMM kernel and the im2col/col2im and im2row lowerings.
+// Tests for the GEMM kernel and the im2col/col2im lowerings.
 #include <gtest/gtest.h>
 
 #include "ccq/tensor/gemm.hpp"
@@ -171,44 +171,6 @@ TEST(Im2ColTest, BatchedPanelHoldsEachImageAtItsColumnOffset) {
     }
     for (std::size_t i = 0; i < img_n; ++i) {
       ASSERT_EQ(back[n * img_n + i], one[i]) << "image " << n << " pixel " << i;
-    }
-  }
-}
-
-TEST(Im2RowTest, ChannelsLastPatchesMatchIm2colColumns) {
-  // im2row over a channels-last batch writes, per output pixel, the same
-  // patch im2col writes as a column of the NCHW image — reordered to
-  // (ky, kx, c) — then zeros up to the row stride.
-  Rng rng(9);
-  const ConvGeometry g{.in_channels = 3, .in_h = 5, .in_w = 4, .kernel = 3,
-                       .stride = 2, .pad = 1};
-  const std::size_t batch = 2, hw = g.in_h * g.in_w, c = g.in_channels;
-  const std::size_t stride = g.patch_size() + 5;
-  std::vector<std::uint8_t> nhwc(batch * hw * c);
-  for (auto& v : nhwc) v = static_cast<std::uint8_t>(1 + rng.uniform_int(250));
-  std::vector<std::int16_t> rows(batch * g.out_spatial() * stride, -1);
-  im2row(nhwc.data(), g, batch, rows.data(), stride);
-  for (std::size_t img = 0; img < batch; ++img) {
-    std::vector<float> nchw(c * hw);
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t p = 0; p < hw; ++p) {
-        nchw[ch * hw + p] = nhwc[(img * hw + p) * c + ch];
-      }
-    }
-    std::vector<float> cols(g.patch_size() * g.out_spatial());
-    im2col(nchw.data(), g, 1, cols.data(), g.out_spatial());
-    for (std::size_t s = 0; s < g.out_spatial(); ++s) {
-      const std::int16_t* row = rows.data() + (img * g.out_spatial() + s) * stride;
-      for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t t = 0; t < g.kernel * g.kernel; ++t) {  // ky·k + kx
-          ASSERT_EQ(row[t * c + ch],
-                    cols[(ch * g.kernel * g.kernel + t) * g.out_spatial() + s])
-              << "img " << img << " pixel " << s << " c " << ch << " tap " << t;
-        }
-      }
-      for (std::size_t lane = g.patch_size(); lane < stride; ++lane) {
-        ASSERT_EQ(row[lane], 0) << "pad lane " << lane;
-      }
     }
   }
 }

@@ -3,14 +3,17 @@
 // The contract under test: for every bit width, shape, thread count AND
 // kernel variant (vec16 / vec-packed), packing an `IgemmPanel` and
 // executing the `IgemmOp` through `igemm_run` is bit-identical to a
-// naive int64 triple loop — the 10-line reference below IS the
+// naive int64 loop — the 10-line references below ARE the
 // specification; every kernel merely reorders exact integer arithmetic.
-// The sweep includes degenerate shapes (k = 0, single-row,
-// single-column), alignment edges (depths straddling the SIMD lane
-// padding), depths at the int32 bound that `igemm_run` enforces (and
-// one past it, which it refuses), and a seeded randomized round of
-// layer-like configs (fixed RNG, so failures reproduce exactly).
-// Registry selection and the env override are covered at the end.
+// Plain products run as linear ops (one run per row, rows back to back
+// in one map, slack poisoned); conv ops read multi-run patches from
+// zero-bordered maps.  The sweep includes degenerate shapes (k = 0,
+// single-row, single-column), alignment edges (depths straddling the
+// SIMD lane padding, column counts around the four-channel tile),
+// depths at the int32 bound that `igemm_run` enforces (and one past it,
+// which it refuses), and a seeded randomized round of layer-like
+// configs (fixed RNG, so failures reproduce exactly).  Registry
+// selection and the env override are covered at the end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,50 +94,32 @@ std::vector<IgemmKernel> eligible_kernels(std::int32_t w_max,
   return kernels;
 }
 
-/// `x` (m rows of k codes) laid out as dot rows of `Lane` codes,
-/// `stride` lanes apart, with every padding lane poisoned: a kernel may
-/// only ever multiply padding lanes by the panel's zero padding.
-template <typename Lane>
-std::vector<Lane> dot_rows(const std::vector<std::int32_t>& x, std::size_t m,
-                           std::size_t k, std::size_t stride) {
-  std::vector<Lane> rows(m * stride, Lane{0x55});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      rows[i * stride + p] = static_cast<Lane>(x[i * k + p]);
-    }
-  }
-  return rows;
+/// `x` (m rows of k codes) as a linear op's input: the rows back to back,
+/// then kIgemmSlack bytes of poison.  A kernel reads each row a whole
+/// vector at a time, past its end into the next row or the slack, and
+/// may only ever multiply those lanes by the panel's zero padding.
+std::vector<std::uint8_t> linear_maps(const std::vector<std::int32_t>& x) {
+  std::vector<std::uint8_t> maps(x.size() + kIgemmSlack, 0xFF);
+  std::copy(x.begin(), x.end(), maps.begin());
+  return maps;
 }
 
-/// Activation rows lowered for one panel in its kernel's lane type:
-/// int16 for vec16, uint8 for vec-packed.
-struct DotRows {
-  std::vector<std::int16_t> x16;
-  std::vector<std::uint8_t> x8;
+/// The patch geometry of a linear layer of depth k: a 1×1 map of k
+/// channels per row.
+ConvGeometry linear_geometry(std::size_t k) {
+  return ConvGeometry{.in_channels = k, .in_h = 1, .in_w = 1};
+}
 
-  /// Lower `x` for `op.panel` and point `op` at the rows.
-  void lower(IgemmOp& op, const std::vector<std::int32_t>& x) {
-    const IgemmPanel& panel = *op.panel;
-    if (panel.kernel == IgemmKernel::kVec16) {
-      x16 = dot_rows<std::int16_t>(x, op.m, op.k, panel.stride);
-      op.x16 = x16.data();
-    } else {
-      x8 = dot_rows<std::uint8_t>(x, op.m, op.k, panel.stride);
-      op.x8 = x8.data();
-    }
-  }
-};
-
-/// A float-epilogue op over `p` with `panel`, its rows lowered into
-/// `rows` and its output in `c`.
-IgemmOp float_op(const Problem& p, const IgemmPanel& panel, DotRows& rows,
+/// A float-epilogue linear op over `p` with `panel`, reading `maps`
+/// (linear_maps of p.x) and writing `c`.
+IgemmOp float_op(const Problem& p, const IgemmPanel& panel,
+                 const std::vector<std::uint8_t>& maps,
                  std::vector<float>& c) {
   IgemmOp op;
-  op.m = p.m;
-  op.n = p.n;
-  op.k = p.k;
+  op.geometry = linear_geometry(p.k);
+  op.batch = p.m;
   op.panel = &panel;
-  rows.lower(op, p.x);
+  op.x = maps.data();
   op.c = c.data();
   op.epilogue = {p.scale.data(), p.bias.data()};
   op.x_bound = std::max<std::int64_t>(igemm_max_abs(p.x), 1);
@@ -149,14 +134,14 @@ void expect_bit_identical(const Problem& p, const ExecContext& ctx) {
       std::max<std::int64_t>(igemm_max_abs(p.x), 1);
 
   // X·Wᵀ: activation rows against the weight panel, per-column
-  // scale/bias — exactly how the engine drives conv (rows = lowered
-  // output pixels) and linear (rows = samples) layers.
+  // scale/bias — exactly how the engine drives a linear layer (rows =
+  // samples); conv patches are covered by IgemmConvPatches below.
   std::vector<float> want(p.m * p.n), got(p.m * p.n);
   ref_xw(p.m, p.n, p.k, p.x, p.w, p.scale, p.bias, want);
+  const std::vector<std::uint8_t> maps = linear_maps(p.x);
   for (IgemmKernel kernel : eligible_kernels(max_w, x_bound)) {
     const IgemmPanel panel = igemm_pack(p.w, p.n, p.k, kernel);
-    DotRows rows;
-    const IgemmOp op = float_op(p, panel, rows, got);
+    const IgemmOp op = float_op(p, panel, maps, got);
     std::fill(got.begin(), got.end(), -7.0f);
     igemm_run(op, ctx);
     ASSERT_EQ(want, got) << "kernel=" << igemm_kernel_str(kernel)
@@ -235,6 +220,144 @@ TEST(IgemmAlignmentEdge, LanePaddingAndColumnTails) {
   }
 }
 
+// ---- conv patches -------------------------------------------------------------
+
+// A conv op reads each output pixel's patch as `kernel` runs of kernel·C
+// codes straight out of a zero-bordered map, and writes its outputs into
+// a map bordered for the next conv.  Against a naive conv over the
+// unbordered codes (padding taps skipped): multi-run patches whose runs
+// straddle the lane padding, strides, borders, a 1×1 kernel, column
+// tails after the four-channel tile, and an output border the op must
+// leave alone.
+TEST(IgemmConvPatches, BorderedMapsMatchNaiveConv) {
+  struct Cfg {
+    std::size_t c, h, w, k, stride, pad, n;
+  };
+  const Cfg configs[] = {
+      {3, 7, 5, 3, 1, 1, 4},   // runs of 9 codes
+      {4, 6, 6, 3, 2, 1, 8},   // runs of 12, stride 2
+      {5, 5, 7, 2, 1, 0, 5},   // even kernel, column tail
+      {1, 9, 4, 5, 3, 2, 3},   // one channel, wide border
+      {11, 4, 3, 1, 1, 0, 7},  // 1×1 kernel: one run of 11
+      {17, 3, 3, 3, 1, 1, 2},  // runs of 51 straddle vector steps
+  };
+  Rng rng(0xC0417);
+  const std::size_t batch = 2;
+  for (const Cfg& cfg : configs) {
+    const ConvGeometry g{.in_channels = cfg.c, .in_h = cfg.h, .in_w = cfg.w,
+                         .kernel = cfg.k, .stride = cfg.stride,
+                         .pad = cfg.pad};
+    const std::size_t oh = g.out_h(), ow = g.out_w(), k = cfg.k;
+    for (std::int32_t max_w : {8, 256}) {
+      const std::int32_t max_x = max_w == 8 ? 255 : 200;
+      std::vector<std::int32_t> x(batch * cfg.h * cfg.w * cfg.c);
+      for (auto& v : x) {
+        v = static_cast<std::int32_t>(rng.uniform_int(max_x + 1));
+      }
+      // Weights in (oc, ky, kx, c) patch order.
+      std::vector<std::int32_t> w(cfg.n * g.patch_size());
+      for (auto& v : w) {
+        v = static_cast<std::int32_t>(rng.uniform_int(2 * max_w + 1)) - max_w;
+      }
+      std::vector<float> scale(cfg.n), bias(cfg.n);
+      for (std::size_t j = 0; j < cfg.n; ++j) {
+        scale[j] = static_cast<float>(rng.uniform(0.001, 0.1));
+        bias[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      // The spec: a direct conv over the unbordered codes.
+      std::vector<float> want(batch * oh * ow * cfg.n);
+      for (std::size_t r = 0; r < batch * oh * ow; ++r) {
+        const std::size_t img = r / (oh * ow), oy = r / ow % oh, ox = r % ow;
+        for (std::size_t j = 0; j < cfg.n; ++j) {
+          std::int64_t acc = 0;
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const long iy = static_cast<long>(oy * cfg.stride + ky) -
+                              static_cast<long>(cfg.pad);
+              const long ix = static_cast<long>(ox * cfg.stride + kx) -
+                              static_cast<long>(cfg.pad);
+              if (iy < 0 || ix < 0 || iy >= static_cast<long>(cfg.h) ||
+                  ix >= static_cast<long>(cfg.w)) {
+                continue;
+              }
+              for (std::size_t ch = 0; ch < cfg.c; ++ch) {
+                acc += std::int64_t{w[((j * k + ky) * k + kx) * cfg.c + ch]} *
+                       x[((img * cfg.h + static_cast<std::size_t>(iy)) *
+                              cfg.w +
+                          static_cast<std::size_t>(ix)) *
+                             cfg.c +
+                         ch];
+              }
+            }
+          }
+          want[r * cfg.n + j] = static_cast<float>(acc) * scale[j] + bias[j];
+        }
+      }
+      // The op's input: the codes inside a zero border, slack poisoned.
+      const std::size_t hp = cfg.h + 2 * cfg.pad, wp = cfg.w + 2 * cfg.pad;
+      std::vector<std::uint8_t> maps(batch * hp * wp * cfg.c + kIgemmSlack,
+                                     0xFF);
+      std::fill(maps.begin(), maps.end() - kIgemmSlack, 0);
+      for (std::size_t img = 0; img < batch; ++img) {
+        for (std::size_t y = 0; y < cfg.h; ++y) {
+          for (std::size_t xx = 0; xx < cfg.w; ++xx) {
+            for (std::size_t ch = 0; ch < cfg.c; ++ch) {
+              maps[((img * hp + y + cfg.pad) * wp + xx + cfg.pad) * cfg.c +
+                   ch] = static_cast<std::uint8_t>(
+                  x[((img * cfg.h + y) * cfg.w + xx) * cfg.c + ch]);
+            }
+          }
+        }
+      }
+      for (IgemmKernel kernel : eligible_kernels(max_w, max_x)) {
+        const IgemmPanel panel =
+            igemm_pack(w, cfg.n, g.patch_size(), kernel, k);
+        for (std::size_t out_pad : {0, 1}) {
+          const std::size_t ohp = oh + 2 * out_pad, owp = ow + 2 * out_pad;
+          for (std::size_t threads : {1, 4}) {
+            std::vector<float> got(batch * ohp * owp * cfg.n, -7.0f);
+            IgemmOp op;
+            op.geometry = g;
+            op.batch = batch;
+            op.panel = &panel;
+            op.x = maps.data();
+            op.out_pad = out_pad;
+            op.c = got.data();
+            op.epilogue = {scale.data(), bias.data()};
+            op.x_bound = max_x;
+            igemm_run(op, ctx_for(threads));
+            for (std::size_t img = 0; img < batch; ++img) {
+              for (std::size_t y = 0; y < ohp; ++y) {
+                for (std::size_t xx = 0; xx < owp; ++xx) {
+                  const bool border = y < out_pad || xx < out_pad ||
+                                      y >= oh + out_pad || xx >= ow + out_pad;
+                  for (std::size_t j = 0; j < cfg.n; ++j) {
+                    const float v =
+                        got[((img * ohp + y) * owp + xx) * cfg.n + j];
+                    const float expect =
+                        border ? -7.0f
+                               : want[((img * oh + y - out_pad) * ow + xx -
+                                       out_pad) *
+                                          cfg.n +
+                                      j];
+                    ASSERT_EQ(v, expect)
+                        << "kernel=" << igemm_kernel_str(kernel)
+                        << " c=" << cfg.c << " k=" << k
+                        << " stride=" << cfg.stride << " pad=" << cfg.pad
+                        << " out_pad=" << out_pad << " threads=" << threads
+                        << " at img " << img << " (" << y << ", " << xx
+                        << ") ch " << j;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// A random problem whose first row pair is the worst case: every
 /// weight code of output 0 at +max_w and every code of activation row 0
 /// at max_x, so C[0,0] reaches max_w·max_x·k.
@@ -266,11 +389,11 @@ TEST(IgemmBoundStraddle, ExactAtTheInt32BoundAndRefusedPastIt) {
     if (HasFatalFailure()) return;
 
     const Problem past = worst_case_problem(rng, e.deepest + 1, e.max_w, 255);
+    const std::vector<std::uint8_t> maps = linear_maps(past.x);
     for (IgemmKernel kernel : eligible_kernels(e.max_w, 255)) {
       const IgemmPanel panel = igemm_pack(past.w, past.n, past.k, kernel);
-      DotRows rows;
       std::vector<float> c(past.m * past.n);
-      EXPECT_THROW(igemm_run(float_op(past, panel, rows, c), ctx_for(4)),
+      EXPECT_THROW(igemm_run(float_op(past, panel, maps, c), ctx_for(4)),
                    Error)
           << igemm_kernel_str(kernel) << " k=" << past.k;
     }
@@ -386,24 +509,23 @@ TEST(IgemmRegistry, EnvOverrideParsesAndRejects) {
 
 // ---- op validation ----------------------------------------------------------
 
-/// A valid vec16 float-epilogue op over a 2×3 panel and one dot row of
-/// ones; tests break one field at a time.
+/// A valid vec16 float-epilogue linear op over a 2×3 panel and one row
+/// of ones; tests break one field at a time.
 struct SmallOp {
   const std::vector<std::int32_t> codes{1, -2, 3, 4, -5, 6};  // 2×3
   const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
-  const std::vector<std::int16_t> x16 =
-      std::vector<std::int16_t>(panel.stride, 1);
+  const std::vector<std::uint8_t> x =
+      std::vector<std::uint8_t>(3 + kIgemmSlack, 1);
   const std::vector<float> scale = std::vector<float>(2, 1.0f);
   const std::vector<float> bias = std::vector<float>(2, 0.0f);
   std::vector<float> c = std::vector<float>(2);
 
   IgemmOp op() {
     IgemmOp o;
-    o.m = 1;
-    o.n = 2;
-    o.k = 3;
+    o.geometry = linear_geometry(3);
+    o.batch = 1;
     o.panel = &panel;
-    o.x16 = x16.data();
+    o.x = x.data();
     o.c = c.data();
     o.epilogue = {scale.data(), bias.data()};
     o.x_bound = 255;
@@ -416,17 +538,30 @@ TEST(IgemmRunValidation, RejectsMismatchedPanels) {
   const IgemmOp op = small.op();
   EXPECT_NO_THROW(igemm_run(op));
 
-  IgemmOp bad_rows = op;  // the panel holds 2 output channels, not 3
-  bad_rows.n = 3;
-  EXPECT_THROW(igemm_run(bad_rows), Error);
-
-  IgemmOp bad_depth = op;
-  bad_depth.k = 4;
+  IgemmOp bad_depth = op;  // the panel holds depth-3 rows, not depth 4
+  bad_depth.geometry.in_channels = 4;
   EXPECT_THROW(igemm_run(bad_depth), Error);
 
   IgemmOp no_panel = op;
   no_panel.panel = nullptr;
   EXPECT_THROW(igemm_run(no_panel), Error);
+
+  // Same depth, other run split: a 3×3 conv over one channel reads 3
+  // runs of 3 codes, which a one-run panel of depth 9 does not match.
+  const std::vector<std::int32_t> codes(2 * 9, 1);
+  const IgemmPanel one_run = igemm_pack(codes, 2, 9, IgemmKernel::kVec16);
+  const IgemmPanel three_runs =
+      igemm_pack(codes, 2, 9, IgemmKernel::kVec16, 3);
+  const std::vector<std::uint8_t> map(9 + kIgemmSlack, 1);
+  IgemmOp conv = op;
+  conv.geometry = ConvGeometry{.in_channels = 1, .in_h = 3, .in_w = 3,
+                               .kernel = 3};
+  conv.x = map.data();
+  conv.panel = &one_run;
+  EXPECT_THROW(igemm_run(conv), Error);
+  conv.panel = &three_runs;
+  EXPECT_NO_THROW(igemm_run(conv));
+  EXPECT_EQ(small.c, (std::vector<float>{9.0f, 9.0f}));
 }
 
 TEST(IgemmRunValidation, RejectsOpsOutsideTheU8Int32Precondition) {
@@ -439,6 +574,10 @@ TEST(IgemmRunValidation, RejectsOpsOutsideTheU8Int32Precondition) {
   }
   op.x_bound = 255;
   EXPECT_NO_THROW(igemm_run(op));
+  // The maps must be there.
+  op.x = nullptr;
+  EXPECT_THROW(igemm_run(op), Error);
+  op.x = small.x.data();
   // Requantized codes are u8: a wider code ceiling is refused.
   const std::vector<Requant> rq(2);
   std::vector<std::uint8_t> out(2);
@@ -457,15 +596,14 @@ TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
   // these codes may not run against 255-bound codes, only smaller ones.
   const std::vector<std::int32_t> codes{127, -2, 3, 4, -5, 6};
   const IgemmPanel panel = igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
-  const std::vector<std::uint8_t> x8(panel.stride, 1);
+  const std::vector<std::uint8_t> x(3 + kIgemmSlack, 1);
   const std::vector<float> scale(2, 1.0f), bias(2, 0.0f);
   std::vector<float> c(2);
   IgemmOp op;
-  op.m = 1;
-  op.n = 2;
-  op.k = 3;
+  op.geometry = linear_geometry(3);
+  op.batch = 1;
   op.panel = &panel;
-  op.x8 = x8.data();
+  op.x = x.data();
   op.c = c.data();
   op.epilogue = {scale.data(), bias.data()};
   op.x_bound = 129;
@@ -474,44 +612,40 @@ TEST(IgemmRunValidation, RejectsIneligibleKernelForOpBounds) {
   EXPECT_THROW(igemm_run(op), Error);
 }
 
-TEST(IgemmRunValidation, VectorKernelsReadOnlyTheirLaneType) {
-  // The dot kernels read the caller's rows as-is, so rows in another
-  // code type are refused rather than reinterpreted.
-  SmallOp small;
-  IgemmOp op = small.op();
-  const std::vector<std::uint8_t> x8(small.panel.stride, 1);
-  op.x16 = nullptr;
-  op.x8 = x8.data();
-  EXPECT_THROW(igemm_run(op), Error);
-  op.x16 = small.x16.data();  // both lane types set
-  EXPECT_THROW(igemm_run(op), Error);
-  if (igemm_packed_simd()) {
-    const IgemmPanel packed =
-        igemm_pack(small.codes, 2, 3, IgemmKernel::kVecPacked);
-    const std::vector<std::int16_t> x16(packed.stride, 1);
-    op.panel = &packed;
-    op.x8 = nullptr;
-    op.x16 = x16.data();
-    EXPECT_THROW(igemm_run(op), Error);
-  }
-}
-
-TEST(IgemmPack, DotLayoutPadsDepthToLaneMultiples) {
-  const std::vector<std::int32_t> codes{1, 2, 3, 4, 5, 6};  // 2×3
-  const IgemmPanel v16 = igemm_pack(codes, 2, 3, IgemmKernel::kVec16);
-  EXPECT_EQ(v16.stride, 16u);
-  ASSERT_EQ(v16.i16.size(), 2u * 16u);
+TEST(IgemmPack, RunsPadToLaneMultiplesAndRowsToTheTile) {
+  const std::vector<std::int32_t> codes{1, 2, 3, 4, 5, 6,  // 2 rows of
+                                        7, 8, 9, 1, 2, 3};  // 2 runs of 3
+  const IgemmPanel v16 =
+      igemm_pack(codes, 2, 6, IgemmKernel::kVec16, /*runs=*/2);
+  EXPECT_EQ(v16.runs, 2u);
+  EXPECT_EQ(v16.run, 3u);
+  // vec16 reads 8 codes per SSE2 step, 16 per AVX2 step.
+  const std::size_t s = v16.run_stride;
+  EXPECT_TRUE(s == 8 || s == 16) << s;
+  // Four rows (two of them zero) of two runs, each padded to s lanes.
+  ASSERT_EQ(v16.i16.size(), 4u * 2u * s);
   EXPECT_EQ(v16.i16[0], 1);
   EXPECT_EQ(v16.i16[2], 3);
-  EXPECT_EQ(v16.i16[3], 0);  // zero padding
-  EXPECT_EQ(v16.i16[16], 4);  // second row starts on the stride
-  EXPECT_EQ(v16.max_abs, 6);
+  EXPECT_EQ(v16.i16[3], 0);  // zero padding after the first run
+  EXPECT_EQ(v16.i16[s], 4);  // the second run starts on the stride
+  EXPECT_EQ(v16.i16[2 * s], 7);  // the second row
+  for (std::size_t i = 2 * 2 * s; i < v16.i16.size(); ++i) {
+    ASSERT_EQ(v16.i16[i], 0) << "tile padding row lane " << i;
+  }
+  EXPECT_EQ(v16.max_abs, 9);
+  EXPECT_TRUE(v16.i8.empty());
 
-  const IgemmPanel v8 = igemm_pack(codes, 2, 3, IgemmKernel::kVecPacked);
-  EXPECT_EQ(v8.stride, 32u);
-  ASSERT_EQ(v8.i8.size(), 2u * 32u);
-  EXPECT_EQ(v8.i8[32], 4);
+  const IgemmPanel v8 =
+      igemm_pack(codes, 2, 6, IgemmKernel::kVecPacked, /*runs=*/2);
+  const std::size_t s8 = v8.run_stride;
+  EXPECT_TRUE(s8 == 16 || s8 == 32) << s8;  // SSSE3 / AVX2 step
+  ASSERT_EQ(v8.i8.size(), 4u * 2u * s8);
+  EXPECT_EQ(v8.i8[s8], 4);
+  EXPECT_EQ(v8.i8[2 * s8 + 2], 9);
   EXPECT_TRUE(v8.i16.empty());
+
+  // A row must split into whole runs.
+  EXPECT_THROW(igemm_pack(codes, 2, 6, IgemmKernel::kVec16, 4), Error);
 }
 
 TEST(IgemmPack, RejectsCodesOutsideTheKernelLaneType) {
@@ -568,9 +702,9 @@ TEST(IgemmFitsInt32, BoundaryCodesRunExactInInt32) {
   const Problem p = top_of_int32_problem(257);
   ASSERT_TRUE(igemm_fits_int32(32767, 255, 257));
   const IgemmPanel panel = igemm_pack(p.w, 1, p.k, IgemmKernel::kVec16);
-  DotRows rows;
+  const std::vector<std::uint8_t> maps = linear_maps(p.x);
   std::vector<float> got(1);
-  igemm_run(float_op(p, panel, rows, got));
+  igemm_run(float_op(p, panel, maps, got));
   EXPECT_EQ(got[0], static_cast<float>(std::int64_t{32767} * 255 * 257));
 }
 
@@ -587,9 +721,9 @@ TEST(IgemmFitsInt32, WrapBeyondTheBoundIsWhyThePredicateGates) {
   // So igemm_run refuses the op instead of running it.
   const Problem p = top_of_int32_problem(258);
   const IgemmPanel panel = igemm_pack(p.w, 1, p.k, IgemmKernel::kVec16);
-  DotRows rows;
+  const std::vector<std::uint8_t> maps = linear_maps(p.x);
   std::vector<float> got(1);
-  EXPECT_THROW(igemm_run(float_op(p, panel, rows, got)), Error);
+  EXPECT_THROW(igemm_run(float_op(p, panel, maps, got)), Error);
 }
 
 // ---- requant epilogue differential ------------------------------------------
@@ -643,19 +777,18 @@ TEST(IgemmRequantEpilogue, MatchesNaiveRequantApplyAcrossKernels) {
     }
 
     const std::int32_t max_abs = igemm_max_abs(w);
+    const std::vector<std::uint8_t> maps = linear_maps(x);
     for (IgemmKernel kernel : eligible_kernels(max_abs, cfg.max_x)) {
       const IgemmPanel panel = igemm_pack(w, cfg.n, cfg.k, kernel);
       for (std::size_t threads : {1, 2, 4}) {
         IgemmOp op;
-        op.m = cfg.m;
-        op.n = cfg.n;
-        op.k = cfg.k;
+        op.geometry = linear_geometry(cfg.k);
+        op.batch = cfg.m;
         op.panel = &panel;
+        op.x = maps.data();
         op.x_bound = cfg.max_x;
         op.requant = rq.data();
         op.requant_qmax = cfg.qmax;
-        DotRows rows;
-        rows.lower(op, x);
         std::vector<std::uint8_t> got(cfg.m * cfg.n, 0xEE);
         op.out8 = got.data();
         igemm_run(op, ctx_for(threads));
@@ -706,16 +839,15 @@ TEST(IgemmRequantEpilogue, PerColumnRequantMatchesNaiveForLinearLayers) {
     }
   }
   const std::int32_t max_abs = igemm_max_abs(w_rows);
+  const std::vector<std::uint8_t> maps = linear_maps(x);
   for (IgemmKernel kernel : eligible_kernels(max_abs, 255)) {
     const IgemmPanel panel = igemm_pack(w_rows, out, k, kernel);
     IgemmOp op;
-    op.m = batch;
-    op.n = out;
-    op.k = k;
+    op.geometry = linear_geometry(k);
+    op.batch = batch;
     op.panel = &panel;
+    op.x = maps.data();
     op.x_bound = 255;
-    DotRows rows;
-    rows.lower(op, x);
     op.requant = rq.data();
     op.requant_qmax = 255;
     std::vector<std::uint8_t> got(batch * out, 0xEE);

@@ -405,6 +405,95 @@ TEST(IntegerEngineTest, FromPlansRejectsLayersPastTheEightBitCeiling) {
   EXPECT_EQ(from_plans_error({act}), "");
 }
 
+// ---- per-channel plan vectors ----------------------------------------------
+// The epilogues index channel_scale, bias and requant by output channel
+// and requant_apply shifts by requant.shift, so finalize rejects a plan
+// whose vectors do not hold one entry per output channel, or whose
+// shift lies outside [1, 62], naming the layer — from_plans and
+// from_rungs alike, not just the artifact reader.
+
+/// A fused 4-bit linear layer with valid requant parameters (two
+/// output channels).
+IntLayerPlan fused_linear_plan() {
+  IntLayerPlan plan = boundary_linear_plan(16);
+  plan.weight_codes.assign(plan.weight_codes.size(), 3);
+  plan.has_act = true;
+  plan.act_bits = 4;
+  plan.act_clip = 1.0f;
+  plan.requant = IntegerNetwork::from_plans({plan}).plan(0).requant;
+  EXPECT_EQ(plan.requant.size(), 2u);
+  return plan;
+}
+
+TEST(IntegerEngineTest, FinalizeRejectsChannelScaleOfTheWrongLength) {
+  IntLayerPlan plan = boundary_linear_plan(16);
+  plan.channel_scale.pop_back();
+  const std::string message = from_plans_error({plan});
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+  EXPECT_NE(message.find("1 channel_scale entries for 2 output channels"),
+            std::string::npos)
+      << message;
+  // A conv indexes them by output channel the same way.
+  IntLayerPlan conv;
+  conv.kind = IntLayerPlan::Kind::kConv;
+  conv.name = "conv_long";
+  conv.in_channels = 1;
+  conv.out_channels = 2;
+  conv.weight_bits = 4;
+  conv.weight_codes = {1, 2};
+  conv.channel_scale = {1e-3f, 1e-3f, 1e-3f};
+  conv.bias = {0.0f, 0.0f};
+  EXPECT_NE(from_plans_error({conv}).find("'conv_long'"), std::string::npos);
+}
+
+TEST(IntegerEngineTest, FinalizeRejectsBiasOfTheWrongLength) {
+  IntLayerPlan plan = boundary_linear_plan(16);
+  plan.bias.push_back(0.0f);
+  const std::string message = from_plans_error({plan});
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+  EXPECT_NE(message.find("3 bias entries for 2 output channels"),
+            std::string::npos)
+      << message;
+}
+
+TEST(IntegerEngineTest, FinalizeRejectsRequantOfTheWrongLength) {
+  IntLayerPlan plan = fused_linear_plan();
+  EXPECT_EQ(from_plans_error({plan}), "");
+  plan.requant.pop_back();
+  std::string message = from_plans_error({plan});
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+  EXPECT_NE(message.find("1 requant entries for 2 output channels"),
+            std::string::npos)
+      << message;
+  // from_rungs finalizes every rung through the same checks.
+  try {
+    IntegerNetwork::from_rungs({{fused_linear_plan()}, {plan}},
+                               {RungInfo{}, RungInfo{}});
+    message.clear();
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+}
+
+TEST(IntegerEngineTest, FinalizeRejectsRequantShiftsOutsideOneToSixtyTwo) {
+  for (std::int32_t shift : {0, -3, 63}) {
+    IntLayerPlan plan = fused_linear_plan();
+    plan.requant.back().shift = shift;
+    const std::string message = from_plans_error({plan});
+    EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
+    EXPECT_NE(message.find("requant shift " + std::to_string(shift) +
+                           " on output channel 1"),
+              std::string::npos)
+        << message;
+  }
+  for (std::int32_t shift : {1, 62}) {
+    IntLayerPlan plan = fused_linear_plan();
+    plan.requant.back().shift = shift;
+    EXPECT_EQ(from_plans_error({plan}), "") << "shift " << shift;
+  }
+}
+
 TEST(IntegerEngineTest, CompileRejectsGridsAboveEightBits) {
   // Untrained models compile like trained ones; only the grids matter.
   models::ModelConfig mc;

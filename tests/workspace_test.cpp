@@ -109,27 +109,27 @@ TEST(WorkspacePoolTest, FloatLeaseReturnsOnScopeExit) {
 }
 
 TEST(WorkspacePoolTest, IntegerLeasesPoolPerElementTypeAndReturn) {
-  // The igemm vector kernels lease int16/uint8 activation panels every
-  // call — the same acquire-on-scope contract as floats, segregated per
-  // element type so buffers never change interpretation.
+  // The integer engine leases int32 / uint8 code maps every forward —
+  // the same acquire-on-scope contract as floats, segregated per element
+  // type so buffers never change interpretation.
   Workspace ws;
-  const void* short_ptr = nullptr;
+  const void* int_ptr = nullptr;
   const void* byte_ptr = nullptr;
   {
-    Workspace::ShortLease s = ws.shorts(300);
+    Workspace::IntLease i = ws.ints(300);
     Workspace::ByteLease b = ws.bytes(700);
-    EXPECT_EQ(s.size(), 300u);
+    EXPECT_EQ(i.size(), 300u);
     EXPECT_EQ(b.size(), 700u);
-    short_ptr = s.data();
+    int_ptr = i.data();
     byte_ptr = b.data();
     EXPECT_EQ(ws.pooled_buffers(), 0u);
   }
   EXPECT_EQ(ws.pooled_buffers(), 2u);
   {
     // Same buckets → the same buffers come back, warm.
-    Workspace::ShortLease s = ws.shorts(280);
+    Workspace::IntLease i = ws.ints(280);
     Workspace::ByteLease b = ws.bytes(600);
-    EXPECT_EQ(static_cast<const void*>(s.data()), short_ptr);
+    EXPECT_EQ(static_cast<const void*>(i.data()), int_ptr);
     EXPECT_EQ(static_cast<const void*>(b.data()), byte_ptr);
     EXPECT_EQ(ws.pooled_buffers(), 0u);
   }
@@ -142,10 +142,8 @@ TEST(WorkspacePoolTest, IntegerPoolStorageIsCacheLineAligned) {
   // get split-free loads from the buffer base.
   Workspace ws;
   Workspace::IntLease i = ws.ints(17);
-  Workspace::ShortLease s = ws.shorts(17);
   Workspace::ByteLease b = ws.bytes(17);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(i.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u);
 }
 

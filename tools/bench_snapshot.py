@@ -11,7 +11,7 @@ serving stack:
             the float path that pretraining, every competition probe and
             every recovery epoch run: the SGEMM tile, batch-folded conv
             forward / backward at 1, 2 and 4 threads, PACT (fp and 8-bit)
-            and BatchNorm forward + backward on a 32x4x16x16 activation,
+            and BatchNorm forward + backward on a (32, 4, 16, 16) activation,
             one augmented loader batch of 32, and one SGD step and one
             probe on a thin ResNet-20 (allocs_per_iter must stay 0).
             Rows are medians over 3 processes of 5 interleaved
@@ -26,7 +26,12 @@ serving stack:
             every layer fuse its requantization into the epilogue
   engine    BM_EngineForward -> BENCH_engine.json
             the end-to-end fused engine forward (u8 codes through igemm
-            epilogues, integer pooling, final decode) vs forward_reference
+            epilogues, integer pooling, final decode) vs forward_reference,
+            on a two-block 16->32->32-channel net at batch 4 (rows
+            <bits>/<mode>) and on the served SimpleCNN at batch 1 (rows
+            simplecnn-b1/2/<mode>, all layers 2-bit as `quantize` ends,
+            and simplecnn-b1/8-8-4-2-8/<mode>, the bits `serve-tcp`
+            serves)
   serve     BM_Serve* (bench_serve binary) -> BENCH_serve.json
             the registry-routed inference server: closed-loop capacity
             (producers x workers) and an open-loop offered-load sweep
@@ -122,6 +127,9 @@ SUITES = {
         "binary": "bench_kernels",
         "snapshot": REPO / "BENCH_engine.json",
         "modes": {0: "reference", 1: "fused"},
+        # Row-key prefix per net argument (net 0 keys are <bits>/<mode>);
+        # {bits} is the bits argument.
+        "nets": {1: "simplecnn-b1/{bits}", 2: "simplecnn-b1/8-8-4-2-8"},
         "repetitions": 5,
         "processes": 3,
     },
@@ -251,33 +259,40 @@ def run_bench(build_dir: pathlib.Path, suite: dict) -> dict:
 
 
 def parse_mode_rows(raw: dict, suite: dict) -> dict:
-    """google-benchmark JSON -> {"<bits>/<mode-name>": row} with speedups.
-    A row is the median over the runs of its benchmark in `raw`: one per
-    process, each the median aggregate of that process's repetitions
-    when it has them.  Medians across processes matter on a shared host:
-    one process's ratios can sit 20-30% off another's, and repetitions
-    inside a process do not average that out."""
+    """google-benchmark JSON -> {"[<net>/]<bits>/<mode-name>": row} with
+    speedups.  A row is the median over the runs of its benchmark in
+    `raw`: one per process, each the median aggregate of that process's
+    repetitions when it has them.  Medians across processes matter on a
+    shared host: one process's ratios can sit 20-30% off another's, and
+    repetitions inside a process do not average that out."""
     bench_filter, modes = suite["filter"], suite["modes"]
+    nets = suite.get("nets", {})
     runs = [b for b in raw.get("benchmarks", []) if bench_filter in b["name"]]
     medians = [b for b in runs if b.get("aggregate_name") == "median"]
     samples = {}
     for b in medians or [b for b in runs if b.get("run_type") != "aggregate"]:
-        # Name is <filter>/<bits>/<mode>.
+        # Name is <filter>/<bits>/<mode>[/<net>].
         parts = b.get("run_name", b["name"]).split("/")
-        samples.setdefault((int(parts[1]), int(parts[2])), []).append(b)
+        net = int(parts[3]) if len(parts) > 3 else 0
+        samples.setdefault((net, int(parts[1]), int(parts[2])), []).append(b)
+
+    def prefix(net: int, bits: int) -> str:
+        return nets[net].format(bits=bits) if net else str(bits)
+
     rows = {}
-    for (bits, mode), group in sorted(samples.items()):
+    for (net, bits, mode), group in sorted(samples.items()):
         ips = [b["items_per_second"] for b in group if "items_per_second" in b]
         allocs = [b["allocs_per_iter"] for b in group if "allocs_per_iter" in b]
-        rows[f"{bits}/{modes[mode]}"] = {
+        rows[f"{prefix(net, bits)}/{modes[mode]}"] = {
             "bits": bits,
             "mode": modes[mode],
             "real_time_ns": statistics.median(real_time_ns(b) for b in group),
             "items_per_second": statistics.median(ips) if ips else None,
             "allocs_per_iter": max(allocs) if allocs else None,
         }
-    for key, row in rows.items():
-        ref = rows.get(f"{row['bits']}/reference")
+    for (net, bits, mode) in samples:
+        row = rows[f"{prefix(net, bits)}/{modes[mode]}"]
+        ref = rows.get(f"{prefix(net, bits)}/reference")
         if ref and row["mode"] != "reference":
             row["speedup_vs_reference"] = ref["real_time_ns"] / row["real_time_ns"]
     return rows

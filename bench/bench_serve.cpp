@@ -26,16 +26,9 @@
 //     histograms and the shed split per class.  Shed rates here (and in
 //     the open-loop rows) are computed against `HarnessReport::offered`
 //     — true submission attempts — not the sample count.
-//   * BM_AdaptiveRung — the per-rung price list: closed-loop capacity of
-//     a 3-rung multi-point artifact pinned at each serving rung.
-//   * BM_AdaptiveLoadRamp — a scripted up-then-down offered-load ramp
-//     through the saturation knee: the operating-point controller
-//     degrades under pressure and restores when load drops, reported as
-//     switch count / deepest rung / final rung / shed rate.
 //
-// The BM_Serve* rows are snapshotted into BENCH_serve.json by
-// `tools/bench_snapshot.py --suite serve`, the adaptive pair into
-// BENCH_adaptive.json by `--suite adaptive`.  Build with
+// The rows are snapshotted into BENCH_serve.json by
+// `tools/bench_snapshot.py --suite serve`.  Build with
 // -DCCQ_COUNT_ALLOCS=ON to see the alloc columns:
 //
 //   cmake -B build -DCMAKE_BUILD_TYPE=Release -DCCQ_COUNT_ALLOCS=ON
@@ -50,9 +43,7 @@
 
 #include "ccq/common/alloc.hpp"
 #include "ccq/common/telemetry.hpp"
-#include "ccq/core/trail.hpp"
 #include "ccq/models/simple.hpp"
-#include "ccq/serve/artifact.hpp"
 #include "ccq/serve/harness.hpp"
 
 namespace {
@@ -103,27 +94,6 @@ models::QuantModel bench_model() {
 hw::IntegerNetwork bench_network() {
   auto model = bench_model();
   return hw::IntegerNetwork::compile(model);
-}
-
-/// The 3-rung multi-point variant of the same model: the trail a CCQ run
-/// would have recorded for this allocation, replayed by
-/// `build_multipoint` (loose budget — the adaptive benchmarks want the
-/// full rung span, not a size-fitting exercise).
-hw::IntegerNetwork adaptive_network() {
-  auto model = bench_model();
-  const quant::LayerRegistry& registry = model.registry();
-  core::RungTrail trail;
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    if (registry.unit(i).ladder_pos == 0) continue;
-    core::TrailStep step;
-    step.layer = i;
-    step.ladder_pos = registry.unit(i).ladder_pos;
-    step.val_acc = 0.9f;
-    trail.push_back(step);
-  }
-  serve::MultiPointOptions options;
-  options.size_budget = 4.0;
-  return serve::build_multipoint(model, trail, options);
 }
 
 Tensor bench_samples(std::size_t n) {
@@ -433,113 +403,6 @@ BENCHMARK(BM_ServeMixedPriority)
     ->Arg(64000)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-/// The per-rung price list: closed-loop capacity of the 3-rung artifact
-/// pinned at each serving rung (`adaptive.fixed_rung`).  Rung 0 is the
-/// highest-precision configuration; the gap between rows is the
-/// throughput the operating-point controller buys per degrade step.
-void BM_AdaptiveRung(benchmark::State& state) {
-  serve::ServeConfig config;
-  config.workers = 2;
-  serve::InferenceServer server(config);
-  serve::ModelConfig mc;
-  mc.max_batch = 8;
-  mc.max_delay_us = 200;
-  mc.queue_capacity = 256;
-  mc.adaptive.fixed_rung = static_cast<std::int32_t>(state.range(0));
-  server.load("bench-rung", adaptive_network(), mc);
-  serve::ServeHarness harness(server, "bench-rung");
-
-  const std::size_t wave = 64;
-  const Tensor samples = bench_samples(wave);
-  serve::HarnessOptions options;
-  options.producers = 4;
-
-  harness.run(samples, options);  // warm workspaces and reply tensors
-  const AllocSnapshot before;
-  std::vector<std::uint64_t> latencies;
-  for (auto _ : state) {
-    const serve::HarnessReport report = harness.run(samples, options);
-    latencies.insert(latencies.end(), report.latency_ns.begin(),
-                     report.latency_ns.end());
-    benchmark::DoNotOptimize(report.outputs.data());
-  }
-  report_allocs(state, before);
-  report_quantiles(state, latencies);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wave));
-}
-BENCHMARK(BM_AdaptiveRung)
-    ->ArgNames({"rung"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// A scripted up-then-down offered-load ramp through the saturation
-/// knee: quiet → burst → quiet.  The controller degrades under the
-/// burst's queue pressure and restores as it drains; the counters report
-/// what it did — rung switches, the deepest rung any request was served
-/// at, the rung it settled on after the cooldown, and the shed rate.
-void BM_AdaptiveLoadRamp(benchmark::State& state) {
-  serve::ServeConfig config;
-  config.workers = 2;
-  serve::InferenceServer server(config);
-  serve::ModelConfig mc;
-  mc.max_batch = 8;
-  mc.max_delay_us = 1000;
-  mc.queue_capacity = 64;
-  mc.adaptive.degrade_depth = 16;
-  mc.adaptive.restore_depth = 2;
-  server.load("bench-ramp", adaptive_network(), mc);
-  serve::ServeHarness harness(server, "bench-ramp");
-
-  const Tensor samples = bench_samples(256);
-  serve::HarnessOptions options;
-  options.producers = 4;
-  options.ramp = {{2000.0, 64}, {64000.0, 128}, {2000.0, 64}};
-
-  harness.run(samples, {.producers = 4});  // warm (closed loop, no pacing)
-  const bool metrics_were_on = telemetry::metrics_enabled();
-  telemetry::set_metrics_enabled(true);
-  const int switch_counter = telemetry::find_named_metric(
-      telemetry::NamedKind::kCounter, "serve.bench-ramp.rung_switches");
-  const int rung_gauge = telemetry::find_named_metric(
-      telemetry::NamedKind::kGauge, "serve.bench-ramp.rung");
-  const std::uint64_t switches_before =
-      switch_counter >= 0 ? telemetry::named_counter_value(switch_counter) : 0;
-  std::size_t offered = 0, shed = 0;
-  std::int32_t deepest = 0;
-  for (auto _ : state) {
-    const serve::HarnessReport report = harness.run(samples, options);
-    offered += report.offered;
-    shed += report.rejected + report.shed;
-    for (const std::int32_t rung : report.rungs) {
-      deepest = std::max(deepest, rung);
-    }
-    benchmark::DoNotOptimize(report.outputs.data());
-  }
-  if (switch_counter >= 0) {
-    state.counters["rung_switches"] = benchmark::Counter(
-        static_cast<double>(telemetry::named_counter_value(switch_counter) -
-                            switches_before) /
-        static_cast<double>(state.iterations()));
-  }
-  state.counters["deepest_rung"] =
-      benchmark::Counter(static_cast<double>(deepest));
-  if (rung_gauge >= 0) {
-    state.counters["final_rung"] =
-        benchmark::Counter(telemetry::named_gauge_value(rung_gauge));
-  }
-  state.counters["shed_rate"] = benchmark::Counter(
-      offered == 0 ? 0.0
-                   : static_cast<double>(shed) / static_cast<double>(offered));
-  telemetry::set_metrics_enabled(metrics_were_on);
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      offered - std::min<std::size_t>(shed, offered)));
-}
-BENCHMARK(BM_AdaptiveLoadRamp)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,11 +1,34 @@
 #include "ccq/common/args.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
 #include "ccq/common/error.hpp"
 
 namespace ccq {
+
+namespace {
+
+/// Parse one whole token as an `int`.  strtol's `long` is checked
+/// against `int` (and its own ERANGE) rather than narrowed, so
+/// 4294967296 is an error, not 0.
+int parse_int(const std::string& key, const std::string& text,
+              const char* expects) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  CCQ_CHECK(end != text.c_str() && *end == '\0',
+            "--" + key + " expects " + expects + ", got: " + text);
+  CCQ_CHECK(errno != ERANGE && parsed >= INT_MIN && parsed <= INT_MAX,
+            "--" + key + " value " + text + " is out of range [" +
+                std::to_string(INT_MIN) + ", " + std::to_string(INT_MAX) +
+                "]");
+  return static_cast<int>(parsed);
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   int i = 1;
@@ -42,11 +65,17 @@ std::string Args::get(const std::string& key,
 int Args::get_int(const std::string& key, int fallback) const {
   const std::string v = get(key, "");
   if (v.empty()) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  CCQ_CHECK(end != v.c_str() && *end == '\0',
-            "--" + key + " expects an integer, got: " + v);
-  return static_cast<int>(parsed);
+  return parse_int(key, v, "an integer");
+}
+
+std::size_t Args::get_size(const std::string& key,
+                           std::size_t fallback) const {
+  const std::string v = get(key, "");
+  if (v.empty()) return fallback;
+  const int parsed = parse_int(key, v, "a non-negative integer");
+  CCQ_CHECK(parsed >= 0,
+            "--" + key + " expects a non-negative integer, got: " + v);
+  return static_cast<std::size_t>(parsed);
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
@@ -67,11 +96,7 @@ std::vector<int> Args::get_int_list(const std::string& key,
   std::stringstream ss(v);
   std::string part;
   while (std::getline(ss, part, ',')) {
-    char* end = nullptr;
-    const long parsed = std::strtol(part.c_str(), &end, 10);
-    CCQ_CHECK(end != part.c_str() && *end == '\0',
-              "--" + key + " expects integers, got: " + part);
-    out.push_back(static_cast<int>(parsed));
+    out.push_back(parse_int(key, part, "integers"));
   }
   CCQ_CHECK(!out.empty(), "--" + key + " list is empty");
   return out;
@@ -84,6 +109,14 @@ std::vector<std::string> Args::unused() const {
     if (!queried_.count(key)) out.push_back(key);
   }
   return out;
+}
+
+void Args::reject_unused() const {
+  std::string keys;
+  for (const std::string& key : unused()) {
+    keys += (keys.empty() ? "--" : ", --") + key;
+  }
+  CCQ_CHECK(keys.empty(), command_ + " does not take " + keys);
 }
 
 }  // namespace ccq

@@ -112,11 +112,8 @@ class CcqController {
   float baseline_accuracy() const { return result_.baseline_accuracy; }
 
   /// The ladder pick history so far: one entry per committed step, in
-  /// commit order.  Replayed against the final weights it reconstructs
-  /// every intermediate mixed-precision configuration — the operating
-  /// points a CCQA v3 multi-point artifact ships (serve/artifact).
-  /// Persisted in the controller state (v2) so a resumed run keeps
-  /// appending, and in the snapshot via `save_snapshot`'s trail overload.
+  /// commit order (see core/trail.hpp).  Persisted in the controller
+  /// state (v2) so a resumed run keeps appending.
   const RungTrail& trail() const { return trail_; }
 
   /// Final evaluation + accumulated records.  A resumed controller's

@@ -11,14 +11,10 @@ namespace {
 // Reserved name for the precision-state record inside the tensor map.
 // Two entries per layer: [bits, frozen].
 constexpr const char* kStateKey = "__ccq_precision_state__";
-// Reserved name for the rung trail (the ladder pick history).  Three
-// entries per committed step: [layer, ladder_pos, val_acc].  Loaders
-// look tensors up by name, so snapshots without it (and readers without
-// this constant) interoperate freely.
-constexpr const char* kTrailKey = "__ccq_rung_trail__";
 
-void save_snapshot_impl(models::QuantModel& model, const std::string& path,
-                        const RungTrail* trail) {
+}  // namespace
+
+void save_snapshot(models::QuantModel& model, const std::string& path) {
   TensorMap tensors;
   for (const auto* p : model.parameters()) {
     CCQ_CHECK(!tensors.count(p->name), "duplicate parameter " + p->name);
@@ -35,47 +31,7 @@ void save_snapshot_impl(models::QuantModel& model, const std::string& path,
     state(i, 1) = registry.unit(i).frozen ? 1.0f : 0.0f;
   }
   tensors.emplace(kStateKey, std::move(state));
-  if (trail != nullptr && !trail->empty()) {
-    Tensor record({trail->size(), 3});
-    for (std::size_t i = 0; i < trail->size(); ++i) {
-      record(i, 0) = static_cast<float>((*trail)[i].layer);
-      record(i, 1) = static_cast<float>((*trail)[i].ladder_pos);
-      record(i, 2) = (*trail)[i].val_acc;
-    }
-    tensors.emplace(kTrailKey, std::move(record));
-  }
   save_tensors(path, tensors);
-}
-
-}  // namespace
-
-void save_snapshot(models::QuantModel& model, const std::string& path) {
-  save_snapshot_impl(model, path, nullptr);
-}
-
-void save_snapshot(models::QuantModel& model, const std::string& path,
-                   const RungTrail& trail) {
-  save_snapshot_impl(model, path, &trail);
-}
-
-RungTrail load_trail(const std::string& path) {
-  const TensorMap tensors = load_tensors(path);
-  const auto it = tensors.find(kTrailKey);
-  RungTrail trail;
-  if (it == tensors.end()) return trail;
-  const Tensor& record = it->second;
-  CCQ_CHECK(record.rank() == 2 && record.dim(1) == 3,
-            "snapshot " + path + ": malformed rung trail record " +
-                shape_str(record.shape()));
-  trail.reserve(record.dim(0));
-  for (std::size_t i = 0; i < record.dim(0); ++i) {
-    TrailStep step;
-    step.layer = static_cast<std::size_t>(record(i, 0));
-    step.ladder_pos = static_cast<std::size_t>(record(i, 1));
-    step.val_acc = record(i, 2);
-    trail.push_back(step);
-  }
-  return trail;
 }
 
 bool load_snapshot(models::QuantModel& model, const std::string& path) {

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "ccq/core/trail.hpp"
 #include "ccq/models/model.hpp"
 
 namespace ccq::core {
@@ -13,21 +12,11 @@ namespace ccq::core {
 /// position / frozen bits) to `path`.
 void save_snapshot(models::QuantModel& model, const std::string& path);
 
-/// Same, plus the controller's rung trail (the ladder pick history) as a
-/// reserved tensor.  Loaders that predate the trail ignore the extra key
-/// — the snapshot stays loadable either way; `load_trail` reads it back
-/// for multi-point export.
-void save_snapshot(models::QuantModel& model, const std::string& path,
-                   const RungTrail& trail);
-
-/// Read the rung trail stored by the trail-carrying `save_snapshot`
-/// overload.  Returns an empty trail when the snapshot predates the
-/// record; throws when the file itself is missing or unreadable.
-RungTrail load_trail(const std::string& path);
-
 /// Restore a snapshot into a structurally identical model (same builder,
 /// same ladder).  Returns false when the file does not exist; throws on
-/// shape/layer-count mismatches.
+/// shape/layer-count mismatches.  Tensors are looked up by name, so a
+/// snapshot carrying extra records (older builds stored the controller's
+/// pick history as `__ccq_rung_trail__`) still loads.
 bool load_snapshot(models::QuantModel& model, const std::string& path);
 
 }  // namespace ccq::core

@@ -1,19 +1,11 @@
 // The rung trail: the ladder pick history of one CCQ descent.
 //
 // Every competitive step the controller commits moves exactly one layer
-// one rung down its bit ladder.  Replaying that history against the
-// *final* trained weights yields a family of mixed-precision
-// configurations — the operating points the adaptive serving stack
-// (serve/artifact `build_multipoint`, CCQA v3) ships as one multi-point
-// artifact.  The trail is the minimal record that makes the replay
-// possible: which layer moved, where it landed, and the validation
-// accuracy the controller measured after recovering from the step.
-//
-// The trail is persisted in two places: inside the controller state
-// checkpoint (core/controller, state v2) so a resumed run keeps
-// appending to it, and inside the float snapshot (core/snapshot) as a
-// reserved tensor so `ccq export` can rebuild the configurations without
-// reconstructing a controller.
+// one rung down its bit ladder.  The trail records which layer moved,
+// where it landed, and the validation accuracy the controller measured
+// after recovering from the step.  It is persisted inside the controller
+// state checkpoint (core/controller, state v2), so a resumed run keeps
+// appending to it.
 #pragma once
 
 #include <cstddef>

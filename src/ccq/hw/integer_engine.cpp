@@ -288,8 +288,7 @@ IntegerNetwork IntegerNetwork::compile(models::QuantModel& model) {
     }
   }
   CCQ_CHECK(!plans.empty(), "empty model");
-  net.rungs_.push_back(std::move(plans));
-  net.rung_info_.push_back(RungInfo{});
+  net.plans_ = std::move(plans);
   net.finalize_plans();
   return net;
 }
@@ -297,49 +296,7 @@ IntegerNetwork IntegerNetwork::compile(models::QuantModel& model) {
 IntegerNetwork IntegerNetwork::from_plans(std::vector<IntLayerPlan> plans) {
   CCQ_CHECK(!plans.empty(), "cannot build an integer network from 0 plans");
   IntegerNetwork net;
-  net.rungs_.push_back(std::move(plans));
-  net.rung_info_.push_back(RungInfo{});
-  net.finalize_plans();
-  return net;
-}
-
-IntegerNetwork IntegerNetwork::from_rungs(
-    std::vector<std::vector<IntLayerPlan>> rungs, std::vector<RungInfo> info) {
-  CCQ_CHECK(!rungs.empty(), "cannot build an integer network from 0 rungs");
-  CCQ_CHECK(rungs.size() == info.size(),
-            "rung info covers " + std::to_string(info.size()) +
-                " rungs, plan sets cover " + std::to_string(rungs.size()));
-  const std::vector<IntLayerPlan>& top = rungs.front();
-  CCQ_CHECK(!top.empty(), "cannot build an integer network from 0 plans");
-  for (std::size_t r = 1; r < rungs.size(); ++r) {
-    CCQ_CHECK(rungs[r].size() == top.size(),
-              "rung " + std::to_string(r) + " holds " +
-                  std::to_string(rungs[r].size()) + " layers, rung 0 holds " +
-                  std::to_string(top.size()));
-    for (std::size_t i = 0; i < top.size(); ++i) {
-      const IntLayerPlan& a = top[i];
-      const IntLayerPlan& b = rungs[r][i];
-      // Rungs are precision variants of one network: the layer sequence
-      // and geometry are invariant, so check_input / shape pinning done
-      // against rung 0 hold for every rung.
-      CCQ_CHECK(a.name == b.name && a.kind == b.kind,
-                "rung " + std::to_string(r) + " layer " + std::to_string(i) +
-                    " ('" + b.name + "') does not match rung 0 ('" + a.name +
-                    "')");
-      CCQ_CHECK(a.in_channels == b.in_channels &&
-                    a.out_channels == b.out_channels && a.kernel == b.kernel &&
-                    a.stride == b.stride && a.pad == b.pad &&
-                    a.in_features == b.in_features &&
-                    a.out_features == b.out_features &&
-                    a.pool_kernel == b.pool_kernel &&
-                    a.pool_stride == b.pool_stride,
-                "rung " + std::to_string(r) + " layer '" + b.name +
-                    "' changes geometry across rungs");
-    }
-  }
-  IntegerNetwork net;
-  net.rungs_ = std::move(rungs);
-  net.rung_info_ = std::move(info);
+  net.plans_ = std::move(plans);
   net.finalize_plans();
   return net;
 }
@@ -393,7 +350,7 @@ void check_per_channel(const IntLayerPlan& plan, std::size_t channels) {
   }
 }
 
-/// One rung's finalize pass.  Static bound on |incoming activation
+/// The finalize pass.  Static bound on |incoming activation
 /// codes|, threaded layer to layer: the input snap is 8-bit (codes in
 /// [0, 255]); a b-bit activation grid emits codes in [0, 2^b − 1];
 /// pooling and flatten keep values on (or, for averages, requantized
@@ -402,7 +359,7 @@ void check_per_channel(const IntLayerPlan& plan, std::size_t channels) {
 /// grid for good: the engine has no float-activation datapath, so only
 /// a flatten may follow it.  Every conv/linear layer must meet the 8-bit
 /// ceiling and the int32 proof; the error names the layer.
-void finalize_rung(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
+void finalize(std::vector<IntLayerPlan>& plans, IgemmKernel requested) {
   std::int64_t in_bound = 255;
   const IntLayerPlan* producer = nullptr;  // the unquantized producer
   for (auto& plan : plans) {
@@ -509,27 +466,13 @@ void IntegerNetwork::finalize_plans() {
   // $CCQ_IGEMM_KERNEL is read once for the whole network (kAuto when
   // unset); each layer then resolves it against its own static bounds,
   // so a 2-bit conv can run vec-packed while an 8-bit layer runs vec16
-  // in the same net.  Multi-point networks finalize every rung
-  // independently — each serving point gets its own kernel selection,
-  // int32 proof and requant rederivation against its own bit widths.
-  const IgemmKernel requested = igemm_requested_kernel();
-  for (auto& plans : rungs_) finalize_rung(plans, requested);
+  // in the same net.
+  finalize(plans_, igemm_requested_kernel());
 }
 
 const IntLayerPlan& IntegerNetwork::plan(std::size_t i) const {
-  return plan(0, i);
-}
-
-const IntLayerPlan& IntegerNetwork::plan(std::size_t rung,
-                                         std::size_t i) const {
-  CCQ_CHECK(rung < rungs_.size(), "rung index out of range");
-  CCQ_CHECK(i < rungs_[rung].size(), "plan index out of range");
-  return rungs_[rung][i];
-}
-
-const RungInfo& IntegerNetwork::rung_info(std::size_t rung) const {
-  CCQ_CHECK(rung < rung_info_.size(), "rung index out of range");
-  return rung_info_[rung];
+  CCQ_CHECK(i < plans_.size(), "plan index out of range");
+  return plans_[i];
 }
 
 namespace {
@@ -930,8 +873,8 @@ ConvGeometry layer_geometry(const IntLayerPlan& plan, const Shape& shape) {
 
 /// The one layer walk behind forward and forward_reference.  The input
 /// is snapped onto its 8-bit grid into channels-last codes; codes then
-/// flow through every layer of rung `rung` over backend `Mac` and are
-/// decoded once at the edge, back in NCHW order.  Every producer — the
+/// flow through every layer over backend `Mac` and are decoded once at
+/// the edge, back in NCHW order.  Every producer — the
 /// input snap, a fused epilogue, an unfused layer's re-snap, a pool —
 /// writes its map with the border its consumer needs (on a bordered
 /// backend, the pad of a conv that follows; none otherwise).  An unfused
@@ -940,12 +883,9 @@ ConvGeometry layer_geometry(const IntLayerPlan& plan, const Shape& shape) {
 /// without one it is the result — finalize_plans lets only flattens
 /// follow an unquantized producer.
 template <typename Mac>
-Tensor walk(const std::vector<std::vector<IntLayerPlan>>& rungs,
-            std::size_t rung, const Tensor& x, Workspace& ws,
-            const ExecContext& ctx) {
-  CCQ_CHECK(rung < rungs.size(), "rung index out of range");
+Tensor walk(const std::vector<IntLayerPlan>& plans, const Tensor& x,
+            Workspace& ws, const ExecContext& ctx) {
   CCQ_CHECK(x.rank() == 4, "integer engine expects NCHW input");
-  const std::vector<IntLayerPlan>& plans = rungs[rung];
   using Lease = typename Mac::Lease;
   // The border of the map that feeds layer i.
   const auto border = [&](std::size_t i) -> std::size_t {
@@ -1091,13 +1031,7 @@ Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws) const {
 
 Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
                                const ExecContext& ctx) const {
-  return forward(x, ws, ctx, 0);
-}
-
-Tensor IntegerNetwork::forward(const Tensor& x, Workspace& ws,
-                               const ExecContext& ctx,
-                               std::size_t rung) const {
-  return walk<IgemmMac>(rungs_, rung, x, ws, ctx);
+  return walk<IgemmMac>(plans_, x, ws, ctx);
 }
 
 Tensor IntegerNetwork::forward_reference(const Tensor& x) const {
@@ -1106,22 +1040,14 @@ Tensor IntegerNetwork::forward_reference(const Tensor& x) const {
 
 Tensor IntegerNetwork::forward_reference(const Tensor& x, Workspace& ws,
                                          const ExecContext& ctx) const {
-  return forward_reference(x, ws, ctx, 0);
-}
-
-Tensor IntegerNetwork::forward_reference(const Tensor& x, Workspace& ws,
-                                         const ExecContext& ctx,
-                                         std::size_t rung) const {
-  return walk<ReferenceMac>(rungs_, rung, x, ws, ctx);
+  return walk<ReferenceMac>(plans_, x, ws, ctx);
 }
 
 std::size_t IntegerNetwork::macs_per_sample(std::size_t h,
                                             std::size_t w) const {
-  // Geometry is invariant across rungs (from_rungs checks it), so the
-  // MAC count and input validation below read rung 0.
   std::size_t total = 0;
   std::size_t cur_h = h, cur_w = w;
-  for (const auto& plan : rungs_.front()) {
+  for (const auto& plan : plans_) {
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv: {
         const ConvGeometry g{.in_channels = plan.in_channels,
@@ -1165,7 +1091,7 @@ void IntegerNetwork::check_input(std::size_t channels, std::size_t height,
   bool spatial = true;  // CHW code/activation map vs flattened features
   std::size_t c = channels, h = height, w = width;
   std::size_t features = 0;
-  for (const auto& plan : rungs_.front()) {
+  for (const auto& plan : plans_) {
     switch (plan.kind) {
       case IntLayerPlan::Kind::kConv: {
         CCQ_CHECK(spatial, "conv layer " + plan.name +

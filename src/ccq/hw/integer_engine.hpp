@@ -143,16 +143,6 @@ struct IntLayerPlan {
   std::size_t pool_kernel = 2, pool_stride = 2;
 };
 
-/// Provenance of one serving rung (operating point) of a multi-point
-/// network: which controller trail step produced its configuration and
-/// the validation accuracy the controller recorded there.  Rung 0 is the
-/// highest-precision (most accurate) point; the last rung is the final,
-/// lowest-precision configuration of the descent.
-struct RungInfo {
-  std::int32_t trail_step = -1;  ///< −1 = the final configuration
-  float val_acc = 0.0f;          ///< 0 when unknown
-};
-
 /// Encode a grid-valued tensor as doubled integer codes: q = (step/2)·c.
 /// Doubling covers both zero-centred grids (codes even) and half-offset
 /// grids like DoReFa's (codes odd).  Throws ccq::Error naming `layer`
@@ -197,18 +187,6 @@ class IntegerNetwork {
   /// producer, and names any layer `finalize_plans` rejects.
   static IntegerNetwork from_plans(std::vector<IntLayerPlan> plans);
 
-  /// Build a multi-point network: one plan set per serving rung, all
-  /// over the same layer sequence (same names, kinds and geometry —
-  /// only precision-dependent fields may differ).  Each rung re-runs
-  /// kernel selection, the accumulator proof and requant rederivation
-  /// through `finalize_plans`, so every operating point serves through
-  /// the kernels a fresh compile would pick and meets the same 8-bit
-  /// ceiling.  `info` records each rung's
-  /// provenance and must match `rungs` in length.  Throws on zero rungs,
-  /// inconsistent layer sequences, or a length mismatch.
-  static IntegerNetwork from_rungs(std::vector<std::vector<IntLayerPlan>> rungs,
-                                   std::vector<RungInfo> info);
-
   /// Run inference over an (N, C, H, W) batch; returns (N, classes)
   /// logits.  All conv/linear arithmetic is integer, executed by
   /// `igemm_run` with each layer's selected kernel over its packed
@@ -223,12 +201,6 @@ class IntegerNetwork {
   Tensor forward(const Tensor& x) const;
   Tensor forward(const Tensor& x, Workspace& ws) const;
   Tensor forward(const Tensor& x, Workspace& ws, const ExecContext& ctx) const;
-  /// Run inference at serving rung `rung` (multi-point networks; the
-  /// rung-less overloads serve rung 0, the highest-precision point).
-  /// Every rung is bit-identical to `forward_reference` at the same
-  /// rung.  Throws on an out-of-range rung.
-  Tensor forward(const Tensor& x, Workspace& ws, const ExecContext& ctx,
-                 std::size_t rung) const;
 
   /// Specification datapath: the same layer walk as `forward` over a
   /// reference MAC backend — exact int32 channels-last codes in
@@ -246,18 +218,9 @@ class IntegerNetwork {
   Tensor forward_reference(const Tensor& x) const;
   Tensor forward_reference(const Tensor& x, Workspace& ws,
                            const ExecContext& ctx) const;
-  Tensor forward_reference(const Tensor& x, Workspace& ws,
-                           const ExecContext& ctx, std::size_t rung) const;
 
-  std::size_t layer_count() const { return rungs_.front().size(); }
+  std::size_t layer_count() const { return plans_.size(); }
   const IntLayerPlan& plan(std::size_t i) const;
-
-  /// Number of serving rungs (≥ 1; single-point networks have exactly 1).
-  std::size_t rung_count() const { return rungs_.size(); }
-  /// Layer plan `i` at serving rung `rung`.
-  const IntLayerPlan& plan(std::size_t rung, std::size_t i) const;
-  /// Provenance of rung `rung` (all-default for single-point networks).
-  const RungInfo& rung_info(std::size_t rung) const;
 
   /// Total integer MAC operations for one sample of an h×w input (a
   /// pure function of the plans and the input size).
@@ -276,8 +239,8 @@ class IntegerNetwork {
  private:
   /// Validate every plan against the engine's 8-bit ceiling and build
   /// its derived igemm payload (kernel selection, packed panel, max
-  /// |code|, requant parameters) — runs once in compile()/from_plans()/
-  /// from_rungs(), per rung, so artifact loads ship ready-packed panels
+  /// |code|, requant parameters) — runs once in compile()/from_plans(),
+  /// so artifact loads ship ready-packed panels
   /// in the layout of the kernel that will execute them.  Throws a
   /// ccq::Error naming the layer and its numbers for a weight grid above
   /// 8 bits, a quantized activation grid outside 1–8 bits, a conv /
@@ -289,13 +252,9 @@ class IntegerNetwork {
   /// kernels) before any layer is packed.
   void finalize_plans();
 
-  /// Plan sets, one per serving rung; invariant: non-empty, all rungs
-  /// hold the same layer sequence (count / name / kind / geometry).
-  /// Rung 0 is the highest-precision point.  Plans are immutable after
-  /// finalize, so switching the served rung between batches is just an
-  /// index change — nothing to synchronize.
-  std::vector<std::vector<IntLayerPlan>> rungs_;
-  std::vector<RungInfo> rung_info_;  ///< parallel to rungs_
+  /// The compiled layers, in walk order; non-empty, and immutable after
+  /// finalize.
+  std::vector<IntLayerPlan> plans_;
 };
 
 }  // namespace ccq::hw

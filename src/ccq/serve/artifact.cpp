@@ -357,67 +357,6 @@ hw::IntLayerPlan read_plan(ByteReader& r) {
   return plan;
 }
 
-// ---- delta sections ----------------------------------------------------------
-// A delta record rewrites the precision-dependent halves of one layer
-// plan relative to the next-lower rung: the codes section (weight bits +
-// packed codes) and/or the metadata section (activation grid, channel
-// scales, folded biases, requant record).  Identity and geometry never
-// appear — they are invariant across rungs and live in the base records.
-
-constexpr std::uint8_t kDeltaCodes = 1;  // flag bit 0
-constexpr std::uint8_t kDeltaMeta = 2;   // flag bit 1
-
-void write_delta_codes(ByteWriter& w, const hw::IntLayerPlan& plan) {
-  w.pod(static_cast<std::uint8_t>(plan.weight_bits));
-  write_packed_codes(w, plan.weight_codes);
-}
-
-void read_delta_codes(ByteReader& r, hw::IntLayerPlan& plan) {
-  plan.weight_bits = r.pod<std::uint8_t>();
-  // The rung below was validated, so its scales back the rows.
-  plan.weight_codes =
-      expand_codes(r, plan, read_packed_codes(r, expected_codes(r, plan)));
-}
-
-void write_delta_meta(ByteWriter& w, const hw::IntLayerPlan& plan) {
-  w.pod(static_cast<std::uint8_t>(plan.has_act ? 1 : 0));
-  w.pod(static_cast<std::uint8_t>(plan.act_bits));
-  w.pod(plan.act_clip);
-  w.floats(plan.channel_scale);
-  w.floats(plan.bias);
-  write_requant(w, plan);
-}
-
-void read_delta_meta(ByteReader& r, hw::IntLayerPlan& plan) {
-  plan.has_act = r.pod<std::uint8_t>() != 0;
-  plan.act_bits = r.pod<std::uint8_t>();
-  plan.act_clip = r.pod<float>();
-  plan.channel_scale = r.floats();
-  plan.bias = r.floats();
-  read_requant(r, plan);
-}
-
-bool codes_equal(const hw::IntLayerPlan& a, const hw::IntLayerPlan& b) {
-  return a.weight_bits == b.weight_bits && a.weight_codes == b.weight_codes;
-}
-
-bool meta_equal(const hw::IntLayerPlan& a, const hw::IntLayerPlan& b) {
-  if (a.has_act != b.has_act || a.act_bits != b.act_bits ||
-      a.act_clip != b.act_clip || a.channel_scale != b.channel_scale ||
-      a.bias != b.bias || a.requant_fused != b.requant_fused ||
-      a.requant.size() != b.requant.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < a.requant.size(); ++c) {
-    if (a.requant[c].multiplier != b.requant[c].multiplier ||
-        a.requant[c].shift != b.requant[c].shift ||
-        a.requant[c].bias != b.requant[c].bias) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Structural validation with expected-vs-found messages per layer.
 void validate_plan(ByteReader& r, const hw::IntLayerPlan& plan,
                    std::size_t index) {
@@ -542,39 +481,15 @@ std::vector<std::int32_t> unpack_codes(const PackedCodes& packed) {
 
 namespace {
 
-/// The payload: rung table, base records, chained deltas (see
-/// artifact.hpp).  A single-point network is one rung with no deltas.
+/// The payload: a one-entry rung table, then one record per layer (see
+/// artifact.hpp).
 std::string encode_payload(const hw::IntegerNetwork& net) {
-  const std::size_t rungs = net.rung_count();
-  const std::size_t base = rungs - 1;
   ByteWriter payload;
-  payload.varint(rungs);
-  for (std::size_t r = 0; r < rungs; ++r) {
-    payload.zigzag(net.rung_info(r).trail_step);
-    payload.pod(net.rung_info(r).val_acc);
-  }
+  payload.varint(1);
+  payload.zigzag(-1);
+  payload.pod(0.0f);
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    write_plan(payload, net.plan(base, i));
-  }
-  for (std::size_t r = base; r-- > 0;) {
-    std::vector<std::pair<std::size_t, std::uint8_t>> deltas;
-    for (std::size_t i = 0; i < net.layer_count(); ++i) {
-      std::uint8_t flags = 0;
-      if (!codes_equal(net.plan(r, i), net.plan(r + 1, i))) {
-        flags |= kDeltaCodes;
-      }
-      if (!meta_equal(net.plan(r, i), net.plan(r + 1, i))) {
-        flags |= kDeltaMeta;
-      }
-      if (flags != 0) deltas.emplace_back(i, flags);
-    }
-    payload.varint(deltas.size());
-    for (const auto& [i, flags] : deltas) {
-      payload.varint(i);
-      payload.pod(flags);
-      if (flags & kDeltaCodes) write_delta_codes(payload, net.plan(r, i));
-      if (flags & kDeltaMeta) write_delta_meta(payload, net.plan(r, i));
-    }
+    write_plan(payload, net.plan(i));
   }
   return payload.bytes();
 }
@@ -604,8 +519,7 @@ void write_artifact_file(const std::string& path, std::size_t layer_count,
 struct ParsedArtifact {
   std::uint64_t file_bytes = 0;
   std::uint64_t payload_bytes = 0;
-  std::vector<std::vector<hw::IntLayerPlan>> rungs;  ///< rung 0 = top
-  std::vector<hw::RungInfo> info;
+  std::vector<hw::IntLayerPlan> plans;
 };
 
 ParsedArtifact parse_artifact(const std::string& path) {
@@ -674,58 +588,20 @@ ParsedArtifact parse_artifact(const std::string& path) {
   parsed.file_bytes = payload_bytes + kHeaderBytes;
   ByteReader reader(std::move(body), path);
 
-  const auto rung_count = reader.varint();
-  if (rung_count == 0) {
-    reader.fail("payload declares 0 rungs (an artifact carries at least 1)");
+  // A file of an earlier build may carry lower-precision rungs as delta
+  // records: refuse it before any layer record is parsed.
+  const auto rungs = reader.varint();
+  if (rungs != 1) {
+    reader.fail("payload declares " + std::to_string(rungs) +
+                " rungs; multi-point artifacts are no longer served (this "
+                "build reads 1 rung); re-export it with this build: ccq "
+                "export --snapshot <snapshot.bin> --out " + path);
   }
-  // Each rung-table entry takes at least 5 bytes (zigzag + f32).
-  if (rung_count > reader.remaining() / 5) {
-    reader.fail("payload truncated while reading " +
-                std::to_string(rung_count) + " rung-table entries");
-  }
-  parsed.info.resize(static_cast<std::size_t>(rung_count));
-  for (auto& info : parsed.info) {
-    info.trail_step = static_cast<std::int32_t>(reader.zigzag());
-    info.val_acc = reader.pod<float>();
-  }
-  parsed.rungs.resize(static_cast<std::size_t>(rung_count));
-  auto& base = parsed.rungs.back();
+  reader.zigzag();      // trail step: −1
+  reader.pod<float>();  // validation accuracy: unused
   for (std::uint32_t i = 0; i < layer_count; ++i) {
-    base.push_back(read_plan(reader));
-    validate_plan(reader, base.back(), i);
-  }
-  for (std::size_t r = parsed.rungs.size() - 1; r-- > 0;) {
-    parsed.rungs[r] = parsed.rungs[r + 1];
-    const auto delta_count = static_cast<std::size_t>(reader.varint());
-    std::size_t prev_index = 0;
-    bool first = true;
-    for (std::size_t d = 0; d < delta_count; ++d) {
-      reader.set_context("");
-      const auto index = static_cast<std::size_t>(reader.varint());
-      if (index >= layer_count) {
-        reader.fail("rung " + std::to_string(r) + " delta names layer " +
-                    std::to_string(index) + " of " +
-                    std::to_string(layer_count));
-      }
-      if (!first && index <= prev_index) {
-        reader.fail("rung " + std::to_string(r) +
-                    " deltas are not in ascending layer order");
-      }
-      first = false;
-      prev_index = index;
-      hw::IntLayerPlan& plan = parsed.rungs[r][index];
-      reader.set_context(plan.name);
-      const auto flags = reader.pod<std::uint8_t>();
-      if (flags == 0 || (flags & ~(kDeltaCodes | kDeltaMeta)) != 0) {
-        reader.fail("rung " + std::to_string(r) + " delta carries flags " +
-                    std::to_string(flags));
-      }
-      if (flags & kDeltaCodes) read_delta_codes(reader, plan);
-      if (flags & kDeltaMeta) read_delta_meta(reader, plan);
-    }
-    for (std::size_t i = 0; i < parsed.rungs[r].size(); ++i) {
-      validate_plan(reader, parsed.rungs[r][i], i);
-    }
+    parsed.plans.push_back(read_plan(reader));
+    validate_plan(reader, parsed.plans.back(), i);
   }
   reader.set_context("");
   if (!reader.exhausted()) {
@@ -747,200 +623,42 @@ void export_artifact(models::QuantModel& model, const std::string& path) {
 
 hw::IntegerNetwork load_artifact(const std::string& path) {
   ParsedArtifact parsed = parse_artifact(path);
-  // from_plans / from_rungs re-finalize: every layer of every rung
-  // selects its igemm kernel (honouring $CCQ_IGEMM_KERNEL) and re-packs
-  // its weight panel in that kernel's layout, so a loaded artifact
+  // from_plans re-finalizes: every layer selects its igemm kernel
+  // (honouring $CCQ_IGEMM_KERNEL) and re-packs its weight panel in that
+  // kernel's layout, so a loaded artifact
   // serves with the same per-layer kernel choices a freshly compiled
   // network would get on this host.  Re-throw with the artifact path so
   // a bad kernel override at load time names what was being loaded.
   try {
-    return hw::IntegerNetwork::from_rungs(std::move(parsed.rungs),
-                                          std::move(parsed.info));
+    return hw::IntegerNetwork::from_plans(std::move(parsed.plans));
   } catch (const Error& e) {
     throw Error("artifact " + path + ": " + e.what());
   }
 }
 
 ArtifactInfo inspect_artifact(const std::string& path) {
-  ParsedArtifact parsed = parse_artifact(path);
+  const ParsedArtifact parsed = parse_artifact(path);
   ArtifactInfo info;
   info.version = kArtifactVersion;
-  info.rung_count = parsed.rungs.size();
-  info.layer_count = parsed.rungs.front().size();
+  info.layer_count = parsed.plans.size();
   info.file_bytes = parsed.file_bytes;
   info.payload_bytes = parsed.payload_bytes;
-  info.rungs = parsed.info;
   info.layers.reserve(info.layer_count);
-  for (std::size_t i = 0; i < info.layer_count; ++i) {
-    ArtifactLayerInfo layer;
-    layer.name = parsed.rungs.front()[i].name;
-    layer.kind = kind_str(parsed.rungs.front()[i].kind);
-    for (const auto& rung : parsed.rungs) {
-      const hw::IntLayerPlan& plan = rung[i];
-      const bool weighted = plan.kind == hw::IntLayerPlan::Kind::kConv ||
-                            plan.kind == hw::IntLayerPlan::Kind::kLinear;
-      layer.weight_bits.push_back(weighted ? plan.weight_bits : 0);
-      layer.act_bits.push_back(plan.has_act ? plan.act_bits : 0);
-      layer.requant_fused.push_back(plan.requant_fused);
-    }
-    info.layers.push_back(std::move(layer));
-  }
-  // fp32-equivalent of the serialized tensors at one rung (weights,
-  // per-channel scales, folded biases) — rung choice is irrelevant, the
-  // counts are geometry, which is rung-invariant.
-  for (const auto& plan : parsed.rungs.front()) {
+  for (const hw::IntLayerPlan& plan : parsed.plans) {
+    const bool weighted = plan.kind == hw::IntLayerPlan::Kind::kConv ||
+                          plan.kind == hw::IntLayerPlan::Kind::kLinear;
+    info.layers.push_back(ArtifactLayerInfo{
+        .name = plan.name,
+        .kind = kind_str(plan.kind),
+        .weight_bits = weighted ? plan.weight_bits : 0,
+        .act_bits = plan.has_act ? plan.act_bits : 0,
+        .requant_fused = plan.requant_fused});
+    // fp32-equivalent of the serialized tensors (weights, per-channel
+    // scales, folded biases).
     info.float_bytes += 4 * (plan.weight_codes.size() +
                              plan.channel_scale.size() + plan.bias.size());
   }
   return info;
-}
-
-// ---- multi-point build -----------------------------------------------------
-
-namespace {
-
-/// Scoped restore of every non-frozen layer's ladder position —
-/// build_multipoint re-bins the registry per candidate rung and must
-/// put the model back even when a compile throws.
-class LadderPositionGuard {
- public:
-  explicit LadderPositionGuard(quant::LayerRegistry& registry)
-      : registry_(registry) {
-    saved_.resize(registry.size());
-    for (std::size_t i = 0; i < registry.size(); ++i) {
-      saved_[i] = registry.unit(i).ladder_pos;
-    }
-  }
-  ~LadderPositionGuard() {
-    for (std::size_t i = 0; i < registry_.size(); ++i) {
-      if (registry_.unit(i).frozen) continue;
-      if (registry_.unit(i).ladder_pos != saved_[i]) {
-        registry_.set_ladder_pos(i, saved_[i]);
-      }
-    }
-  }
-  LadderPositionGuard(const LadderPositionGuard&) = delete;
-  LadderPositionGuard& operator=(const LadderPositionGuard&) = delete;
-
- private:
-  quant::LayerRegistry& registry_;
-  std::vector<std::size_t> saved_;
-};
-
-/// Ladder positions of configuration t: every non-frozen layer starts at
-/// position 0 (the descent's initial quantization) and the first `t`
-/// trail steps are replayed on top.
-std::vector<std::size_t> config_at(const quant::LayerRegistry& registry,
-                                   const core::RungTrail& trail,
-                                   std::size_t t) {
-  std::vector<std::size_t> pos(registry.size(), 0);
-  for (std::size_t s = 0; s < t; ++s) {
-    const core::TrailStep& step = trail[s];
-    CCQ_CHECK(step.layer < registry.size(),
-              "rung trail step " + std::to_string(s) + " names layer " +
-                  std::to_string(step.layer) + " outside the registry");
-    CCQ_CHECK(!registry.unit(step.layer).frozen,
-              "rung trail step " + std::to_string(s) + " moves frozen layer " +
-                  registry.unit(step.layer).name);
-    CCQ_CHECK(step.ladder_pos < registry.ladder().size(),
-              "rung trail step " + std::to_string(s) + " puts layer " +
-                  registry.unit(step.layer).name + " at ladder position " +
-                  std::to_string(step.ladder_pos) + ", off the ladder (" +
-                  registry.ladder().str() + ")");
-    pos[step.layer] = step.ladder_pos;
-  }
-  return pos;
-}
-
-}  // namespace
-
-hw::IntegerNetwork build_multipoint(models::QuantModel& model,
-                                    const core::RungTrail& trail,
-                                    const MultiPointOptions& options) {
-  CCQ_CHECK(options.rungs >= 2,
-            "a multi-point artifact needs at least 2 rungs (use "
-            "export_artifact for a single operating point)");
-  CCQ_CHECK(options.size_budget >= 1.0, "size budget below 1x is unmeetable");
-  CCQ_CHECK(!trail.empty(),
-            "model has no rung trail — multi-point export needs the ladder "
-            "pick history (re-run `ccq run` with this build so the snapshot "
-            "records it)");
-  quant::LayerRegistry& registry = model.registry();
-  const std::size_t total = trail.size();
-
-  // The model must sit at the trail's final configuration: the replay
-  // quantizes the *final* weights at historical bit widths, so a trail
-  // that disagrees with the model would fabricate rungs the descent
-  // never visited.
-  const std::vector<std::size_t> final_pos = config_at(registry, trail, total);
-  for (std::size_t i = 0; i < registry.size(); ++i) {
-    if (registry.unit(i).frozen) continue;
-    CCQ_CHECK(registry.unit(i).ladder_pos == final_pos[i],
-              "rung trail ends with layer " + registry.unit(i).name +
-                  " at ladder position " + std::to_string(final_pos[i]) +
-                  ", but the model sits at " +
-                  std::to_string(registry.unit(i).ladder_pos) +
-                  " — snapshot and trail disagree");
-  }
-
-  LadderPositionGuard restore(registry);
-  const std::string single_payload =
-      encode_payload(hw::IntegerNetwork::compile(model));
-  const auto budget =
-      static_cast<double>(single_payload.size() + kHeaderBytes) *
-                      options.size_budget;
-
-  // Candidate selection: `rungs` trail points evenly spaced over a span
-  // ending at the final configuration.  When the encoding busts the
-  // budget, shorten the span one step — candidates crowd toward the
-  // final configuration, deltas shrink, and the encoding approaches the
-  // single-point size.  One step (not a halving): the widest fitting
-  // span keeps the most rungs after deduplication, and a trail is at
-  // most 2× the layer count, so the retries stay cheap.
-  std::size_t span = total;
-  for (;;) {
-    std::vector<std::size_t> steps;
-    for (std::size_t j = 0; j < options.rungs; ++j) {
-      const std::size_t t =
-          total - span + span * j / (options.rungs - 1);
-      if (steps.empty() || t > steps.back()) steps.push_back(t);
-    }
-    std::vector<std::vector<hw::IntLayerPlan>> rungs;
-    std::vector<hw::RungInfo> info;
-    for (std::size_t t : steps) {
-      const std::vector<std::size_t> pos = config_at(registry, trail, t);
-      for (std::size_t i = 0; i < registry.size(); ++i) {
-        if (registry.unit(i).frozen) continue;
-        if (registry.unit(i).ladder_pos != pos[i]) {
-          registry.set_ladder_pos(i, pos[i]);
-        }
-      }
-      const hw::IntegerNetwork compiled = hw::IntegerNetwork::compile(model);
-      std::vector<hw::IntLayerPlan> plans;
-      plans.reserve(compiled.layer_count());
-      for (std::size_t i = 0; i < compiled.layer_count(); ++i) {
-        plans.push_back(compiled.plan(i));
-      }
-      rungs.push_back(std::move(plans));
-      hw::RungInfo rung;
-      rung.trail_step =
-          t == total ? -1 : static_cast<std::int32_t>(t);
-      rung.val_acc = t > 0 ? trail[t - 1].val_acc : 0.0f;
-      info.push_back(rung);
-    }
-    hw::IntegerNetwork net =
-        hw::IntegerNetwork::from_rungs(std::move(rungs), std::move(info));
-    const std::string multi_payload = encode_payload(net);
-    if (static_cast<double>(multi_payload.size() + kHeaderBytes) <= budget) {
-      return net;
-    }
-    CCQ_CHECK(span > 1,
-              "multi-point artifact cannot meet the " +
-                  std::to_string(options.size_budget) +
-                  "x size budget even with adjacent rungs — raise "
-                  "MultiPointOptions::size_budget");
-    span -= 1;
-  }
 }
 
 }  // namespace ccq::serve

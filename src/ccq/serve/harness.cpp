@@ -73,7 +73,7 @@ HarnessReport ServeHarness::run(const Tensor& samples,
   CCQ_CHECK(samples.rank() == 4, "harness expects an NCHW sample batch");
   CCQ_CHECK(options.producers >= 1, "harness needs at least one producer");
   const bool tcp = server_ == nullptr;
-  const bool open_loop = options.offered_rps > 0.0 || !options.ramp.empty();
+  const bool open_loop = options.offered_rps > 0.0;
   CCQ_CHECK(!(tcp && open_loop),
             "the open loop is in-process only (TCP clients are blocking, "
             "one request in flight per connection)");
@@ -81,28 +81,6 @@ HarnessReport ServeHarness::run(const Tensor& samples,
   const std::vector<Tensor> inputs = split_samples(samples);
   const std::size_t n = inputs.size();
   const std::size_t producers = options.producers;
-
-  // Scripted ramp: fix every request's offer time up front by walking
-  // the stages, so the offered-load trajectory is exactly reproducible
-  // run to run regardless of producer scheduling.
-  std::vector<Clock::duration> offer_at;
-  if (!options.ramp.empty()) {
-    offer_at.reserve(n);
-    auto cursor = Clock::duration::zero();
-    for (const RampStage& stage : options.ramp) {
-      CCQ_CHECK(stage.rps > 0.0 && stage.requests > 0,
-                "every ramp stage needs a positive rps and request count");
-      const auto gap = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(1.0 / stage.rps));
-      for (std::size_t i = 0; i < stage.requests; ++i) {
-        offer_at.push_back(cursor);
-        cursor += gap;
-      }
-    }
-    CCQ_CHECK(offer_at.size() == n,
-              "ramp stages offer " + std::to_string(offer_at.size()) +
-                  " requests, the batch holds " + std::to_string(n));
-  }
 
   CCQ_CHECK(options.priorities.empty() || options.priorities.size() == n,
             "per-sample priorities must match the sample count (" +
@@ -116,7 +94,6 @@ HarnessReport ServeHarness::run(const Tensor& samples,
   HarnessReport report;
   report.outputs.resize(n);
   report.versions.assign(n, 0);
-  report.rungs.assign(n, -1);
   std::vector<std::uint64_t> latencies(n, 0);
   std::vector<char> answered(n, 0);
   std::atomic<std::size_t> offered{0};
@@ -153,10 +130,6 @@ HarnessReport ServeHarness::run(const Tensor& samples,
         request.height = inputs[i].dim(1);
         request.width = inputs[i].dim(2);
         request.data.assign(inputs[i].data().begin(), inputs[i].data().end());
-        if (options.tag_points || options.rung >= 0) {
-          request.has_point = true;
-          request.point = options.rung;
-        }
         if (priority_of(i) != Priority::kNormal) {
           request.has_priority = true;
           request.priority = static_cast<std::uint8_t>(priority_of(i));
@@ -179,9 +152,6 @@ HarnessReport ServeHarness::run(const Tensor& samples,
                 {reply.logits.size()},
                 FloatVec(reply.logits.begin(), reply.logits.end()));
             report.versions[i] = reply.version;
-            if (reply.has_rung) {
-              report.rungs[i] = static_cast<std::int32_t>(reply.rung);
-            }
             answered[i] = 1;
             swap.on_admit();
             break;
@@ -211,22 +181,17 @@ HarnessReport ServeHarness::run(const Tensor& samples,
     // hot-swap routes later submissions to the new current version.
     std::vector<std::pair<std::size_t, std::future<void>>> pending;
     SubmitOptions submit_options;
-    submit_options.rung = options.rung;
     submit_options.deadline_us = options.deadline_us;
     for (std::size_t i = p; i < n; i += producers) {
       if (open_loop) {
-        std::this_thread::sleep_until(
-            start + (offer_at.empty() ? offer_interval * static_cast<long>(i)
-                                      : offer_at[i]));
+        std::this_thread::sleep_until(start +
+                                      offer_interval * static_cast<long>(i));
       }
       submit_options.priority = priority_of(i);
       for (;;) {
         const ModelHandle handle = server_->resolve(model_);
         try {
           const auto sent = Clock::now();
-          // report.rungs was sized up front, so &rungs[i] stays valid
-          // for the server to write at reply time.
-          submit_options.served_rung = &report.rungs[i];
           std::future<void> reply = server_->submit(
               handle, inputs[i], report.outputs[i], submit_options);
           offered.fetch_add(1, std::memory_order_relaxed);
@@ -275,11 +240,9 @@ HarnessReport ServeHarness::run(const Tensor& samples,
       } catch (const RequestShedError&) {
         shed.fetch_add(1, std::memory_order_relaxed);
         report.versions[i] = 0;
-        report.rungs[i] = -1;
       } catch (const DeadlineExceededError&) {
         deadline_missed.fetch_add(1, std::memory_order_relaxed);
         report.versions[i] = 0;
-        report.rungs[i] = -1;
       }
     }
   };

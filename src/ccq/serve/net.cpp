@@ -103,11 +103,6 @@ struct TcpServer::Impl {
               {request.channels, request.height, request.width},
               std::move(request.data));
           SubmitOptions options;
-          std::int32_t served_rung = -1;
-          if (request.has_point) {
-            options.rung = request.point;
-            options.served_rung = &served_rung;
-          }
           if (request.has_priority) {
             // Range-checked by the decoder (0..2).
             options.priority = static_cast<Priority>(request.priority);
@@ -117,10 +112,6 @@ struct TcpServer::Impl {
           reply.ok = true;
           reply.version = model.version();
           reply.logits.assign(output.data().begin(), output.data().end());
-          if (request.has_point) {
-            reply.has_rung = true;
-            reply.rung = static_cast<std::uint32_t>(served_rung);
-          }
         } catch (const wire::ProtocolError&) {
           throw;  // malformed bytes: drop the connection, not just the call
         } catch (const std::exception& error) {

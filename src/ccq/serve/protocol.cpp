@@ -28,11 +28,6 @@ void put_str(std::string& buf, const std::string& s) {
   buf.append(s);
 }
 
-void put_zigzag(std::string& buf, std::int64_t v) {
-  put_varint(buf, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));
-}
-
 void put_floats(std::string& buf, const std::vector<float>& v) {
   put_varint(buf, v.size());
   if (!v.empty()) {
@@ -82,10 +77,6 @@ class Cursor {
       pos_ += v.size() * sizeof(float);
     }
     return v;
-  }
-  std::int64_t zigzag() {
-    const std::uint64_t u = varint();
-    return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
   }
   /// True once the body is fully consumed — how optional trailing
   /// fields detect their own absence.
@@ -154,11 +145,11 @@ namespace {
 // fields.  Old decoders treat any trailing byte as garbage (their
 // `finish` fires), and new decoders reject unknown tags the same way —
 // extensibility without weakening the trailing-garbage rejection the
-// codec tests lock in.
-constexpr std::uint8_t kFieldPoint = 1;  ///< InferRequest: zigzag rung override
+// codec tests lock in.  Tag 1 (an operating-point override, echoed in
+// the reply) is retired: it is an unknown tag now, and replies carry no
+// trailing fields.
 constexpr std::uint8_t kFieldPriority = 2;  ///< InferRequest: varint class
 constexpr std::uint8_t kFieldDeadline = 3;  ///< InferRequest: varint budget us
-constexpr std::uint8_t kFieldRung = 1;   ///< InferReply: varint served rung
 
 constexpr std::uint64_t kMaxPriority = 2;  ///< highest service class on the wire
 
@@ -173,10 +164,6 @@ std::string encode_request(const InferRequest& request) {
   put_varint(body, request.height);
   put_varint(body, request.width);
   put_floats(body, request.data);
-  if (request.has_point) {
-    put_u8(body, kFieldPoint);
-    put_zigzag(body, request.point);
-  }
   if (request.has_priority) {
     put_u8(body, kFieldPriority);
     put_varint(body, request.priority);
@@ -204,10 +191,7 @@ InferRequest decode_request(std::string_view body) {
   request.data = c.floats();
   while (!c.done()) {
     const auto field = c.u8();
-    if (field == kFieldPoint && !request.has_point) {
-      request.has_point = true;
-      request.point = static_cast<std::int32_t>(c.zigzag());
-    } else if (field == kFieldPriority && !request.has_priority) {
+    if (field == kFieldPriority && !request.has_priority) {
       const std::uint64_t priority = c.varint();
       if (priority > kMaxPriority) {
         throw ProtocolError("InferRequest priority " +
@@ -270,10 +254,6 @@ std::string encode_reply(const InferReply& reply) {
     put_u8(body, static_cast<std::uint8_t>(MessageType::kReplyOk));
     put_varint(body, reply.version);
     put_floats(body, reply.logits);
-    if (reply.has_rung) {
-      put_u8(body, kFieldRung);
-      put_varint(body, reply.rung);
-    }
   } else {
     put_u8(body, static_cast<std::uint8_t>(MessageType::kReplyError));
     put_str(body, reply.error);
@@ -289,16 +269,6 @@ InferReply decode_reply(std::string_view body) {
     reply.ok = true;
     reply.version = c.varint();
     reply.logits = c.floats();
-    while (!c.done()) {
-      const auto field = c.u8();
-      if (field == kFieldRung && !reply.has_rung) {
-        reply.has_rung = true;
-        reply.rung = static_cast<std::uint32_t>(c.varint());
-      } else {
-        throw ProtocolError("InferReply carries unknown trailing field tag " +
-                            std::to_string(field));
-      }
-    }
     c.finish("InferReply");
   } else if (tag == static_cast<std::uint8_t>(MessageType::kReplyError)) {
     reply.ok = false;

@@ -75,16 +75,15 @@ enum class MessageType : std::uint8_t {
 /// One inference call: route `data` (a C×H×W sample, row-major) to
 /// `model` at `version` (0 = whatever version is current server-side).
 ///
-/// The operating-point override, priority and deadline travel as
-/// *optional trailing fields* ({u8 field tag, varint value} after
-/// `data`; zigzag for the signed rung override) — tag 1 = rung
-/// override, tag 2 = priority, tag 3 = deadline_us.  A frame with none
-/// of them is byte-identical to the pre-SLA protocol revisions
-/// (golden-frame-tested), unknown or duplicate tags are rejected, and
-/// an old server receiving a tag rejects the frame with its existing
-/// trailing-bytes ProtocolError instead of silently ignoring it — a
-/// request asking for a QoS the server cannot honour must not be
-/// served at an arbitrary one.  Hostile values are rejected at decode:
+/// The priority and deadline travel as *optional trailing fields*
+/// ({u8 field tag, varint value} after `data`) — tag 2 = priority,
+/// tag 3 = deadline_us.  A frame with neither is byte-identical to the
+/// pre-SLA protocol revisions (golden-frame-tested).  Unknown or
+/// duplicate tags are rejected — among them tag 1, the retired
+/// operating-point override — and an old server receiving a tag
+/// rejects the frame with its existing trailing-bytes ProtocolError
+/// instead of silently ignoring it: a request asking for a QoS the
+/// server cannot honour must not be served at an arbitrary one.  Hostile values are rejected at decode:
 /// a priority beyond the enum, a deadline of 0 (the tag would claim a
 /// budget while meaning "none" — omit it instead).  A u64-max deadline
 /// is legal and saturates server-side instead of wrapping.
@@ -95,8 +94,6 @@ struct InferRequest {
   std::size_t height = 0;
   std::size_t width = 0;
   std::vector<float> data;
-  bool has_point = false;       ///< operating-point tag present
-  std::int32_t point = -1;      ///< requested serving rung (−1 = server picks)
   bool has_priority = false;    ///< priority tag present
   std::uint8_t priority = 1;    ///< service class (0 low, 1 normal, 2 high)
   bool has_deadline = false;    ///< deadline tag present
@@ -105,16 +102,12 @@ struct InferRequest {
 
 /// The answer: logits plus the version that actually served the request
 /// (so clients observe hot-swaps), or the server-side error message.
-/// `rung` is echoed (same optional-trailing-field scheme) only when the
-/// request carried an operating-point tag, so replies to untagged
-/// requests stay byte-identical to the previous protocol revision.
+/// Replies carry no trailing fields.
 struct InferReply {
   bool ok = false;
   std::uint64_t version = 0;    ///< served version (ok replies)
   std::vector<float> logits;    ///< ok replies
   std::string error;            ///< error replies
-  bool has_rung = false;        ///< serving-rung tag present
-  std::uint32_t rung = 0;       ///< rung that served the request
 };
 
 std::string encode_request(const InferRequest& request);

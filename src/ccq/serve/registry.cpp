@@ -31,9 +31,6 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
       telemetry::named_metric(NamedKind::kTimer, prefix + "latency");
   metrics.batch_size =
       telemetry::named_metric(NamedKind::kTimer, prefix + "batch_size");
-  metrics.rung = telemetry::named_metric(NamedKind::kGauge, prefix + "rung");
-  metrics.rung_switches =
-      telemetry::named_metric(NamedKind::kCounter, prefix + "rung_switches");
   metrics.deadline_miss =
       telemetry::named_metric(NamedKind::kCounter, prefix + "deadline_miss");
   for (std::size_t p = 0; p < kPriorityCount; ++p) {
@@ -47,9 +44,6 @@ LoadedModel::LoadedModel(std::string name_in, std::uint64_t version_in,
       telemetry::named_metric(NamedKind::kGauge, prefix + "p99_vs_slo");
   metrics.stage_queue =
       telemetry::named_metric(NamedKind::kTimer, prefix + "stage.queue");
-  point = OperatingPointController(config.adaptive, net.rung_count(),
-                                   metrics.latency, metrics.rung,
-                                   metrics.rung_switches);
 }
 
 }  // namespace detail

@@ -40,7 +40,6 @@
 
 #include "ccq/common/error.hpp"
 #include "ccq/hw/integer_engine.hpp"
-#include "ccq/serve/adaptive.hpp"
 #include "ccq/serve/sla.hpp"
 
 namespace ccq::serve {
@@ -69,9 +68,6 @@ struct ModelConfig {
   /// gauge (ratio of observed p99 to this target; > 1 = violating).
   /// 0 disables the gauge.
   std::uint64_t slo_us = 0;
-  /// Operating-point (serving rung) selection for multi-point models —
-  /// inert on single-rung networks.  See serve/adaptive.hpp.
-  OperatingPointPolicy adaptive;
 };
 
 /// Resolution failed: no model (or no such version) under that name.
@@ -106,12 +102,6 @@ struct Request {
   /// is checked at dequeue time, never at admission.
   std::uint64_t deadline_ns = 0;
   std::uint64_t deadline_us = 0;  ///< original budget (for diagnostics)
-  /// Explicit operating-point override (validated at admission); −1 =
-  /// let the model's OperatingPointController choose at flush time.
-  std::int32_t rung = -1;
-  /// When non-null, receives the rung that actually served the request
-  /// (written before the promise is fulfilled).
-  std::int32_t* served_rung = nullptr;
 };
 
 /// One loaded model version: the compiled network plus its serving
@@ -137,8 +127,6 @@ struct LoadedModel {
     int queue_depth = -1;
     int latency = -1;
     int batch_size = -1;
-    int rung = -1;           ///< gauge: rung currently selected
-    int rung_switches = -1;  ///< counter: operating-point transitions
     int deadline_miss = -1;  ///< counter: requests dropped expired at dequeue
     /// Counters: requests shed by admission control (rejected at the
     /// door or evicted for higher-priority traffic), per service class.
@@ -160,11 +148,6 @@ struct LoadedModel {
   /// Virtual time accrued by the fair scheduler (served samples /
   /// config.weight) — the worker pool flushes the least-vtime model.
   double vtime = 0.0;
-  std::uint64_t admitted = 0;         ///< requests admitted, lifetime
-  std::uint64_t deadline_misses = 0;  ///< requests expired at dequeue, lifetime
-  /// Rung selector — decisions happen at batch-flush time under the
-  /// owner's mutex, hence queue state.
-  OperatingPointController point;
 };
 
 }  // namespace detail

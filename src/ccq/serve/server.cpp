@@ -130,16 +130,10 @@ detail::Request InferenceServer::make_request(
   CCQ_CHECK(sample.rank() == 3,
             "submit expects one CHW sample, got rank " +
                 std::to_string(sample.rank()));
-  CCQ_CHECK(options.rung < static_cast<std::int32_t>(model.net.rung_count()),
-            "operating-point override " + std::to_string(options.rung) +
-                " out of range: model " + model.name + " serves " +
-                std::to_string(model.net.rung_count()) + " rung(s)");
   detail::Request request;
   request.input = &sample;
   request.output = &out;
   request.priority = options.priority;
-  request.rung = options.rung < 0 ? -1 : options.rung;
-  request.served_rung = options.served_rung;
   request.enqueue_ns = now_ns();
   request.deadline_us = options.deadline_us;
   // A deadline is a *relative* budget, so it cannot be expired at
@@ -218,7 +212,6 @@ void InferenceServer::admit(detail::LoadedModel& loaded,
   }
   event_ns_ = std::max(event_ns_, request.enqueue_ns);
   loaded.queue.push(std::move(request));
-  ++loaded.admitted;
   ++work_generation_;
   ++total_queued_;
   telemetry::add(telemetry::Counter::kServeRequests);
@@ -380,32 +373,15 @@ bool InferenceServer::run_one_batch(std::unique_lock<std::mutex>& lock,
   });
   if (expired > 0) {
     total_queued_ -= expired;
-    model.deadline_misses += expired;
     telemetry::add(telemetry::Counter::kServeDeadlineMiss, expired);
     telemetry::add_named(model.metrics.deadline_miss, expired);
   }
 
   std::vector<detail::Request>& batch = slot.batch;
-  std::int32_t batch_rung = 0;
-  if (!model.queue.empty()) {
-    // Fix the batch's operating point before touching the queue: the
-    // front request's explicit override wins, otherwise the model's
-    // controller decides from the observed load (queue depth plus the
-    // deadline-pressure window).  Only requests compatible with that
-    // rung (no preference, or the same override) join the batch — a
-    // batch is always one precision, structurally.
-    batch_rung = model.queue.front().rung >= 0
-                     ? model.queue.front().rung
-                     : static_cast<std::int32_t>(model.point.decide(
-                           {model.queue.size(), now, model.admitted,
-                            model.deadline_misses}));
-    while (batch.size() < model.config.max_batch && !model.queue.empty()) {
-      const detail::Request& front = model.queue.front();
-      if (front.rung >= 0 && front.rung != batch_rung) break;
-      telemetry::record_named_duration(model.metrics.stage_queue,
-                                       now - front.enqueue_ns);
-      batch.push_back(model.queue.pop_front());
-    }
+  while (batch.size() < model.config.max_batch && !model.queue.empty()) {
+    telemetry::record_named_duration(model.metrics.stage_queue,
+                                     now - model.queue.front().enqueue_ns);
+    batch.push_back(model.queue.pop_front());
   }
   const std::size_t take = batch.size();
   // Charge the fair scheduler: vtime grows by served samples over
@@ -428,8 +404,7 @@ bool InferenceServer::run_one_batch(std::unique_lock<std::mutex>& lock,
       telemetry::add_named(model.metrics.batches_inline);
     }
     try {
-      run_batch(model, batch, ws, slot.ctx,
-                static_cast<std::size_t>(batch_rung));
+      run_batch(model, batch, ws, slot.ctx);
     } catch (...) {
       failure = std::current_exception();
     }
@@ -459,8 +434,8 @@ bool InferenceServer::run_one_batch(std::unique_lock<std::mutex>& lock,
 
 void InferenceServer::run_batch(detail::LoadedModel& model,
                                 std::vector<detail::Request>& batch,
-                                Workspace& ws, const ExecContext& ctx,
-                                std::size_t rung) const {
+                                Workspace& ws,
+                                const ExecContext& ctx) const {
   const std::size_t n = batch.size();
   telemetry::add(telemetry::Counter::kServeBatches);
   telemetry::add_named(model.metrics.batches);
@@ -475,7 +450,7 @@ void InferenceServer::run_batch(detail::LoadedModel& model,
               staging.data().begin() +
                   static_cast<std::ptrdiff_t>(i * sample_floats));
   }
-  Tensor logits = model.net.forward(staging, ws, ctx, rung);
+  Tensor logits = model.net.forward(staging, ws, ctx);
   ws.recycle(std::move(staging));
   const std::size_t classes = logits.dim(1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -483,9 +458,6 @@ void InferenceServer::run_batch(detail::LoadedModel& model,
     out.resize({classes});
     const auto row = logits.data().subspan(i * classes, classes);
     std::copy(row.begin(), row.end(), out.data().begin());
-    if (batch[i].served_rung != nullptr) {
-      *batch[i].served_rung = static_cast<std::int32_t>(rung);
-    }
     const std::uint64_t latency = now_ns() - batch[i].enqueue_ns;
     telemetry::record_duration(telemetry::Timer::kServeLatency, latency);
     telemetry::record_named_duration(model.metrics.latency, latency);

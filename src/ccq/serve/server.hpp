@@ -82,7 +82,7 @@ struct ServeConfig {
   /// Injectable clock (nanoseconds, monotone non-decreasing; must be
   /// callable from any thread).  Null = the real steady clock.  Every
   /// time-dependent serving decision — batching deadlines, request
-  /// deadlines, latency samples, operating-point dwell — reads this
+  /// deadlines, latency samples — reads this
   /// seam, which is how `tests/serve_sla_test.cpp` asserts scheduler
   /// properties exactly under a virtual clock.  With an injected clock
   /// workers never park on a timer: deadlines are (re)evaluated at
@@ -125,15 +125,6 @@ struct SubmitOptions {
   /// and no batch slot is spent on it.  The deadline bounds queueing,
   /// not execution: once batched, the request is served.
   std::uint64_t deadline_us = 0;
-  /// Operating-point override: serve this request at exactly rung
-  /// `rung` of the model's artifact.  −1 = let the model's
-  /// `OperatingPointController` choose at flush time.  Out-of-range
-  /// overrides are rejected at admission (ccq::Error naming the model's
-  /// rung count).
-  std::int32_t rung = -1;
-  /// When non-null, receives the rung that served the request, written
-  /// before its future becomes ready.  Must stay alive until then.
-  std::int32_t* served_rung = nullptr;
 };
 
 class InferenceServer {
@@ -183,8 +174,7 @@ class InferenceServer {
   /// through the future.
   std::future<void> submit(const ModelHandle& model, const Tensor& sample,
                            Tensor& out);
-  /// As above with per-request options (operating-point override /
-  /// served-rung report-back).
+  /// As above with per-request options (priority, deadline).
   std::future<void> submit(const ModelHandle& model, const Tensor& sample,
                            Tensor& out, const SubmitOptions& options);
 
@@ -269,7 +259,7 @@ class InferenceServer {
   /// propagates; failing the batch's requests is the caller's job.
   void run_batch(detail::LoadedModel& model,
                  std::vector<detail::Request>& batch, Workspace& ws,
-                 const ExecContext& ctx, std::size_t rung) const;
+                 const ExecContext& ctx) const;
   /// Mark `models` retired and prune already-idle ones from the scan
   /// list (the worker pool prunes the rest as their queues drain).
   void retire(const std::vector<ModelPtr>& models);

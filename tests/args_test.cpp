@@ -1,6 +1,8 @@
 // Tests for the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ccq/common/args.hpp"
 #include "ccq/common/error.hpp"
 
@@ -38,6 +40,49 @@ TEST(ArgsTest, IntParsingAndValidation) {
   EXPECT_THROW(bad.get_int("epochs", 0), Error);
 }
 
+TEST(ArgsTest, IntOutsideIntRangeIsRejectedNotNarrowed) {
+  // strtol reads a long; narrowed to int, 2^32 would read as 0.
+  const Args args = parse({"serve", "--max-delay-us", "4294967296",
+                           "--big", "2147483648", "--max", "2147483647"});
+  try {
+    args.get_int("max-delay-us", 0);
+    FAIL() << "2^32 accepted as an int";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("--max-delay-us"), std::string::npos) << message;
+    EXPECT_NE(message.find("out of range"), std::string::npos) << message;
+  }
+  EXPECT_THROW(args.get_int("big", 0), Error);
+  EXPECT_EQ(args.get_int("max", 0), 2147483647);
+  // Far past long too (strtol's own ERANGE).
+  const Args huge = parse({"run", "--n", "99999999999999999999999"});
+  EXPECT_THROW(huge.get_int("n", 0), Error);
+  const Args list = parse({"run", "--ladder", "8,4294967296"});
+  EXPECT_THROW(list.get_int_list("ladder", {}), Error);
+}
+
+TEST(ArgsTest, SizeRejectsNegativeValuesNamingTheFlag) {
+  // The tokenizer takes a value starting with '-' for a flag, but strtol
+  // skips leading blanks, so " -1" reaches the getter as -1 — which a
+  // static_cast<std::size_t> would turn into 2^64 - 1.
+  const Args args = parse({"serve", "--workers", " -1", "--queue-cap", "0",
+                           "--requests", "512", "--max-batch", "4294967296"});
+  try {
+    args.get_size("workers", 2);
+    FAIL() << "negative --workers accepted";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("--workers"), std::string::npos) << message;
+    EXPECT_NE(message.find("non-negative"), std::string::npos) << message;
+  }
+  EXPECT_EQ(args.get_size("queue-cap", 64), 0u);
+  EXPECT_EQ(args.get_size("requests", 1), 512u);
+  EXPECT_EQ(args.get_size("absent", 7), 7u);
+  EXPECT_THROW(args.get_size("max-batch", 8), Error);
+  const Args bad = parse({"serve", "--workers", "two"});
+  EXPECT_THROW(bad.get_size("workers", 2), Error);
+}
+
 TEST(ArgsTest, BareFlags) {
   const Args args = parse({"run", "--no-memory", "--gamma", "2"});
   EXPECT_TRUE(args.get_flag("no-memory"));
@@ -67,6 +112,27 @@ TEST(ArgsTest, UnusedTracksUnqueriedKeys) {
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(ArgsTest, RejectUnusedNamesTheCommandAndEveryUnreadFlag) {
+  // `serve` flags of a removed feature must fail, not serve defaults.
+  const Args args = parse({"serve", "--listen", "0", "--rung", "1",
+                           "--degrade-depth", "4"});
+  args.get_int("listen", -1);
+  try {
+    args.reject_unused();
+    FAIL() << "unread flags accepted";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("serve does not take"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("--rung"), std::string::npos) << message;
+    EXPECT_NE(message.find("--degrade-depth"), std::string::npos) << message;
+    EXPECT_EQ(message.find("--listen"), std::string::npos) << message;
+  }
+  args.get_int("rung", -1);
+  args.get_int("degrade-depth", 0);
+  EXPECT_NO_THROW(args.reject_unused());
 }
 
 TEST(ArgsTest, NegativeNumbersAreNotFlags) {

@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "ccq/core/baselines.hpp"
 #include "ccq/core/ccq.hpp"
+#include "ccq/core/controller.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/simple.hpp"
 
@@ -255,6 +261,79 @@ TEST(BaselinesTest, HawqProxyAssignsMixedPrecision) {
   }
   EXPECT_GT(bits.size(), 1u);
   EXPECT_GT(r.compression, 1.0);
+}
+
+// ---- the pick trail ----------------------------------------------------------
+
+TEST(TrailPersistenceTest, ControllerRecordsPicksAndPersistsState) {
+  data::SyntheticConfig dc;
+  dc.num_classes = 4;
+  dc.samples_per_class = 20;
+  dc.height = dc.width = 8;
+  dc.seed = 5;
+  data::Dataset train_set = data::make_synthetic_vision(dc);
+  data::Dataset val_set = train_set.take_tail(24);
+
+  models::ModelConfig mc;
+  mc.num_classes = 4;
+  mc.image_size = 8;
+  mc.width_multiplier = 0.25f;
+  quant::QuantFactory factory{.policy = quant::Policy::kMinMax};
+  auto model = models::make_simple_cnn(mc, factory,
+                                       quant::BitLadder({8, 4, 2}));
+
+  CcqConfig config;
+  config.probes_per_step = 2;
+  config.probe_samples = 24;
+  config.max_recovery_epochs = 1;
+  config.initial_recovery_epochs = 1;
+  config.finetune.batch_size = 16;
+  config.max_steps = 2;
+  CcqController controller(model, train_set, val_set, config);
+  controller.init();
+  while (!controller.done()) controller.step();
+
+  // One trail entry per committed step, each naming a real layer and a
+  // real ladder position.
+  const RungTrail& trail = controller.trail();
+  ASSERT_EQ(trail.size(), 2u);
+  for (const TrailStep& step : trail) {
+    EXPECT_LT(step.layer, model.registry().size());
+    EXPECT_LT(step.ladder_pos, model.registry().ladder().size());
+  }
+
+  // v2 state round-trip carries the trail.
+  const std::string state_path =
+      (std::filesystem::temp_directory_path() / "ccq_trail_state.bin")
+          .string();
+  controller.save_state(state_path);
+  CcqController resumed(model, train_set, val_set, config);
+  ASSERT_TRUE(resumed.load_state(state_path));
+  EXPECT_EQ(resumed.trail(), trail);
+
+  // A v1 state (an old build's output: no trail block) still loads —
+  // with an empty trail.  Simulated by byte surgery: patch the version
+  // field and splice out the trail section it precedes.
+  std::string bytes;
+  {
+    std::ifstream is(state_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));  // after the u64 magic
+  // Trail block lives after magic(8) + version(4) + layers(8) + step(4)
+  // + epoch(4) + planned(4) + baseline(4) + recovery(4) = offset 40:
+  // u64 count + count * (u32 layer + u32 pos + f32 acc).
+  const std::size_t trail_bytes = 8 + trail.size() * 12;
+  bytes.erase(40, trail_bytes);
+  {
+    std::ofstream os(state_path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  CcqController legacy(model, train_set, val_set, config);
+  ASSERT_TRUE(legacy.load_state(state_path));
+  EXPECT_TRUE(legacy.trail().empty());
+  std::filesystem::remove(state_path);
 }
 
 }  // namespace

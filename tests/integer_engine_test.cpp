@@ -409,8 +409,8 @@ TEST(IntegerEngineTest, FromPlansRejectsLayersPastTheEightBitCeiling) {
 // The epilogues index channel_scale, bias and requant by output channel
 // and requant_apply shifts by requant.shift, so finalize rejects a plan
 // whose vectors do not hold one entry per output channel, or whose
-// shift lies outside [1, 62], naming the layer — from_plans and
-// from_rungs alike, not just the artifact reader.
+// shift lies outside [1, 62], naming the layer — in from_plans, not just
+// the artifact reader.
 
 /// A fused 4-bit linear layer with valid requant parameters (two
 /// output channels).
@@ -460,20 +460,11 @@ TEST(IntegerEngineTest, FinalizeRejectsRequantOfTheWrongLength) {
   IntLayerPlan plan = fused_linear_plan();
   EXPECT_EQ(from_plans_error({plan}), "");
   plan.requant.pop_back();
-  std::string message = from_plans_error({plan});
+  const std::string message = from_plans_error({plan});
   EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
   EXPECT_NE(message.find("1 requant entries for 2 output channels"),
             std::string::npos)
       << message;
-  // from_rungs finalizes every rung through the same checks.
-  try {
-    IntegerNetwork::from_rungs({{fused_linear_plan()}, {plan}},
-                               {RungInfo{}, RungInfo{}});
-    message.clear();
-  } catch (const Error& e) {
-    message = e.what();
-  }
-  EXPECT_NE(message.find("'fc_boundary'"), std::string::npos) << message;
 }
 
 TEST(IntegerEngineTest, FinalizeRejectsRequantShiftsOutsideOneToSixtyTwo) {

@@ -11,9 +11,11 @@
 // The SLA wire fields (priority tag 2, deadline tag 3) get the same
 // treatment: round-trips in every combination, rejection of hostile
 // values (priority past the enum, zero deadlines), truncation at every
-// byte of a fully-tagged frame, and a golden byte-for-byte check that
-// an untagged request still encodes exactly as it did before the tags
-// existed — old clients and new servers interoperate.
+// byte of a fully-tagged frame, and golden byte-for-byte checks that
+// untagged, priority-tagged and deadline-tagged requests encode exactly
+// as they always have — old clients and new servers interoperate.  Tag
+// 1, the retired operating-point override, is rejected like any unknown
+// tag, and over TCP it drops the connection unanswered.
 //
 // Connection threads serve through the blocking `InferenceServer::infer`,
 // so the TCP tests also cover a request that runs its own batch on the
@@ -22,8 +24,13 @@
 // deadline expiry) and cross the wire.
 //
 // Labelled `serve` and run under the TSan quick tier
-// (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve|igemm|engine|adaptive|sla"`).
+// (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve|igemm|engine|sla"`).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -295,44 +302,44 @@ wire::InferRequest small_request() {
   return request;
 }
 
+/// `small_request()` encoded with the high-priority tag (tag 2).
+std::string small_request_with_priority() {
+  wire::InferRequest request = small_request();
+  request.has_priority = true;
+  request.priority = 2;
+  return wire::encode_request(request);
+}
+
 TEST(WireSlaFieldTest, TagsRoundTripInEveryCombination) {
-  // Each optional field independently, then all three together — the
-  // decoder must not care which subset is present.
-  for (const bool with_point : {false, true}) {
-    for (const bool with_priority : {false, true}) {
-      for (const bool with_deadline : {false, true}) {
-        wire::InferRequest request = small_request();
-        if (with_point) {
-          request.has_point = true;
-          request.point = -1;  // zigzag: "serve at the current rung"
-        }
-        if (with_priority) {
-          request.has_priority = true;
-          request.priority = 2;
-        }
-        if (with_deadline) {
-          request.has_deadline = true;
-          request.deadline_us = 1500;
-        }
-        const wire::InferRequest decoded =
-            wire::decode_request(wire::encode_request(request));
-        EXPECT_EQ(decoded.has_point, with_point);
-        EXPECT_EQ(decoded.has_priority, with_priority);
-        EXPECT_EQ(decoded.has_deadline, with_deadline);
-        if (with_point) EXPECT_EQ(decoded.point, -1);
-        if (with_priority) EXPECT_EQ(decoded.priority, 2);
-        if (with_deadline) EXPECT_EQ(decoded.deadline_us, 1500u);
+  // Each optional field independently, then both together — the decoder
+  // must not care which subset is present.
+  for (const bool with_priority : {false, true}) {
+    for (const bool with_deadline : {false, true}) {
+      wire::InferRequest request = small_request();
+      if (with_priority) {
+        request.has_priority = true;
+        request.priority = 2;
       }
+      if (with_deadline) {
+        request.has_deadline = true;
+        request.deadline_us = 1500;
+      }
+      const wire::InferRequest decoded =
+          wire::decode_request(wire::encode_request(request));
+      EXPECT_EQ(decoded.has_priority, with_priority);
+      EXPECT_EQ(decoded.has_deadline, with_deadline);
+      if (with_priority) EXPECT_EQ(decoded.priority, 2);
+      if (with_deadline) EXPECT_EQ(decoded.deadline_us, 1500u);
     }
   }
 }
 
-TEST(WireSlaFieldTest, UntaggedRequestBytesNeverChanged) {
+TEST(WireSlaFieldTest, RequestBytesNeverChanged) {
   // Golden bytes: a request with no optional fields must encode exactly
   // as it did before the SLA tags existed, so pre-SLA clients and
-  // servers interoperate with tagged ones.  Any byte here changing is a
-  // wire break, not a refactor.
-  const wire::InferRequest request = small_request();
+  // servers interoperate with tagged ones, and each SLA field appends
+  // its tag byte and its varint value.  Any byte here changing is a wire
+  // break, not a refactor.
   std::string golden;
   golden.push_back('\x01');  // tag: InferRequest
   golden.push_back('\x01');  // model name length 1 …
@@ -344,7 +351,15 @@ TEST(WireSlaFieldTest, UntaggedRequestBytesNeverChanged) {
   golden.push_back('\x02');  // float count 2
   const float floats[2] = {1.0f, 2.0f};
   golden.append(reinterpret_cast<const char*>(floats), sizeof(floats));
-  EXPECT_EQ(wire::encode_request(request), golden);
+  EXPECT_EQ(wire::encode_request(small_request()), golden);
+
+  EXPECT_EQ(small_request_with_priority(),
+            golden + std::string("\x02\x02", 2));
+  wire::InferRequest budgeted = small_request();
+  budgeted.has_deadline = true;
+  budgeted.deadline_us = 300;  // varint 0xac 0x02
+  EXPECT_EQ(wire::encode_request(budgeted),
+            golden + std::string("\x03\xac\x02", 3));
 }
 
 TEST(WireSlaFieldTest, HostilePriorityAndDeadlineValuesRejected) {
@@ -379,24 +394,36 @@ TEST(WireSlaFieldTest, HostilePriorityAndDeadlineValuesRejected) {
 
 TEST(WireSlaFieldTest, DuplicateAndUnknownTagsRejected) {
   const std::string base = wire::encode_request(small_request());
-  for (const char tag : {'\x01', '\x02', '\x03'}) {
+  for (const char tag : {'\x02', '\x03'}) {
     // Two copies of the same optional field: the second falls through
     // to the unknown-tag arm — a frame states each fact at most once.
     std::string body = base;
     for (int copy = 0; copy < 2; ++copy) {
       body.push_back(tag);
-      body.push_back('\x01');  // a valid value for all three fields
+      body.push_back('\x01');  // a valid value for both fields
     }
     const std::string message =
         error_message([&] { wire::decode_request(body); });
     EXPECT_NE(message.find("unknown trailing field"), std::string::npos)
         << "tag " << static_cast<int>(tag) << ": " << message;
   }
-  // A tag past the known set rejects outright.
-  std::string body = base;
-  body.push_back('\x04');
-  body.push_back('\x01');
-  EXPECT_THROW(wire::decode_request(body), wire::ProtocolError);
+  // Tags outside the known set reject outright, naming the tag, alone
+  // and after a known field: one past the set, a high one, and tag 1 —
+  // an operating-point override in earlier revisions, which a server
+  // serving one precision per model must refuse, not serve at another.
+  for (const std::string& prefix : {base, small_request_with_priority()}) {
+    for (const int tag : {1, 4, 7}) {
+      std::string body = prefix;
+      body.push_back(static_cast<char>(tag));
+      body.push_back('\x00');
+      const std::string message =
+          error_message([&] { wire::decode_request(body); });
+      EXPECT_NE(message.find("unknown trailing field tag " +
+                             std::to_string(tag)),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(WireSlaFieldTest, FullyTaggedFrameTruncationLegalOnlyAtFieldBoundaries) {
@@ -408,9 +435,6 @@ TEST(WireSlaFieldTest, FullyTaggedFrameTruncationLegalOnlyAtFieldBoundaries) {
   // more fields so the test cannot drift from the encoder.
   wire::InferRequest request = small_request();
   std::set<std::size_t> boundaries;
-  boundaries.insert(wire::encode_request(request).size());
-  request.has_point = true;
-  request.point = 1;
   boundaries.insert(wire::encode_request(request).size());
   request.has_priority = true;
   request.priority = 2;
@@ -514,6 +538,39 @@ TEST(TcpServeTest, ErrorRepliesCarryServerDiagnostics) {
   // The connection survived both errors: a good request still works.
   reply = client.infer(request_for(x, 0, "known"));
   EXPECT_TRUE(reply.ok) << reply.error;
+}
+
+TEST(TcpServeTest, RetiredPointTagDropsTheConnectionUnanswered) {
+  // TcpClient only encodes known fields, so the frame goes out over a
+  // raw socket: a valid request plus tag 1 (rung 0).
+  InferenceServer server;
+  server.load("m", make_network());
+  TcpServer front(server, 0);
+  std::string body = wire::encode_request(request_for(make_inputs(1), 0, "m"));
+  body.push_back('\x01');
+  body.push_back('\x00');
+  std::string frame;
+  wire::append_frame(frame, body);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{.tv_sec = 30, .tv_usec = 0};  // a hang fails, not stalls
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(front.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // orderly close, no reply frame
+  ::close(fd);
+
+  // The server itself keeps serving well-formed requests.
+  TcpClient client("127.0.0.1", front.port());
+  EXPECT_TRUE(client.infer(request_for(make_inputs(1), 0, "m")).ok);
 }
 
 TEST(TcpServeTest, HarnessTcpModeMatchesDirectForward) {

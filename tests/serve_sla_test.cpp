@@ -622,22 +622,6 @@ TEST(ServeSlaTest, WeightMustBePositiveAndFinite) {
   EXPECT_THROW(server.resolve("bad"), ModelNotFoundError);
 }
 
-TEST(ServeSlaTest, DeadlineMissRateTriggersControllerDegrade) {
-  OperatingPointPolicy policy;
-  policy.degrade_depth = 1000;  // depth trigger inert
-  policy.restore_depth = 0;
-  policy.degrade_miss_rate = 0.25;
-  OperatingPointController point(policy, 3, -1, -1, -1);
-  // Window 1: 10 admitted, 1 miss (10% < 25%) — stays at rung 0.
-  EXPECT_EQ(point.decide({0, 1'000, 10, 1}), 0u);
-  // Window 2: 10 more admitted, 4 more misses (40% > 25%) — degrades.
-  EXPECT_EQ(point.decide({0, 2'000, 20, 5}), 1u);
-  // Window 3: clean — restores (depth 0 ≤ restore_depth).
-  EXPECT_EQ(point.decide({0, 3'000, 30, 5}), 0u);
-  // The two-arg overload keeps the miss trigger inert.
-  EXPECT_EQ(point.decide(0, 4'000), 0u);
-}
-
 // ---- harness accounting regression (satellite fix) -------------------------
 
 TEST(HarnessAccountingTest, OfferedCountsEveryAttemptClosedLoop) {

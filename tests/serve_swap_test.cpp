@@ -14,7 +14,7 @@
 // side of the cutover.
 //
 // Labelled `serve` and run under the TSan quick tier
-// (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve|igemm|engine|adaptive|sla"`).
+// (`CCQ_THREADS=4 ctest -L "parallel|telemetry|serve|igemm|engine|sla"`).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -182,74 +182,131 @@ TEST(ArtifactTest, AtLeast4xSmallerThanFloatSnapshot) {
   fs::remove(artifact);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(ArtifactTest, ChecksumDetectsCorruption) {
   auto model = make_mixed_model();
   const std::string path = temp_path("ccq_serve_corrupt.ccqa");
   export_artifact(model, path);
 
   // Flip one payload byte past the header.
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
-  }
+  std::string bytes = read_file(path);
   bytes[bytes.size() / 2] ^= 0x40;
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  write_file(path, bytes);
   const std::string message = error_message([&] { load_artifact(path); });
   EXPECT_NE(message.find(path), std::string::npos) << message;
   EXPECT_NE(message.find("checksum"), std::string::npos) << message;
   fs::remove(path);
 }
 
-TEST(ArtifactTest, OldVersionRejectedWithNamedDiagnostic) {
-  // A v1 artifact predates the fused requantization record: silently
-  // parsing it with today's field layouts would misload, so the version
-  // gate must fire first (before any payload parsing) and name both
-  // versions.
+TEST(ArtifactTest, UnsupportedVersionsFailBeforeThePayload) {
+  // Versions below and above the supported one: v1 lacks the fused
+  // requantization record, v2 the rung table, and v4 / v99 exercise the
+  // forward direction (a newer exporter meeting this reader).  Silently
+  // parsing any of them with today's layouts would misload, so the
+  // version gate must fire first and name both versions.
   auto model = make_mixed_model();
-  const std::string path = temp_path("ccq_serve_oldversion.ccqa");
+  const std::string path = temp_path("ccq_serve_version.ccqa");
   export_artifact(model, path);
+  const std::string original = read_file(path);
 
-  // Rewrite the header's version field (bytes 4..7, after the magic).
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  for (const std::uint32_t bad : {1u, 2u, 4u, 99u}) {
+    std::string bytes = original;
+    // Rewrite the header's version field (bytes 4..7, after the magic).
+    std::memcpy(bytes.data() + 4, &bad, sizeof(bad));
+    // Corrupt the payload too: negotiation must fire before any payload
+    // byte is parsed, so the corruption must never be reached.
+    bytes.back() = static_cast<char>(~bytes.back());
+    write_file(path, bytes);
+    const std::string message = error_message([&] { load_artifact(path); });
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("unsupported version " + std::to_string(bad)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("reads version " + std::to_string(kArtifactVersion)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("regenerate"), std::string::npos) << message;
+    EXPECT_NE(message.find("ccq export"), std::string::npos) << message;
+    // inspect negotiates identically.
+    EXPECT_NE(error_message([&] { inspect_artifact(path); })
+                  .find("version " + std::to_string(bad)),
+              std::string::npos);
   }
-  const std::uint32_t old_version = 1;
-  std::memcpy(bytes.data() + 4, &old_version, sizeof(old_version));
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  fs::remove(path);
+}
+
+TEST(ArtifactTest, TruncationAtEveryPointIsDiagnosed) {
+  auto model = make_mixed_model();
+  const std::string path = temp_path("ccq_serve_truncated.ccqa");
+  export_artifact(model, path);
+  const std::string original = read_file(path);
+
+  // Every header truncation point (the header is 28 bytes), then a
+  // sweep of payload truncations including one-byte-short.
+  std::vector<std::size_t> cuts;
+  for (std::size_t len = 0; len < 28; ++len) cuts.push_back(len);
+  for (std::size_t len = 28; len < original.size();
+       len += std::max<std::size_t>(1, (original.size() - 28) / 16)) {
+    cuts.push_back(len);
   }
+  cuts.push_back(original.size() - 1);
+  for (const std::size_t len : cuts) {
+    write_file(path, original.substr(0, len));
+    const std::string message = error_message([&] { load_artifact(path); });
+    EXPECT_FALSE(message.empty()) << "no error at " << len << " bytes";
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+  }
+  write_file(path, original.substr(0, original.size() / 2));
+  EXPECT_NE(error_message([&] { load_artifact(path); }).find("truncated"),
+            std::string::npos);
+
+  // Trailing garbage after a well-formed payload is rejected too.
+  write_file(path, original + std::string(3, 'x'));
   const std::string message = error_message([&] { load_artifact(path); });
-  EXPECT_NE(message.find(path), std::string::npos) << message;
-  EXPECT_NE(message.find("unsupported version 1"), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("version " + std::to_string(kArtifactVersion)),
-            std::string::npos)
+  EXPECT_NE(message.find("bytes past the declared"), std::string::npos)
       << message;
   fs::remove(path);
 }
 
-TEST(ArtifactTest, TruncationDetected) {
+TEST(ArtifactTest, InspectDescribesASinglePointExport) {
   auto model = make_mixed_model();
-  const std::string path = temp_path("ccq_serve_truncated.ccqa");
-  export_artifact(model, path);
-  fs::resize_file(path, fs::file_size(path) / 2);
-  const std::string message = error_message([&] { load_artifact(path); });
-  EXPECT_NE(message.find(path), std::string::npos) << message;
-  EXPECT_NE(message.find("truncated"), std::string::npos) << message;
+  const hw::IntegerNetwork net = hw::IntegerNetwork::compile(model);
+  const std::string path = temp_path("ccq_serve_inspect.ccqa");
+  export_artifact(net, path);
+
+  const ArtifactInfo info = inspect_artifact(path);
+  EXPECT_EQ(info.version, kArtifactVersion);
+  EXPECT_EQ(info.file_bytes, fs::file_size(path));
+  EXPECT_EQ(info.payload_bytes + 28, info.file_bytes);
+  EXPECT_GT(info.float_bytes, info.file_bytes);  // packing compresses
+  ASSERT_EQ(info.layer_count, net.layer_count());
+  ASSERT_EQ(info.layers.size(), net.layer_count());
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    const hw::IntLayerPlan& plan = net.plan(i);
+    const ArtifactLayerInfo& layer = info.layers[i];
+    const bool weighted = plan.kind == hw::IntLayerPlan::Kind::kConv ||
+                          plan.kind == hw::IntLayerPlan::Kind::kLinear;
+    EXPECT_EQ(layer.name, plan.name);
+    EXPECT_EQ(layer.weight_bits, weighted ? plan.weight_bits : 0) << plan.name;
+    EXPECT_EQ(layer.act_bits, plan.has_act ? plan.act_bits : 0) << plan.name;
+    EXPECT_EQ(layer.requant_fused, plan.requant_fused) << plan.name;
+  }
   fs::remove(path);
 }
 
 // ---- hostile artifacts ----------------------------------------------------
 
-/// One hand-built, correctly checksummed artifact: a single rung holding
-/// one conv layer named 'hostile' whose geometry, grids, code stream
+/// One hand-built, correctly checksummed artifact: one conv layer named
+/// 'hostile' whose geometry, grids, code stream
 /// header and channel-scale count are chosen by the caller.  Every count
 /// is a lie the reader must catch before it sizes an allocation, and
 /// every grid must meet the engine's 8-bit ceiling.
@@ -263,6 +320,22 @@ struct CraftedLayer {
   std::uint8_t code_bits = 0;
   std::uint64_t scale_count = 1;
 };
+
+/// Write `payload` under a valid version-3 header declaring one layer,
+/// with a matching length and checksum; returns the file's path.
+std::string write_payload(const std::string& name, const std::string& payload) {
+  std::string bytes(kArtifactMagic, sizeof(kArtifactMagic));
+  const auto header = [&](auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  header(kArtifactVersion);
+  header(std::uint32_t{1});  // layer count
+  header(static_cast<std::uint64_t>(payload.size()));
+  header(fnv1a(payload.data(), payload.size()));
+  const std::string path = temp_path(name);
+  write_file(path, bytes + payload);
+  return path;
+}
 
 std::string write_crafted(const std::string& name, const CraftedLayer& layer) {
   std::string payload;
@@ -301,20 +374,7 @@ std::string write_crafted(const std::string& name, const CraftedLayer& layer) {
   varint(1);  // one folded bias
   pod(0.0f);
   pod(std::uint8_t{0});  // unfused
-
-  std::string bytes(kArtifactMagic, sizeof(kArtifactMagic));
-  const auto header = [&](auto v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  header(kArtifactVersion);
-  header(std::uint32_t{1});  // layer count
-  header(static_cast<std::uint64_t>(payload.size()));
-  header(fnv1a(payload.data(), payload.size()));
-  const std::string path = temp_path(name);
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return path;
+  return write_payload(name, payload);
 }
 
 long peak_rss_kb() {
@@ -383,7 +443,7 @@ TEST(ArtifactTest, CraftedGridsPastTheEngineCeilingFailNamingTheLayer) {
   // The same layer at 8 bits loads.
   const std::string path = write_crafted("ccq_serve_ceiling.ccqa",
                                          {.min_code = 256});
-  EXPECT_EQ(inspect_artifact(path).layers.at(0).weight_bits.at(0), 8);
+  EXPECT_EQ(inspect_artifact(path).layers.at(0).weight_bits, 8);
   EXPECT_NO_THROW(load_artifact(path));
   fs::remove(path);
 }
@@ -460,6 +520,36 @@ TEST(ArtifactTest, ConstantLayerRoundTrips) {
   const Tensor x = make_inputs(4);
   EXPECT_EQ(max_abs_diff(direct.forward(x), loaded.forward(x)), 0.0f);
   fs::remove(path);
+}
+
+TEST(ArtifactTest, MultiPointArtifactsFailBeforeAnyLayerIsParsed) {
+  // Earlier builds wrote lower-precision operating points as extra rungs.
+  // The reader refuses any rung count but 1 at the rung count itself:
+  // the bytes after it are no layer record, so a reader that went on
+  // would fail elsewhere, naming a layer or a truncation.
+  for (const std::uint64_t rungs :
+       {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{1} << 40}) {
+    std::string payload;
+    std::uint64_t v = rungs;  // LEB128, as the writer emits it
+    for (; v >= 0x80; v >>= 7) payload.push_back(static_cast<char>(v | 0x80));
+    payload.push_back(static_cast<char>(v));
+    payload += std::string(16, '\xff');
+    const std::string path = write_payload("ccq_serve_rungs.ccqa", payload);
+    for (const auto& load : std::vector<std::function<void()>>{
+             [&] { load_artifact(path); }, [&] { inspect_artifact(path); }}) {
+      const std::string message = error_message(load);
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+      EXPECT_NE(message.find("declares " + std::to_string(rungs) + " rungs"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("multi-point artifacts are no longer served"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("ccq export"), std::string::npos) << message;
+      EXPECT_EQ(message.find("layer"), std::string::npos) << message;
+    }
+    fs::remove(path);
+  }
 }
 
 TEST(ArtifactTest, RejectsForeignFiles) {

@@ -7,6 +7,7 @@
 #include "ccq/core/trainer.hpp"
 #include "ccq/data/synthetic.hpp"
 #include "ccq/models/simple.hpp"
+#include "ccq/tensor/serialize.hpp"
 
 namespace ccq::core {
 namespace {
@@ -68,6 +69,39 @@ TEST(SnapshotTest, RestoredModelComputesIdentically) {
   EXPECT_EQ(max_abs_diff(model.forward(batch.images, ws),
                          restored.forward(batch.images, ws)),
             0.0f);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SnapshotCarryingAPickTrailStillLoads) {
+  // Earlier `ccq run --snapshot` builds stored the controller's pick
+  // trail as one extra tensor, [layer, ladder_pos, val_acc] per step.
+  // Tensors are looked up by name, so such a snapshot loads as usual.
+  auto model = make_model(8);
+  model.registry().set_ladder_pos(0, 2);
+  model.registry().set_ladder_pos(1, 1);
+  const std::string path = "/tmp/ccq_snapshot_trail_test.bin";
+  save_snapshot(model, path);
+  TensorMap tensors = load_tensors(path);
+  Tensor trail({2, 3});
+  trail(0, 0) = 0.0f;
+  trail(0, 1) = 2.0f;
+  trail(0, 2) = 0.9f;
+  trail(1, 0) = 1.0f;
+  trail(1, 1) = 1.0f;
+  trail(1, 2) = 0.85f;
+  tensors.emplace("__ccq_rung_trail__", std::move(trail));
+  save_tensors(path, tensors);
+
+  auto restored = make_model(9);
+  ASSERT_TRUE(load_snapshot(restored, path));
+  EXPECT_EQ(restored.registry().bits_of(0), 2);
+  EXPECT_EQ(restored.registry().bits_of(1), 4);
+  auto pa = model.parameters();
+  auto pb = restored.parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(max_abs_diff(pa[i]->value, pb[i]->value), 0.0f) << pa[i]->name;
+  }
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run a benchmark grid and snapshot it to a committed BENCH_*.json.
 
-Five suites cover float training, the integer-inference datapath and the
+Four suites cover float training, the integer-inference datapath and the
 serving stack:
 
   train     BM_Gemm, BM_ConvForward, BM_ConvBackward,
@@ -44,13 +44,6 @@ serving stack:
             weighted mixed-priority sweep with per-class p50/p99 and the
             shed split (shed rates are fractions of offered submission
             attempts, not the sample count)
-  adaptive  BM_Adaptive* (bench_serve binary) -> BENCH_adaptive.json
-            adaptive-precision serving: the per-rung price list (closed
-            loop, 3-rung artifact pinned at each rung) and a scripted
-            up-then-down load ramp through the saturation knee.  The ramp
-            row is wall-clock-paced by construction; its regression
-            signal is the rung_switches / deepest_rung / final_rung /
-            shed_rate counters, not real time
 
 Typical use:
 
@@ -86,10 +79,9 @@ the same bit width, measured in the same processes — because a ratio
 carries from one machine to another and absolute real_time_ns does not;
 their reference rows are reported, not gated.  Their rows are medians
 over 3 processes of 5 interleaved repetitions each (about a minute per
-suite).  The serve and adaptive
-suites gate on real_time_ns.  Open-loop serve rows are wall-clock-paced
-by construction, so their regression signal is the p99_us column,
-reported alongside.
+suite).  The serve suite gates on real_time_ns.  Open-loop serve rows
+are wall-clock-paced by construction, so their regression signal is the
+p99_us column, reported alongside.
 """
 
 import argparse
@@ -137,11 +129,6 @@ SUITES = {
         "filter": "BM_Serve",
         "binary": "bench_serve",
         "snapshot": REPO / "BENCH_serve.json",
-    },
-    "adaptive": {
-        "filter": "BM_Adaptive",
-        "binary": "bench_serve",
-        "snapshot": REPO / "BENCH_adaptive.json",
     },
 }
 
@@ -322,8 +309,8 @@ def parse_named_rows(raw: dict) -> dict:
 def parse_serve_rows(raw: dict) -> dict:
     """bench_serve JSON -> rows keyed closed/pPwW/dD, open/Rrps/dD,
     latency/wW (submit + get), latency/wW/infer (the blocking infer),
-    forward/bB, mixed/Rrps, rung/R and ramp (D = the row's max_delay_us
-    batch-fill hold)."""
+    forward/bB and mixed/Rrps (D = the row's max_delay_us batch-fill
+    hold)."""
     rows = {}
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
@@ -347,10 +334,6 @@ def parse_serve_rows(raw: dict) -> dict:
             key = f"latency/w{args['workers']}"
             if args.get("infer"):
                 key += "/infer"
-        elif parts[0] == "BM_AdaptiveRung":
-            key = f"rung/{args['rung']}"
-        elif parts[0] == "BM_AdaptiveLoadRamp":
-            key = "ramp"
         else:
             continue
         rows[key] = {
@@ -361,10 +344,8 @@ def parse_serve_rows(raw: dict) -> dict:
             "shed_rate": b.get("shed_rate"),
             "allocs_per_iter": b.get("allocs_per_iter"),
         }
-        for counter in ("us_per_sample", "rung_switches", "deepest_rung",
-                        "final_rung"):
-            if counter in b:
-                rows[key][counter] = b[counter]
+        if "us_per_sample" in b:
+            rows[key]["us_per_sample"] = b["us_per_sample"]
         # Mixed-priority rows: per-class latency quantiles + shed split.
         for cls in ("low", "normal", "high"):
             for counter in (f"p50_{cls}_us", f"p99_{cls}_us", f"shed_{cls}"):

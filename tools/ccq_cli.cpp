@@ -16,17 +16,17 @@
 //   ccq export --snapshot s.bin --out model.ccqa …
 //       Pack a quantized snapshot into the bit-packed serving artifact
 //       (weights stored at their final ladder precision; same model/data
-//       flags as the run that produced the snapshot).  --rungs K builds
-//       a multi-point artifact instead, replaying the rung trail the
-//       snapshot recorded.
+//       flags as the run that produced the snapshot).
 //   ccq inspect --artifact model.ccqa
 //       Describe a packed artifact without serving it: format version,
-//       per-layer bits at every rung, requant coverage, and the packed
-//       size against the fp32 equivalent of the same tensors.
+//       per-layer bits, requant coverage, and the packed size against
+//       the fp32 equivalent of the same tensors.
 //   ccq serve --listen 7070 [--artifact model.ccqa] [--name m] …
 //       Host a model behind the TCP front end (serve/net.hpp) until
 //       stdin closes; clients speak the length-prefixed wire protocol
-//       of serve/protocol.hpp (documented in docs/SERVING.md).
+//       of serve/protocol.hpp (documented in docs/SERVING.md).  `serve`
+//       and `serve-bench` refuse a flag they do not read, before the
+//       server starts.
 //   ccq serve-bench [--artifact model.ccqa] [--tcp] [--rate R] …
 //       Drive the registry-routed inference server with concurrent
 //       producers — closed loop by default, open loop at a fixed
@@ -80,7 +80,7 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
       .policy = quant::policy_from_str(args.get("policy", "pact"))};
   models::ModelConfig config;
   config.num_classes = classes;
-  config.image_size = static_cast<std::size_t>(args.get_int("image", 16));
+  config.image_size = args.get_size("image", 16);
   config.width_multiplier =
       static_cast<float>(args.get_double("width", 0.25));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
@@ -92,7 +92,7 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
   }
   if (arch == "mlp") {
     return models::make_mlp(config, factory, ladder,
-                            static_cast<std::size_t>(args.get_int("hidden", 64)));
+                            args.get_size("hidden", 64));
   }
   throw Error("unknown --arch " + arch +
               " (resnet20|resnet18|resnet50|simplecnn|mlp)");
@@ -100,10 +100,9 @@ models::QuantModel build_model(const Args& args, std::size_t classes,
 
 Experiment prepare(const Args& args, bool pretrain = true) {
   data::SyntheticConfig dc;
-  dc.num_classes = static_cast<std::size_t>(args.get_int("classes", 10));
-  dc.samples_per_class =
-      static_cast<std::size_t>(args.get_int("samples", 55));
-  dc.height = dc.width = static_cast<std::size_t>(args.get_int("image", 16));
+  dc.num_classes = args.get_size("classes", 10);
+  dc.samples_per_class = args.get_size("samples", 55);
+  dc.height = dc.width = args.get_size("image", 16);
   dc.pixel_noise = static_cast<float>(args.get_double("noise", 0.38));
   dc.jitter = static_cast<float>(args.get_double("jitter", 2.6));
   dc.seed = static_cast<std::uint64_t>(args.get_int("data-seed", 1234));
@@ -119,8 +118,8 @@ Experiment prepare(const Args& args, bool pretrain = true) {
   }
 
   core::TrainConfig pre;
-  pre.epochs = args.get_int("pretrain-epochs", 12);
-  pre.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  pre.epochs = static_cast<int>(args.get_size("pretrain-epochs", 12));
+  pre.batch_size = args.get_size("batch", 32);
   pre.sgd = {.lr = args.get_double("pretrain-lr", 0.03),
              .momentum = 0.9,
              .weight_decay = 5e-4};
@@ -133,20 +132,21 @@ Experiment prepare(const Args& args, bool pretrain = true) {
 
 core::CcqConfig ccq_config_from(const Args& args) {
   core::CcqConfig config;
-  config.probes_per_step = args.get_int("probes", 4);
-  config.probe_samples = static_cast<std::size_t>(args.get_int("probe-samples", 96));
+  config.probes_per_step = static_cast<int>(args.get_size("probes", 4));
+  config.probe_samples = args.get_size("probe-samples", 96);
   config.gamma = args.get_double("gamma", 4.0);
   config.lambda_start = args.get_double("lambda-start", 0.7);
   config.lambda_end = args.get_double("lambda-end", 0.1);
   config.memory_aware = !args.get_flag("no-memory");
-  config.max_recovery_epochs = args.get_int("max-recovery", 2);
+  config.max_recovery_epochs =
+      static_cast<int>(args.get_size("max-recovery", 2));
   config.recovery = args.get_flag("manual-recovery")
                         ? core::RecoveryMode::kManual
                         : core::RecoveryMode::kAdaptive;
-  config.manual_recovery_epochs = args.get_int("manual-epochs", 1);
+  config.manual_recovery_epochs =
+      static_cast<int>(args.get_size("manual-epochs", 1));
   config.max_steps = args.get_int("max-steps", -1);
-  config.finetune.batch_size =
-      static_cast<std::size_t>(args.get_int("batch", 32));
+  config.finetune.batch_size = args.get_size("batch", 32);
   config.finetune.sgd = {.lr = args.get_double("finetune-lr", 0.01),
                          .momentum = 0.9,
                          .weight_decay = 5e-4};
@@ -197,9 +197,7 @@ int finish_run(const Args& args, Experiment& exp,
 
   const std::string snapshot = args.get("snapshot", "");
   if (!snapshot.empty()) {
-    // The trail rides along so `export --rungs K` can replay the
-    // descent's intermediate configurations as serving rungs.
-    core::save_snapshot(exp.model, snapshot, controller.trail());
+    core::save_snapshot(exp.model, snapshot);
     std::cout << "snapshot -> " << snapshot << "\n";
   }
   const std::string state = args.get("state", "");
@@ -260,14 +258,13 @@ int cmd_resume(const Args& args) {
 int cmd_oneshot(const Args& args) {
   Experiment exp = prepare(args);
   core::TrainConfig ft;
-  ft.epochs = args.get_int("finetune-epochs", 6);
-  ft.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  ft.epochs = static_cast<int>(args.get_size("finetune-epochs", 6));
+  ft.batch_size = args.get_size("batch", 32);
   ft.sgd = {.lr = args.get_double("finetune-lr", 0.01),
             .momentum = 0.9,
             .weight_decay = 5e-4};
-  const auto pos = static_cast<std::size_t>(args.get_int(
-      "bits-pos",
-      static_cast<int>(exp.model.registry().ladder().size()) - 1));
+  const std::size_t pos =
+      args.get_size("bits-pos", exp.model.registry().ladder().size() - 1);
   const auto r =
       core::one_shot_quantize(exp.model, exp.train, exp.val, ft, pos);
   std::cout << "one-shot @"
@@ -308,25 +305,7 @@ int cmd_export(const Args& args) {
   Experiment exp = prepare(args, /*pretrain=*/false);
   CCQ_CHECK(core::load_snapshot(exp.model, snapshot),
             "snapshot not found: " + snapshot);
-  const auto rungs = static_cast<std::size_t>(args.get_int("rungs", 1));
-  if (rungs >= 2) {
-    const core::RungTrail trail = core::load_trail(snapshot);
-    CCQ_CHECK(!trail.empty(),
-              "snapshot " + snapshot +
-                  " records no rung trail — re-run `ccq run --snapshot ...` "
-                  "with this build so multi-point export can replay the "
-                  "ladder pick history");
-    serve::MultiPointOptions mp;
-    mp.rungs = rungs;
-    mp.size_budget = args.get_double("rung-budget", 1.5);
-    const hw::IntegerNetwork net =
-        serve::build_multipoint(exp.model, trail, mp);
-    serve::export_artifact(net, out);
-    std::cout << "multi-point artifact: " << net.rung_count()
-              << " serving rungs\n";
-  } else {
-    serve::export_artifact(exp.model, out);
-  }
+  serve::export_artifact(exp.model, out);
   const auto artifact_bytes = std::filesystem::file_size(out);
   const auto snapshot_bytes = std::filesystem::file_size(snapshot);
   std::cout << "artifact -> " << out << " (" << artifact_bytes << " bytes, "
@@ -343,41 +322,13 @@ int cmd_inspect(const Args& args) {
   CCQ_CHECK(!path.empty(), "inspect needs --artifact <model.ccqa>");
   const serve::ArtifactInfo info = serve::inspect_artifact(path);
   std::cout << path << ": CCQA v" << info.version << ", " << info.layer_count
-            << " layers, " << info.rung_count
-            << (info.rung_count == 1 ? " rung, " : " rungs, ")
-            << info.file_bytes << " bytes (" << info.payload_bytes
-            << " payload)\n";
-  if (info.rung_count > 1) {
-    Table rungs({"rung", "trail step", "val top-1"});
-    for (std::size_t r = 0; r < info.rungs.size(); ++r) {
-      rungs.add_row({std::to_string(r),
-                     info.rungs[r].trail_step < 0
-                         ? "final"
-                         : std::to_string(info.rungs[r].trail_step),
-                     info.rungs[r].val_acc > 0.0f
-                         ? Table::fmt(100.0 * info.rungs[r].val_acc, 1)
-                         : "-"});
-    }
-    rungs.print(std::cout);
-  }
-  // Per-rung values joined r0/r1/…: one row per layer stays readable at
-  // any rung count.
-  const auto joined = [](const std::vector<int>& v) {
-    std::string s;
-    for (int x : v) {
-      s += (s.empty() ? "" : "/") + (x == 0 ? std::string("-")
-                                            : std::to_string(x));
-    }
-    return s;
-  };
+            << " layers, " << info.file_bytes << " bytes ("
+            << info.payload_bytes << " payload)\n";
+  const auto bits = [](int b) { return b == 0 ? "-" : std::to_string(b); };
   Table layers({"layer", "kind", "w bits", "act bits", "requant"});
   for (const serve::ArtifactLayerInfo& layer : info.layers) {
-    std::string requant;
-    for (const bool fused : layer.requant_fused) {
-      requant += (requant.empty() ? "" : "/") + std::string(fused ? "y" : "n");
-    }
-    layers.add_row({layer.name, layer.kind, joined(layer.weight_bits),
-                    joined(layer.act_bits), requant});
+    layers.add_row({layer.name, layer.kind, bits(layer.weight_bits),
+                    bits(layer.act_bits), layer.requant_fused ? "y" : "n"});
   }
   layers.print(std::cout);
   std::cout << "packed "
@@ -389,37 +340,16 @@ int cmd_inspect(const Args& args) {
   return 0;
 }
 
-// Adaptive serving knobs shared by `serve` and `serve-bench` — inert
-// unless the loaded artifact carries more than one rung.
-serve::OperatingPointPolicy adaptive_policy_from(const Args& args) {
-  serve::OperatingPointPolicy policy;
-  policy.degrade_depth =
-      static_cast<std::size_t>(args.get_int("degrade-depth", 16));
-  policy.restore_depth =
-      static_cast<std::size_t>(args.get_int("restore-depth", 2));
-  policy.degrade_p99_us =
-      static_cast<std::uint64_t>(args.get_int("degrade-p99-us", 0));
-  policy.min_dwell_us = static_cast<std::uint64_t>(args.get_int("dwell-us", 0));
-  policy.fixed_rung = args.get_int("rung", -1);
-  policy.degrade_miss_rate = args.get_double("degrade-miss-rate", 0.0);
-  return policy;
-}
-
 // Per-model knobs shared by `serve` and `serve-bench`.  Every flag
 // defaults to the `ModelConfig{}` value, so both commands serve what an
 // embedding application serves (usage() prints the same defaults).
 serve::ModelConfig model_config_from(const Args& args) {
   serve::ModelConfig mc;
-  mc.max_batch = static_cast<std::size_t>(
-      args.get_int("max-batch", static_cast<int>(mc.max_batch)));
-  mc.max_delay_us = static_cast<std::uint64_t>(
-      args.get_int("max-delay-us", static_cast<int>(mc.max_delay_us)));
-  mc.queue_capacity = static_cast<std::size_t>(
-      args.get_int("queue-cap", static_cast<int>(mc.queue_capacity)));
+  mc.max_batch = args.get_size("max-batch", mc.max_batch);
+  mc.max_delay_us = args.get_size("max-delay-us", mc.max_delay_us);
+  mc.queue_capacity = args.get_size("queue-cap", mc.queue_capacity);
   mc.weight = args.get_double("weight", mc.weight);
-  mc.slo_us = static_cast<std::uint64_t>(
-      args.get_int("slo-us", static_cast<int>(mc.slo_us)));
-  mc.adaptive = adaptive_policy_from(args);
+  mc.slo_us = args.get_size("slo-us", mc.slo_us);
   return mc;
 }
 
@@ -456,13 +386,14 @@ int cmd_serve(const Args& args) {
             "serve needs --listen <port> (0 picks an ephemeral port)");
 
   serve::ServeConfig sc;
-  sc.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-  sc.intra_op_threads =
-      static_cast<std::size_t>(args.get_int("intra-op", 1));
-  serve::InferenceServer server(sc);
+  sc.workers = args.get_size("workers", 2);
+  sc.intra_op_threads = args.get_size("intra-op", 1);
   const serve::ModelConfig mc = model_config_from(args);
   const std::string name = serve_model_name(args);
-  const serve::ModelHandle handle = server.load(name, serve_network(args), mc);
+  hw::IntegerNetwork net = serve_network(args);
+  args.reject_unused();
+  serve::InferenceServer server(sc);
+  const serve::ModelHandle handle = server.load(name, std::move(net), mc);
 
   serve::TcpServer front(server, static_cast<std::uint16_t>(port));
   std::cout << "serving model \"" << name << "\" v" << handle.version()
@@ -485,23 +416,23 @@ int cmd_serve_bench(const Args& args) {
             "serve-bench drives image models (first layer must be a conv)");
 
   serve::ServeConfig sc;
-  sc.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-  sc.intra_op_threads =
-      static_cast<std::size_t>(args.get_int("intra-op", 1));
+  sc.workers = args.get_size("workers", 2);
+  sc.intra_op_threads = args.get_size("intra-op", 1);
   const serve::ModelConfig mc = model_config_from(args);
-  const auto requests = static_cast<std::size_t>(args.get_int("requests", 512));
-  const auto image = static_cast<std::size_t>(args.get_int("image", 16));
+  const std::size_t requests = args.get_size("requests", 512);
+  const std::size_t image = args.get_size("image", 16);
   const double rate = args.get_double("rate", 0.0);  // 0 = closed loop
   const bool tcp = args.get_flag("tcp");
   CCQ_CHECK(!(tcp && rate > 0.0),
             "--tcp is closed-loop only (drop --rate for the socket path)");
 
   serve::HarnessOptions options;
-  options.producers = static_cast<std::size_t>(args.get_int("producers", 4));
+  options.producers = args.get_size("producers", 4);
   options.offered_rps = rate;
   options.priority = serve::priority_from_string(args.get("priority", "normal"));
-  options.deadline_us =
-      static_cast<std::uint64_t>(args.get_int("deadline-us", 0));
+  options.deadline_us = args.get_size("deadline-us", 0);
+  const std::string name = serve_model_name(args);
+  args.reject_unused();
 
   Tensor samples({requests, net.plan(0).in_channels, image, image});
   auto data = samples.data();
@@ -509,7 +440,6 @@ int cmd_serve_bench(const Args& args) {
     data[i] = static_cast<float>((i * 2654435761u >> 8) & 255u) / 255.0f;
   }
 
-  const std::string name = serve_model_name(args);
   serve::InferenceServer server(sc);
   server.load(name, std::move(net), mc);
   std::unique_ptr<serve::TcpServer> front;
@@ -602,7 +532,6 @@ void usage() {
       "  --metrics-out m.json   counters/timers report (also $CCQ_METRICS)\n"
       "  --progress [--verbose] per-step progress lines\n"
       "export flags: --snapshot s.bin --out model.ccqa\n"
-      "  --rungs K --rung-budget 1.5   multi-point artifact\n"
       "serve flags: --listen 7070 --artifact model.ccqa --name m\n"
       "  --workers 2 --intra-op 1\n"
       << model_flags <<
@@ -615,11 +544,7 @@ void usage() {
       "  --tcp      drive through a loopback TCP front end\n"
       "  --weight 1.0 --slo-us 0   model SLA knobs (as for serve)\n"
       "  --priority low|normal|high   service class on every request\n"
-      "  --deadline-us 0   queueing budget per request (0 = none)\n"
-      "adaptive flags (serve / serve-bench, multi-rung artifacts):\n"
-      "  --degrade-depth 16 --restore-depth 2   queue-depth hysteresis\n"
-      "  --degrade-p99-us 0 --dwell-us 0 --rung -1 (pin one rung)\n"
-      "  --degrade-miss-rate 0.0   deadline-miss fraction that degrades\n";
+      "  --deadline-us 0   queueing budget per request (0 = none)\n";
 }
 
 }  // namespace
